@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke ci clean
+.PHONY: all build vet lint test race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke ci clean
 
 all: build
 
@@ -128,7 +128,22 @@ metacity-smoke:
 	$(GO) test -race -run 'TestE15Smoke|TestE15SimnetDeterminism' -v ./internal/bench/
 	E15_GATE=1 $(GO) test -run TestE15Gate -v ./internal/bench/
 
-ci: vet build race chaos-smoke churn-smoke fleet-smoke metacity-smoke
+# The repo's benchmark (BENCHMARK.json): five closed-loop workloads over
+# the real stack, both passes, written as a run record that
+# `bash benchmark/run.sh -compare a.json b.json` diffs against another.
+# benchmark/ is a module of its own, so `build`, `vet` and `test` above
+# never compile it; benchmark-smoke does (known-answer tests plus a
+# sub-second run of every workload), which is what catches an API change
+# in the tree that breaks it.
+BENCH_OUT ?= bench-record.json
+
+benchmark:
+	bash benchmark/run.sh -out $(BENCH_OUT)
+
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet build race chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

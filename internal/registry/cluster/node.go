@@ -78,9 +78,11 @@ type Node struct {
 	members *Membership
 	caller  PeerCaller
 
-	mu   sync.Mutex
-	ring *Ring
-	seq  uint64
+	// ring is read lock-free by every operation; rebalMu serializes its
+	// replacement so the ring in force is always the newest one built.
+	ring    atomic.Pointer[Ring]
+	rebalMu sync.Mutex
+	seq     atomic.Uint64
 
 	// stats are plain atomic counters mirroring the telemetry counters,
 	// readable even when telemetry is disabled (bench harness, tests).
@@ -103,6 +105,9 @@ func NewNode(cfg Config) *Node {
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
+	if cfg.VNodes <= 0 {
+		cfg.VNodes = DefaultVNodes // c.members reports the count in force
+	}
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 5 * time.Second
 	}
@@ -121,14 +126,14 @@ func NewNode(cfg Config) *Node {
 		members: NewMembership(cfg.ID, seed, cfg.DeadAfter, cfg.Clock),
 		caller:  cfg.Caller,
 	}
-	n.ring = BuildRing(idsOf(n.members.Members()), cfg.VNodes)
+	n.ring.Store(BuildRing(idsOf(n.members.Members()), cfg.VNodes))
 	tel := telemetry.Or(cfg.Telemetry)
 	tel.Help("cluster_members", "Cluster membership per liveness state.")
 	tel.Help("cluster_ring_peers", "Peers currently in the consistent-hash ring.")
-	tel.Help("cluster_entries_local", "Entries held by the local shard store.")
+	tel.Help("cluster_entries_local", "Entries stored in the local shard, expired leases awaiting the sweep (at most 250ms behind) included.")
 	tel.Help("cluster_rebalance_moved_total", "Entries pushed to other peers by rebalance.")
 	tel.Help("cluster_handoff_failures_total", "Rebalance pushes that failed (entry retained locally).")
-	tel.Help("cluster_replication_failures_total", "Replica writes that failed during publish/renew.")
+	tel.Help("cluster_replication_failures_total", "Replica writes and removals that failed during publish/renew/remove.")
 	tel.Help("cluster_forwarded_total", "Client operations forwarded to the owning peer.")
 	tel.Help("cluster_gossip_rounds_total", "Gossip exchanges initiated by this node.")
 	id := cfg.ID
@@ -174,11 +179,7 @@ func (n *Node) Store() *registry.Registry { return n.store }
 func (n *Node) Membership() *Membership { return n.members }
 
 // Ring returns the node's current ring snapshot.
-func (n *Node) Ring() *Ring {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ring
-}
+func (n *Node) Ring() *Ring { return n.ring.Load() }
 
 func (n *Node) updateGauges() {
 	a, s, d := n.members.Counts()
@@ -186,15 +187,19 @@ func (n *Node) updateGauges() {
 	n.gSuspect.Set(int64(s))
 	n.gDead.Set(int64(d))
 	n.gRingPeers.Set(int64(n.Ring().Len()))
-	n.gLocalEntries.Set(int64(n.store.Len()))
+	n.countEntries()
 }
+
+// countEntries settles the local-entries gauge from the store's O(1)
+// counter, so write paths can afford it on every operation.
+func (n *Node) countEntries() { n.gLocalEntries.Set(int64(n.store.Stored())) }
 
 // owners resolves the owner peer-states for a ring key, primary first,
 // using the node's current ring and membership. Peers the membership has
-// lost track of are skipped.
+// lost track of are skipped. Operations resolve the list once and pass it
+// down, so one operation sees one ring.
 func (n *Node) owners(ringKey string) []PeerState {
-	ring := n.Ring()
-	ids := ring.Owners(ringKey, n.cfg.Replicas)
+	ids := n.Ring().Owners(ringKey, n.cfg.Replicas)
 	out := make([]PeerState, 0, len(ids))
 	for _, id := range ids {
 		if p, ok := n.members.Get(id); ok {
@@ -223,10 +228,9 @@ func (n *Node) IsLocalOwner(keyOrName string) bool {
 	return false
 }
 
-// isLocalPrimary reports whether this node is the primary owner.
-func (n *Node) isLocalPrimary(ringKey string) bool {
-	os := n.owners(ringKey)
-	return len(os) > 0 && os[0].ID == n.cfg.ID
+// leads reports whether this node is the primary of an owner list.
+func (n *Node) leads(owners []PeerState) bool {
+	return len(owners) > 0 && owners[0].ID == n.cfg.ID
 }
 
 // clusterKey canonicalises an entry key so it routes with its name: a
@@ -236,11 +240,7 @@ func (n *Node) isLocalPrimary(ringKey string) bool {
 // re-publication stays idempotent.
 func (n *Node) clusterKey(e registry.Entry) string {
 	if e.Key == "" {
-		n.mu.Lock()
-		n.seq++
-		k := fmt.Sprintf("%s::%s-%d", e.Name, n.cfg.ID, n.seq)
-		n.mu.Unlock()
-		return k
+		return fmt.Sprintf("%s::%s-%d", e.Name, n.cfg.ID, n.seq.Add(1))
 	}
 	if RingKey(e.Key) == e.Name {
 		return e.Key
@@ -263,38 +263,43 @@ func (n *Node) PublishLeased(e registry.Entry, lease time.Duration) (string, err
 		return "", fmt.Errorf("registry: entry must be named")
 	}
 	e.Key = n.clusterKey(e)
-	if n.isLocalPrimary(e.Name) {
-		return n.publishLocal(e, lease)
+	owners := n.owners(e.Name)
+	if n.leads(owners) {
+		return n.publishLocal(e, lease, owners)
 	}
-	return n.forwardPublish(e, lease)
+	return n.forwardPublish(e, lease, owners)
 }
 
 // publishLocal stores the entry on this (owning) node and replicates it,
 // lease included, to the other owners. The owner write is authoritative:
 // replica failures are counted but do not fail the publish — the next
 // renewal or rebalance repairs them.
-func (n *Node) publishLocal(e registry.Entry, lease time.Duration) (string, error) {
+func (n *Node) publishLocal(e registry.Entry, lease time.Duration, owners []PeerState) (string, error) {
 	key, err := n.store.PublishLeased(e, lease)
 	if err != nil {
 		return "", err
 	}
 	e.Key = key
-	n.replicate(e, lease)
-	n.gLocalEntries.Set(int64(n.store.Len()))
+	n.replicate(owners, e, lease)
+	n.countEntries()
 	return key, nil
 }
 
 // replicate pushes one entry to every non-self owner.
-func (n *Node) replicate(e registry.Entry, lease time.Duration) {
-	for _, p := range n.owners(RingKey(e.Key)) {
+func (n *Node) replicate(owners []PeerState, e registry.Entry, lease time.Duration) {
+	for _, p := range owners {
 		if p.ID == n.cfg.ID {
 			continue
 		}
 		if err := n.replicateTo(p.Addr, e, lease); err != nil {
-			n.cReplFail.Inc()
-			n.stReplFail.Add(1)
+			n.replicaFailed()
 		}
 	}
+}
+
+func (n *Node) replicaFailed() {
+	n.cReplFail.Inc()
+	n.stReplFail.Add(1)
 }
 
 func (n *Node) replicateTo(addr string, e registry.Entry, lease time.Duration) error {
@@ -303,11 +308,11 @@ func (n *Node) replicateTo(addr string, e registry.Entry, lease time.Duration) e
 	return err
 }
 
-func (n *Node) forwardPublish(e registry.Entry, lease time.Duration) (string, error) {
-	addr, ok := n.OwnerAddr(e.Name)
-	if !ok {
+func (n *Node) forwardPublish(e registry.Entry, lease time.Duration, owners []PeerState) (string, error) {
+	if len(owners) == 0 {
 		return "", fmt.Errorf("%w: no owner for %q", registry.ErrUnavailable, e.Name)
 	}
+	addr := owners[0].Addr
 	n.cForwarded.Inc()
 	n.stForwarded.Add(1)
 	e.LeaseRemaining = lease
@@ -327,26 +332,30 @@ func (n *Node) forwardPublish(e registry.Entry, lease time.Duration) (string, er
 // entry's current primary owner (which may have changed since the entry
 // was published). On the owner it renews locally and refreshes replicas.
 func (n *Node) Renew(key string) error {
-	rk := RingKey(key)
-	if n.isLocalPrimary(rk) {
-		return n.renewLocal(key)
+	owners := n.owners(RingKey(key))
+	if n.leads(owners) {
+		return n.renewLocal(key, owners)
 	}
-	addr, ok := n.OwnerAddr(rk)
-	if !ok {
+	return n.forwardKeyed(opRenew, key, owners)
+}
+
+// forwardKeyed sends a keyed write to the key's primary owner.
+func (n *Node) forwardKeyed(op, key string, owners []PeerState) error {
+	if len(owners) == 0 {
 		return fmt.Errorf("%w: no owner for %q", registry.ErrUnavailable, key)
 	}
 	n.cForwarded.Inc()
 	n.stForwarded.Add(1)
-	_, err := n.call(addr, opRenew, []soap.Param{{Name: "key", Value: key}})
+	_, err := n.call(owners[0].Addr, op, []soap.Param{{Name: "key", Value: key}})
 	return err
 }
 
-func (n *Node) renewLocal(key string) error {
+func (n *Node) renewLocal(key string, owners []PeerState) error {
 	if err := n.store.Renew(key); err != nil {
 		return err
 	}
 	if e, ok := n.store.Get(key); ok && e.LeaseRemaining > 0 {
-		n.replicate(e, e.LeaseRemaining)
+		n.replicate(owners, e, e.LeaseRemaining)
 	}
 	return nil
 }
@@ -354,29 +363,28 @@ func (n *Node) renewLocal(key string) error {
 // Remove implements registry.Lookup, deleting the entry from its owner
 // and every replica.
 func (n *Node) Remove(key string) error {
-	rk := RingKey(key)
-	if n.isLocalPrimary(rk) {
-		return n.removeLocal(key)
+	owners := n.owners(RingKey(key))
+	if n.leads(owners) {
+		return n.removeLocal(key, owners)
 	}
-	addr, ok := n.OwnerAddr(rk)
-	if !ok {
-		return fmt.Errorf("%w: no owner for %q", registry.ErrUnavailable, key)
-	}
-	n.cForwarded.Inc()
-	n.stForwarded.Add(1)
-	_, err := n.call(addr, opRemove, []soap.Param{{Name: "key", Value: key}})
-	return err
+	return n.forwardKeyed(opRemove, key, owners)
 }
 
-func (n *Node) removeLocal(key string) error {
+// removeLocal deletes the entry here and on the other owners. Like a
+// replica write, a replica removal that fails is counted, not fatal: the
+// copy it leaves can still answer a replica-served find until its lease
+// runs out.
+func (n *Node) removeLocal(key string, owners []PeerState) error {
 	err := n.store.Remove(key)
-	for _, p := range n.owners(RingKey(key)) {
+	for _, p := range owners {
 		if p.ID == n.cfg.ID {
 			continue
 		}
-		n.call(p.Addr, opRemoveReplica, []soap.Param{{Name: "key", Value: key}})
+		if _, rerr := n.call(p.Addr, opRemoveReplica, []soap.Param{{Name: "key", Value: key}}); rerr != nil {
+			n.replicaFailed()
+		}
 	}
-	n.gLocalEntries.Set(int64(n.store.Len()))
+	n.countEntries()
 	return err
 }
 
@@ -555,11 +563,10 @@ func (n *Node) Step(ctx context.Context) {
 // newly-added owner (idempotent keyed replication makes duplicate pushes
 // from several owners harmless). Returns the number of entries pushed.
 func (n *Node) Rebalance() int {
-	n.mu.Lock()
-	old := n.ring
+	n.rebalMu.Lock()
 	next := BuildRing(idsOf(n.members.Members()), n.cfg.VNodes)
-	n.ring = next
-	n.mu.Unlock()
+	old := n.ring.Swap(next)
+	n.rebalMu.Unlock()
 	moved := 0
 	for _, e := range n.store.List() {
 		rk := RingKey(e.Key)
@@ -602,7 +609,7 @@ func (n *Node) Rebalance() int {
 		n.cMoved.Add(uint64(moved))
 		n.stMoved.Add(uint64(moved))
 	}
-	n.gLocalEntries.Set(int64(n.store.Len()))
+	n.countEntries()
 	return moved
 }
 
@@ -639,7 +646,7 @@ func (n *Node) HandlePeer(ctx context.Context, method string, params []soap.Para
 		if err != nil {
 			return nil, clientFault(err)
 		}
-		key, err := n.publishLocal(e, lease)
+		key, err := n.publishLocal(e, lease, n.owners(e.Name))
 		if err != nil {
 			return nil, clientFault(err)
 		}
@@ -652,7 +659,7 @@ func (n *Node) HandlePeer(ctx context.Context, method string, params []soap.Para
 		if _, err := n.store.PublishLeased(e, lease); err != nil {
 			return nil, clientFault(err)
 		}
-		n.gLocalEntries.Set(int64(n.store.Len()))
+		n.countEntries()
 		return []soap.Param{{Name: "ok", Value: true}}, nil
 	case opGet:
 		key, err := stringArg(params, "key")
@@ -685,17 +692,16 @@ func (n *Node) HandlePeer(ctx context.Context, method string, params []soap.Para
 		if err != nil {
 			return nil, err
 		}
-		if !n.isLocalPrimary(RingKey(key)) {
+		owners := n.owners(RingKey(key))
+		if !n.leads(owners) && len(owners) > 0 && owners[0].Addr != n.cfg.Addr {
 			// Routed here by a stale ring: redirect to the owner we know.
-			if addr, ok := n.OwnerAddr(key); ok && addr != n.cfg.Addr {
-				return nil, &soap.Fault{
-					Code:   registry.FaultCodeRedirect,
-					String: fmt.Sprintf("renew %q: not the owner", key),
-					Detail: addr,
-				}
+			return nil, &soap.Fault{
+				Code:   registry.FaultCodeRedirect,
+				String: fmt.Sprintf("renew %q: owner is %s", key, owners[0].Addr),
+				Detail: owners[0].Addr,
 			}
 		}
-		if err := n.renewLocal(key); err != nil {
+		if err := n.renewLocal(key, owners); err != nil {
 			return nil, clientFault(err)
 		}
 		return []soap.Param{{Name: "ok", Value: true}}, nil
@@ -704,7 +710,7 @@ func (n *Node) HandlePeer(ctx context.Context, method string, params []soap.Para
 		if err != nil {
 			return nil, err
 		}
-		if err := n.removeLocal(key); err != nil {
+		if err := n.removeLocal(key, n.owners(RingKey(key))); err != nil {
 			return nil, clientFault(err)
 		}
 		return []soap.Param{{Name: "ok", Value: true}}, nil
@@ -714,7 +720,7 @@ func (n *Node) HandlePeer(ctx context.Context, method string, params []soap.Para
 			return nil, err
 		}
 		n.store.Remove(key)
-		n.gLocalEntries.Set(int64(n.store.Len()))
+		n.countEntries()
 		return []soap.Param{{Name: "ok", Value: true}}, nil
 	case opGossip:
 		s, err := stringArg(params, "digest")
@@ -743,9 +749,13 @@ func (n *Node) HandlePeer(ctx context.Context, method string, params []soap.Para
 			ids[i] = p.ID
 			addrs[i] = p.Addr
 		}
+		// ring and vnodes let a client build the ring this node routes by
+		// (the Router's one-hop placement); ids/addrs are the membership.
 		return []soap.Param{
 			{Name: "ids", Value: ids},
 			{Name: "addrs", Value: addrs},
+			{Name: "ring", Value: n.Ring().Peers()},
+			{Name: "vnodes", Value: int64(n.cfg.VNodes)},
 		}, nil
 	}
 	return nil, &soap.Fault{Code: "Client", String: fmt.Sprintf("unknown peer op %q", method)}

@@ -15,6 +15,7 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 )
 
@@ -132,12 +133,11 @@ func (r *Ring) Owners(key string, n int) []string {
 	h := fnv64a(key)
 	idx := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(idx+i)%len(r.points)]
-		if !seen[p.peer] {
-			seen[p.peer] = true
-			out = append(out, r.peers[p.peer])
+		// n is the replication factor, so scanning the peers collected
+		// so far beats a set.
+		if id := r.peers[r.points[(idx+i)%len(r.points)].peer]; !slices.Contains(out, id) {
+			out = append(out, id)
 		}
 	}
 	return out
@@ -154,12 +154,7 @@ func (r *Ring) Owner(key string) string {
 
 // IsOwner reports whether peer is among key's n owners.
 func (r *Ring) IsOwner(key, peer string, n int) bool {
-	for _, o := range r.Owners(key, n) {
-		if o == peer {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(r.Owners(key, n), peer)
 }
 
 // Plan describes the handoff one ring transition demands for a single
@@ -177,22 +172,14 @@ type Plan struct {
 func PlanMove(old, next *Ring, key string, replicas int) Plan {
 	oldOwners := old.Owners(key, replicas)
 	newOwners := next.Owners(key, replicas)
-	oldSet := make(map[string]bool, len(oldOwners))
-	for _, p := range oldOwners {
-		oldSet[p] = true
-	}
-	newSet := make(map[string]bool, len(newOwners))
-	for _, p := range newOwners {
-		newSet[p] = true
-	}
 	var pl Plan
 	for _, p := range newOwners {
-		if !oldSet[p] {
+		if !slices.Contains(oldOwners, p) {
 			pl.Adds = append(pl.Adds, p)
 		}
 	}
 	for _, p := range oldOwners {
-		if !newSet[p] {
+		if !slices.Contains(newOwners, p) {
 			pl.Drops = append(pl.Drops, p)
 		}
 	}

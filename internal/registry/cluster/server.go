@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 
 	"harness2/internal/registry"
 	"harness2/internal/soap"
@@ -26,29 +25,10 @@ func NewServer(n *Node) *registry.Server {
 			return n.HandlePeer(context.Background(), op, call.Params)
 		})
 	}
+	// The public renew is the peer renew: local on the owner, a Redirect
+	// naming the owner anywhere else.
 	s.HandleExtra("renew", func(call *soap.Call) ([]soap.Param, error) {
-		v, ok := callParam(call, "key")
-		key, _ := v.(string)
-		if !ok || key == "" {
-			return nil, &soap.Fault{Code: "Client", String: `missing parameter "key"`}
-		}
-		if !n.isLocalPrimary(RingKey(key)) {
-			if addr, ok := n.OwnerAddr(key); ok && addr != n.cfg.Addr {
-				return nil, &soap.Fault{
-					Code:   registry.FaultCodeRedirect,
-					String: fmt.Sprintf("renew %q: owner is %s", key, addr),
-					Detail: addr,
-				}
-			}
-		}
-		if err := n.renewLocal(key); err != nil {
-			return nil, clientFault(err)
-		}
-		return []soap.Param{{Name: "ok", Value: true}}, nil
+		return n.HandlePeer(context.Background(), opRenew, call.Params)
 	})
 	return s
-}
-
-func callParam(call *soap.Call, name string) (any, bool) {
-	return paramsValue(call.Params, name)
 }

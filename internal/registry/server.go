@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"harness2/internal/resilience"
@@ -371,7 +372,14 @@ type Remote struct {
 	// cluster tests use to fail exactly the Nth lookup. nil costs one
 	// branch.
 	Chaos *chaos.Injector
+
+	redirects atomic.Uint64
 }
+
+// Redirects counts the ownership redirects this client has followed; a
+// rise tells a placement-aware caller (the cluster Router) that its view
+// of the ring is stale.
+func (r *Remote) Redirects() uint64 { return r.redirects.Load() }
 
 var _ Lookup = (*Remote)(nil)
 var _ CheckedLookup = (*Remote)(nil)
@@ -399,6 +407,7 @@ func (r *Remote) call(method string, idempotent bool, params []soap.Param) ([]so
 			// The receiving peer no longer owns the key (the ring moved
 			// under us); retry against the owner it named.
 			endpoint = f.Detail
+			r.redirects.Add(1)
 			continue
 		}
 		return out, err

@@ -6,7 +6,9 @@ package soap
 // the XDR dial-time codec word — so stale peers interoperate for free.
 
 import (
+	"bufio"
 	"compress/gzip"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -22,6 +24,33 @@ var gzipWriters = sync.Pool{
 		zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
 		return zw
 	},
+}
+
+// gunzipper is the client-side mirror of gzipWriters: an inflater reused
+// across replies via Reset, window and all. The bufio.Reader rides along
+// because gzip.Reader.Reset allocates one per call for any source that is
+// not an io.ByteReader, which an HTTP response body is not.
+type gunzipper struct {
+	br *bufio.Reader
+	zr gzip.Reader
+}
+
+var gunzippers = sync.Pool{
+	New: func() any { return &gunzipper{br: bufio.NewReader(nil)} },
+}
+
+// appendGunzip inflates the gzip stream r to EOF, appending into dst.
+func appendGunzip(dst []byte, r io.Reader) ([]byte, error) {
+	g := gunzippers.Get().(*gunzipper)
+	defer func() {
+		g.br.Reset(nil) // do not keep the reply body alive from the pool
+		gunzippers.Put(g)
+	}()
+	g.br.Reset(r)
+	if err := g.zr.Reset(g.br); err != nil {
+		return dst, err
+	}
+	return AppendReadAll(dst, &g.zr, 0)
 }
 
 // gzipResponseWriter buffers the status until the first body write so it
@@ -51,11 +80,11 @@ func (g *gzipResponseWriter) Write(p []byte) (int, error) {
 		g.WriteHeader(http.StatusOK)
 	}
 	if !g.decided {
-		g.pending = append(g.pending, p...)
-		if len(g.pending) >= gzipMinLen {
-			g.decide(true) // flushes the buffered prefix
+		if len(g.pending)+len(p) < gzipMinLen {
+			g.pending = append(g.pending, p...)
+			return len(p), nil
 		}
-		return len(p), nil
+		g.decide(true) // flushes the buffered prefix; p follows uncopied
 	}
 	if g.useGzip {
 		return g.zw.Write(p)

@@ -253,6 +253,10 @@ func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
 	}
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	req.Header.Set("SOAPAction", `"`+call.Method+`"`)
+	// Asking for gzip explicitly turns off net/http's transparent
+	// decompression, which builds a fresh 32 KiB inflate window per reply;
+	// appendGunzip inflates gzipped replies through a pool instead.
+	req.Header.Set("Accept-Encoding", "gzip")
 	httpResp, err := httpc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("soap: post %s: %w", endpoint, err)
@@ -261,7 +265,12 @@ func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
 	cliSentBytes.Add(uint64(len(data)))
 	respBuf := AcquireBuffer()
 	defer ReleaseBuffer(respBuf)
-	respBody, err := AppendReadAll(*respBuf, httpResp.Body, httpResp.ContentLength)
+	var respBody []byte
+	if httpResp.Header.Get("Content-Encoding") == "gzip" {
+		respBody, err = appendGunzip(*respBuf, httpResp.Body)
+	} else {
+		respBody, err = AppendReadAll(*respBuf, httpResp.Body, httpResp.ContentLength)
+	}
 	*respBuf = respBody[:0]
 	if err != nil {
 		return nil, fmt.Errorf("soap: read response: %w", err)
