@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke ci clean
+.PHONY: all build vet lint test race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
 
 all: build
 
@@ -87,7 +87,8 @@ hbench:
 # Short fuzz pass over the v2 frame-header and array decoders, the v3
 # compressed-frame header/flags decoder, the v3-vs-v2 framing
 # differential, the zero-copy-vs-portable codec differential, the SOAP
-# fast-vs-DOM differential, the shm ring record framing, the chaos spec
+# fast-vs-DOM differential, the WSDL scan-vs-DOM differential, the shm
+# ring record framing, the chaos spec
 # parser, the resilience policy validators, the cluster gossip digest
 # codec, and the ring rebalance planner, and the fleet
 # deployment-descriptor grammar.
@@ -98,6 +99,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecoderArrays -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzXDRZeroCopyDifferential -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzFastDecodeDifferential -fuzztime 30s ./internal/soap/
+	$(GO) test -run xxx -fuzz FuzzWSDLParseDifferential -fuzztime 30s ./internal/wsdl/
 	$(GO) test -run xxx -fuzz FuzzShmRingRecord -fuzztime 30s ./internal/shmring/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 30s ./internal/resilience/chaos/
 	$(GO) test -run xxx -fuzz FuzzPolicyOptions -fuzztime 30s ./internal/resilience/
@@ -142,6 +144,17 @@ benchmark:
 
 benchmark-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# A claim against BENCHMARK.json (choosing-metrics section 8): N
+# alternating parent/change pairs of one workload, BASE (a revision,
+# checked out into a temporary git worktree, or a checkout directory)
+# against the working tree, fresh seed per pair; prints each side's
+# median and quartiles per end-to-end metric and the pair win count.
+#   make benchmark-pairs WORKLOAD=ws-loop BASE=HEAD~1 N=10
+N ?= 10
+
+benchmark-pairs:
+	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
 ci: vet build race chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 

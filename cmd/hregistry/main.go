@@ -45,7 +45,7 @@ func main() {
 	join := flag.String("join", "", "URL of a live peer to learn membership from")
 	replicas := flag.Int("replicas", 2, "copies per entry in cluster mode (owner + successors)")
 	gossipEvery := flag.Duration("gossip", 500*time.Millisecond, "gossip round interval in cluster mode")
-	compress := flag.Bool("compress", true, "gzip SOAP responses for clients that send Accept-Encoding: gzip (S33)")
+	compress := flag.Bool("compress", true, "gzip SOAP responses for clients that send Accept-Encoding: gzip (S33); same-host HARNESS clients ask for identity instead")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	pprofMutex := flag.Int("pprof-mutex", 5, "mutex profile fraction when -pprof is set (0 = off)")
 	pprofBlock := flag.Int("pprof-block", 10000, "block profile rate in ns when -pprof is set (0 = off)")

@@ -252,6 +252,11 @@ func (s *ShmServer) acceptLoop() {
 // disconnect, server Close, or ring poisoning).
 func (s *ShmServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
+	// Runs before wg.Done: closing conn ends the watcher's read, and only
+	// once the watcher is out of seg.Close — which unlinks the segment file
+	// — may Close be told this client is done.
+	var watcher sync.WaitGroup
+	defer watcher.Wait()
 	defer conn.Close()
 
 	seg, err := shmring.Create("", s.ringBytes, s.generation)
@@ -285,7 +290,9 @@ func (s *ShmServer) serveConn(conn net.Conn) {
 	// Liveness watcher: the handshake socket carries no further data, so
 	// a read returns only when the client goes away — then the segment is
 	// closed, unblocking the ring loops below.
+	watcher.Add(1)
 	go func() {
+		defer watcher.Done()
 		var b [1]byte
 		for {
 			if _, err := conn.Read(b[:]); err != nil {

@@ -1,8 +1,11 @@
 package invoke
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
+	"harness2/internal/xdr"
 )
 
 // shmHost stands up a container advertising both the shm and XDR
@@ -468,5 +472,44 @@ func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
 			t.Fatalf("%d abandoned calls still pending", n)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShmServerCloseWaitsForSegmentUnlink: when the client hangs up first,
+// it is serveConn's liveness watcher that closes the segment and unlinks
+// its file. Close must not return while the watcher is still in there — a
+// process that exits right after Close would leave the file in /dev/shm.
+func TestShmServerCloseWaitsForSegmentUnlink(t *testing.T) {
+	if !shmring.Supported() {
+		t.Skip("shm binding unsupported on this platform")
+	}
+	c := container.New(container.Config{Name: "shmunlink"})
+	ss, err := NewShmServer(c, "", WithShmTelemetry(telemetry.Disabled()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	conn, err := net.Dial("unix", ss.SockPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := xdr.ReadFramePooled(bufio.NewReader(conn))
+	if err != nil {
+		conn.Close()
+		t.Fatal(err)
+	}
+	segPath, err := xdr.NewDecoder(frame).String()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(segPath); err != nil {
+		t.Fatalf("segment file before the hang-up: %v", err)
+	}
+	conn.Close() // the client goes first
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(segPath); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("segment file %s outlived ShmServer.Close (stat: %v)", segPath, err)
 	}
 }

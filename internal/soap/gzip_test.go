@@ -3,12 +3,16 @@ package soap
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -128,41 +132,78 @@ func TestGzipMultiWriteAccumulates(t *testing.T) {
 }
 
 // docServer serves one action, "doc", whose reply is a compressible
-// document well over the gzip floor — the shape of a registry find reply.
-func docServer(t testing.TB, wrap func(http.Handler) http.Handler) (string, string) {
+// document well over the gzip floor — the shape of a registry find reply —
+// behind Gzip, and records the Accept-Encoding of every request.
+func docServer(t testing.TB) (url, doc string, asked func() []string) {
 	t.Helper()
-	doc := strings.Repeat(`<wsdl:part name="in" type="xsd:double"/>`, 64)
+	doc = strings.Repeat(`<wsdl:part name="in" type="xsd:double"/>`, 64)
 	s := NewServer()
 	s.Handle("doc", func(*Call) ([]Param, error) {
 		return []Param{{Name: "wsdl", Value: doc}, {Name: "n", Value: int64(64)}}, nil
 	})
-	srv := httptest.NewServer(wrap(s))
+	var (
+		mu  sync.Mutex
+		log []string
+	)
+	zipped := Gzip(s)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		log = append(log, r.Header.Get("Accept-Encoding"))
+		mu.Unlock()
+		zipped.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
-	return srv.URL, doc
+	return srv.URL, doc, func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(log)
+	}
+}
+
+// offHost returns rawURL with its loopback host swapped for a name that is
+// not this machine's on the face of it, and a transport that reaches the
+// same listener under that name: what a client on another host sees.
+func offHost(t testing.TB, rawURL string) (string, *http.Transport) {
+	t.Helper()
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listener := u.Host
+	u.Host = "registry.test:" + u.Port()
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, _ string) (net.Conn, error) {
+		return (&net.Dialer{}).DialContext(ctx, network, listener)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	return u.String(), tr
 }
 
 // encodingSpy records the Content-Encoding of every reply it carries.
-type encodingSpy struct{ seen []string }
+type encodingSpy struct {
+	http.RoundTripper
+	seen []string
+}
 
 func (e *encodingSpy) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := Transport.RoundTrip(req)
+	resp, err := e.RoundTripper.RoundTrip(req)
 	if err == nil {
 		e.seen = append(e.seen, resp.Header.Get("Content-Encoding"))
 	}
 	return resp, err
 }
 
-// TestCallRemoteGzipMatchesIdentity: a reply decodes to the same
-// parameters whether the server gzips it or not, and the client really
-// does negotiate gzip itself (net/http's transparent path would hide the
-// Content-Encoding header from the spy).
+// TestCallRemoteGzipMatchesIdentity: one server behind Gzip, reached under
+// an off-host name and over loopback. Off-host the client negotiates gzip
+// itself (net/http's transparent path would hide the Content-Encoding
+// header from the spy); a same-host client asks for identity and is
+// answered uncompressed; the reply decodes to the same parameters.
 func TestCallRemoteGzipMatchesIdentity(t *testing.T) {
-	zipped, doc := docServer(t, Gzip)
-	plain, _ := docServer(t, func(h http.Handler) http.Handler { return h })
-	spy := &encodingSpy{}
+	loopback, doc, asked := docServer(t)
+	remote, tr := offHost(t, loopback)
+	spy := &encodingSpy{RoundTripper: tr}
 	c := Client{HTTP: &http.Client{Transport: spy}}
 	var replies [2][]Param
-	for i, url := range []string{zipped, plain} {
+	for i, url := range []string{remote, loopback} {
 		// Twice each, so the second gzipped reply inflates through a
 		// pooled, Reset reader.
 		for range 2 {
@@ -172,6 +213,9 @@ func TestCallRemoteGzipMatchesIdentity(t *testing.T) {
 			}
 			replies[i] = out
 		}
+	}
+	if want := []string{"gzip", "gzip", "identity", "identity"}; !slices.Equal(asked(), want) {
+		t.Fatalf("Accept-Encoding asked = %q, want %q", asked(), want)
 	}
 	if want := []string{"gzip", "gzip", "", ""}; !slices.Equal(spy.seen, want) {
 		t.Fatalf("Content-Encoding seen = %q, want %q", spy.seen, want)
@@ -184,6 +228,17 @@ func TestCallRemoteGzipMatchesIdentity(t *testing.T) {
 	}
 }
 
+func TestSameHost(t *testing.T) {
+	for host, want := range map[string]bool{
+		"localhost": true, "127.0.0.1": true, "127.8.9.1": true, "::1": true,
+		"registry.test": false, "10.0.0.7": false, "localhost.example.org": false, "": false,
+	} {
+		if got := sameHost(host); got != want {
+			t.Errorf("sameHost(%q) = %v, want %v", host, got, want)
+		}
+	}
+}
+
 // TestCallRemoteGzipAllocs holds the pooled inflater's point: a gzipped
 // reply must not cost a fresh inflate window. testing.Benchmark counts the
 // whole process, so the bound covers client, in-process server and codec
@@ -193,8 +248,9 @@ func TestCallRemoteGzipAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector")
 	}
-	url, _ := docServer(t, Gzip)
-	var c Client
+	loopback, _, asked := docServer(t)
+	url, tr := offHost(t, loopback)
+	c := Client{HTTP: &http.Client{Transport: tr}}
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := c.CallRemote(url, &Call{Method: "doc"}); err != nil {
@@ -202,6 +258,9 @@ func TestCallRemoteGzipAllocs(t *testing.T) {
 			}
 		}
 	})
+	if got := asked()[0]; got != "gzip" {
+		t.Fatalf("the off-host client asked for %q, want gzip", got)
+	}
 	t.Logf("%d B/op, %d allocs/op over %d calls", res.AllocedBytesPerOp(), res.AllocsPerOp(), res.N)
 	if got := res.AllocedBytesPerOp(); got > 16<<10 {
 		t.Fatalf("CallRemote against a gzip server allocates %d B/op, want <= %d", got, 16<<10)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync"
@@ -233,6 +234,16 @@ func AppendReadAll(dst []byte, r io.Reader, sizeHint int64) ([]byte, error) {
 	}
 }
 
+// sameHost reports whether a URL's host names this machine on the face of
+// it — "localhost" or a literal loopback address — without asking DNS.
+func sameHost(host string) bool {
+	if host == "localhost" {
+		return true
+	}
+	ip, err := netip.ParseAddr(host)
+	return err == nil && ip.IsLoopback()
+}
+
 // CallRemote posts call to the endpoint URL and decodes the response.
 // A SOAP fault is returned as a *Fault error.
 func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
@@ -253,10 +264,16 @@ func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
 	}
 	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
 	req.Header.Set("SOAPAction", `"`+call.Method+`"`)
-	// Asking for gzip explicitly turns off net/http's transparent
-	// decompression, which builds a fresh 32 KiB inflate window per reply;
-	// appendGunzip inflates gzipped replies through a pool instead.
-	req.Header.Set("Accept-Encoding", "gzip")
+	// Compression buys link time, and a same-host peer has no link (the
+	// HTTP-plane twin of the binding ladder's same-host rung): ask for gzip
+	// only off-host. The header is always sent, because without one
+	// net/http asks for gzip itself and inflates transparently, building a
+	// fresh 32 KiB window per reply; appendGunzip inflates through a pool.
+	if sameHost(req.URL.Hostname()) {
+		req.Header.Set("Accept-Encoding", "identity")
+	} else {
+		req.Header.Set("Accept-Encoding", "gzip")
+	}
 	httpResp, err := httpc.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("soap: post %s: %w", endpoint, err)

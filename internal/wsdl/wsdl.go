@@ -25,9 +25,11 @@
 package wsdl
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
+	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/xmlq"
 )
@@ -497,8 +499,36 @@ func Parse(root *xmlq.Node) (*Definitions, error) {
 	return d, nil
 }
 
-// ParseString parses a WSDL document from XML text.
+// Parses by path (S27): the scan parse covers what Generate writes; a
+// document that needs the DOM (a comment, an escaped '&' in an address,
+// non-ASCII names, re-declared prefixes) pays several times the cost, and
+// the split shows an operator when real documents do.
+var parseScanned, parseDOMed *telemetry.Counter
+
+func init() {
+	r := telemetry.Default()
+	r.Help("harness_wsdl_parse_total", "WSDL document parses by path (token scan vs DOM fallback)")
+	parseScanned = r.Counter("harness_wsdl_parse_total", "path", "scan")
+	parseDOMed = r.Counter("harness_wsdl_parse_total", "path", "dom")
+}
+
+// ParseString parses a WSDL document from XML text: in one pass over the
+// text without building a tree (scan.go), or through the tree and Parse
+// when the scan refuses the document. Either way the result is what Parse
+// gives. The strings of a scanned result are substrings of s.
 func ParseString(s string) (*Definitions, error) {
+	d, err := parseScan(s)
+	if errors.Is(err, xmlq.ErrComplex) {
+		parseDOMed.Inc()
+		return parseDOM(s)
+	}
+	parseScanned.Inc()
+	return d, err
+}
+
+// parseDOM is the reference path: the full XML grammar through
+// encoding/xml into a tree, then Parse.
+func parseDOM(s string) (*Definitions, error) {
 	root, err := xmlq.ParseString(s)
 	if err != nil {
 		return nil, err

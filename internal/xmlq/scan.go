@@ -3,7 +3,8 @@ package xmlq
 // scan.go is the streaming side of xmlq: a zero-allocation pull scanner
 // over a restricted XML subset, built for the SOAP data-plane fast path.
 // The full generality of XML — comments, CDATA sections, DOCTYPE
-// declarations, non-ASCII names, carriage-return normalisation — is
+// declarations, non-ASCII names, carriage-return normalisation, XML
+// declarations other than a plain version 1.0 / UTF-8 one — is
 // deliberately out of scope: the scanner reports ErrComplex for any of
 // it and callers fall back to the DOM parser (Parse), which handles the
 // long tail through encoding/xml. The contract is therefore not "parse
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // ErrComplex reports markup outside the streaming subset. Callers are
@@ -63,6 +65,7 @@ type RawToken struct {
 // usable; construct with NewScanner or reuse with Reset.
 type Scanner struct {
 	buf   []byte
+	doc   string // the string buf aliases, after ResetString
 	pos   int
 	attrs []RawAttr
 }
@@ -75,10 +78,30 @@ func NewScanner(buf []byte) *Scanner {
 }
 
 // Reset rewinds the scanner onto a new buffer, retaining the attribute
-// scratch so pooled scanners stay allocation-free.
+// scratch so pooled scanners stay allocation-free — emptied, so that a
+// pooled scanner does not pin the last buffer through it.
 func (s *Scanner) Reset(buf []byte) {
 	s.buf = buf
+	s.doc = ""
 	s.pos = 0
+	clear(s.attrs[:cap(s.attrs)])
+}
+
+// ResetString rewinds the scanner onto a document held in a string
+// without copying it: the token slices alias the string's bytes, which
+// the scanner only reads. Substring turns such a slice back into a string.
+func (s *Scanner) ResetString(doc string) {
+	s.Reset(unsafe.Slice(unsafe.StringData(doc), len(doc)))
+	s.doc = doc
+}
+
+// Substring returns the part of the ResetString document that b aliases,
+// where b is a name, value or text slice out of a token (or a reslice of
+// one): a substring of the document, not a copy. Every token slice runs to
+// the end of the buffer in capacity, so its capacity gives its offset.
+func (s *Scanner) Substring(b []byte) string {
+	off := len(s.doc) - cap(b)
+	return s.doc[off : off+len(b)]
 }
 
 // isNameByte reports whether b may appear inside a tag or attribute
@@ -109,10 +132,26 @@ func (s *Scanner) Next() (RawToken, error) {
 	switch s.buf[s.pos+1] {
 	case '?':
 		// Processing instruction (including the XML declaration): the
-		// DOM parser drops these, so skipping them is behaviour-exact.
-		end := indexFrom(s.buf, s.pos+2, "?>")
+		// DOM parser drops these, but only once encoding/xml has checked
+		// that the target is a name and that an XML declaration names
+		// version 1.0 and UTF-8. Skip what it passes for certain; the
+		// rest is its call.
+		target, i, err := s.name(s.pos + 2)
+		if err != nil || i >= len(s.buf) || !(isSpaceByte(s.buf[i]) || s.buf[i] == '?') {
+			// Not a name, or one that encoding/xml reads further than
+			// name does (it takes any non-ASCII byte into the name).
+			return RawToken{}, ErrComplex
+		}
+		end := indexFrom(s.buf, i, "?>")
 		if end < 0 {
 			return RawToken{}, fmt.Errorf("xmlq: unterminated processing instruction")
+		}
+		if string(target) == "xml" {
+			switch string(TrimSpaceBytes(s.buf[i:end])) {
+			case `version="1.0"`, `version="1.0" encoding="UTF-8"`, `version="1.0" encoding="utf-8"`:
+			default:
+				return RawToken{}, ErrComplex
+			}
 		}
 		s.pos = end + 2
 		return s.Next()

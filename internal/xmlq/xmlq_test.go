@@ -1,9 +1,11 @@
 package xmlq
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 const sampleWSDL = `<?xml version="1.0"?>
@@ -331,5 +333,76 @@ func TestPropertyEscapeRoundTrip(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanAll drains a scanner, returning the first error.
+func scanAll(s *Scanner) error {
+	for {
+		tok, err := s.Next()
+		if err != nil || tok.Kind == TokEOF {
+			return err
+		}
+	}
+}
+
+// TestScannerProcessingInstructions: the scanner skips a processing
+// instruction only when encoding/xml is certain to pass it — a plain XML
+// declaration, any other well-named target — and refuses the rest, so
+// that it never accepts a document the DOM parser rejects.
+func TestScannerProcessingInstructions(t *testing.T) {
+	for doc, accepted := range map[string]bool{
+		`<?xml version="1.0"?><a/>`:                         true,
+		`<?xml version="1.0" encoding="UTF-8"?>` + "\n<a/>": true,
+		`<?xml version="1.0" encoding="utf-8" ?><a/>`:       true,
+		`<a><?xml-stylesheet href="x"?></a>`:                true,
+		`<?xml version="2.0"?><a/>`:                         false,
+		`<?xml version="1.0" encoding="latin1"?><a/>`:       false,
+		`<?xml version='1.0'?><a/>`:                         false, // fine for the DOM; not worth a rule here
+		`<??><a/>`:                                          false,
+		"<?A\xe4?><a/>":                                     false,
+		`<?1?><a/>`:                                         false,
+		`<? xml version="1.0"?><a/>`:                        false,
+	} {
+		err := scanAll(NewScanner([]byte(doc)))
+		if accepted != (err == nil) {
+			t.Errorf("%q: scanner err = %v, want accepted = %v", doc, err, accepted)
+		}
+		if err != nil && !errors.Is(err, ErrComplex) {
+			t.Errorf("%q: refusal must be ErrComplex, got %v", doc, err)
+		}
+		if _, domErr := ParseString(doc); err == nil && domErr != nil {
+			t.Errorf("%q: scanner accepts what the DOM parser rejects: %v", doc, domErr)
+		}
+	}
+}
+
+// TestScannerResetString: tokens over a string alias it, and Substring
+// gives them back as substrings, reslices included.
+func TestScannerResetString(t *testing.T) {
+	doc := `<p:item name="alpha" xmlns:p="urn:p"> body </p:item>`
+	var s Scanner
+	s.ResetString(doc)
+	tok, err := s.Next()
+	if err != nil || tok.Kind != TokStart {
+		t.Fatalf("tok = %+v, err = %v", tok, err)
+	}
+	if got := s.Substring(tok.Name); got != "p:item" {
+		t.Errorf("name = %q", got)
+	}
+	if got := s.Substring(LocalName(tok.Name)); got != "item" {
+		t.Errorf("local = %q", got)
+	}
+	if got := s.Substring(PrefixOf(tok.Name)); got != "p" {
+		t.Errorf("prefix = %q", got)
+	}
+	if got := s.Substring(tok.Attrs[0].Value); got != "alpha" || unsafe.StringData(got) != unsafe.StringData(doc[14:]) {
+		t.Errorf("value = %q, or not a substring of the document", got)
+	}
+	if tok, _ = s.Next(); s.Substring(TrimSpaceBytes(tok.Text)) != "body" {
+		t.Errorf("text = %q", s.Substring(TrimSpaceBytes(tok.Text)))
+	}
+	if got := s.Substring(nil); got != "" {
+		t.Errorf("Substring(nil) = %q", got)
 	}
 }
