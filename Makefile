@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
+.PHONY: all build vet lint test test-poison race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
 
 all: build
 
@@ -20,6 +20,13 @@ lint:
 
 test:
 	$(GO) test ./...
+
+# The borrow-contract audit (DESIGN.md S30): the suites that drive the
+# XDR and shm servers, built so that a worker's arena is overwritten with
+# NaNs the moment a request is answered. A component that keeps a request
+# slice past its Invoke fails them with garbage instead of passing by luck.
+test-poison:
+	$(GO) test -tags xdrpoison ./internal/xdr/ ./internal/invoke/ ./internal/core/ ./internal/dvm/
 
 # Coverage profile plus the per-package summary CI publishes.
 cover:
@@ -55,6 +62,8 @@ bench-e15:
 # ablation and shm rings vs XDR loopback (EXPERIMENTS.md E16).
 bench-e16:
 	E16_GATE=1 $(GO) test -run TestE16Gate -v ./internal/bench/
+	$(GO) test -run TestXDRArrayCallAllocationGate -v ./internal/invoke/
+	$(GO) test -run xxx -bench 'BenchmarkXDRInvokeArray64K' -benchmem ./internal/invoke/
 	$(GO) run ./cmd/hbench -exp E16
 
 # The S31 registry-cluster gate and tables: routed-find p99 vs the
@@ -156,7 +165,7 @@ N ?= 10
 benchmark-pairs:
 	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
-ci: vet build race chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
+ci: vet build race test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

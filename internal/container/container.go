@@ -46,6 +46,15 @@ type Component interface {
 	// Describe returns the service descriptor used to generate WSDL.
 	Describe() wsdl.ServiceSpec
 	// Invoke executes one operation.
+	//
+	// The component borrows args: the slice and every slice inside it
+	// (numeric arrays, opaque bytes) are valid until Invoke returns and
+	// not after. Over the local binding they are the caller's own slices;
+	// on the XDR and shm servers they are memory of the worker that
+	// decoded the request, handed to the next request once this one is
+	// answered (xdr.Arena). A component that wants to keep an argument
+	// clones it. Results may alias arguments: whoever called Invoke reads
+	// the results before it reuses anything it lent.
 	Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error)
 }
 

@@ -8,7 +8,9 @@ package invoke
 //   - auto: follow the deployment — a server advertises and accepts its
 //     codec and compresses responses adaptively; a client enables
 //     adaptive compression iff the peer's WSDL advertises the `compress`
-//     capability (direct ports without a WSDL stay raw).
+//     capability and the endpoint is not this host: compression buys link
+//     time, and a same-host peer has no link (direct ports without a WSDL
+//     stay raw).
 //   - off: offer/accept raw only; never compress. Inbound compressed
 //     frames are still decoded — the receive side is protocol, not
 //     policy.
@@ -18,8 +20,10 @@ package invoke
 
 import (
 	"fmt"
+	"net"
 	"strings"
 
+	"harness2/internal/soap"
 	"harness2/internal/wsdl"
 	"harness2/internal/xdr"
 )
@@ -142,13 +146,19 @@ func (p CompressPolicy) acceptWord(autoOn bool) uint32 {
 }
 
 // resolveCompress turns a client's stance plus the peer's declared
-// `compress` capability into the concrete policy for one XDR port. Auto
-// follows the advertisement: a known advertised codec yields adaptive
-// compression with that codec, anything else stays off. Explicit modes
-// pass through untouched — the operator outranks the WSDL.
-func resolveCompress(p CompressPolicy, b *wsdl.Binding) CompressPolicy {
+// `compress` capability and its address into the concrete policy for one
+// XDR port. Auto follows the advertisement, where there is a link to save
+// time on: a known advertised codec yields adaptive compression with that
+// codec unless the endpoint is this host (soap.SameHost — the SOAP plane's
+// Accept-Encoding rule, carried to this plane), and anything else stays
+// off. Explicit modes pass through untouched on every address — the
+// operator outranks both the WSDL and locality.
+func resolveCompress(p CompressPolicy, b *wsdl.Binding, addr string) CompressPolicy {
 	if p.Mode != CompressAuto {
 		return p
+	}
+	if host, _, err := net.SplitHostPort(addr); err == nil && soap.SameHost(host) {
+		return CompressPolicy{Mode: CompressOff}
 	}
 	if b != nil {
 		if name, ok := b.Capability("compress"); ok && xdr.CodecByName(name) != nil {

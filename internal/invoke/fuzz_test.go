@@ -20,7 +20,7 @@ func TestXDRRequestDecoderNeverPanics(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		b := make([]byte, r.Intn(256))
 		r.Read(b)
-		_, _, _, _ = decodeRequest(b)
+		_, _, _, _ = decodeRequest(nil, b)
 	}
 	// Structured-prefix corruption: take a valid frame and flip bytes.
 	e := xdr.NewEncoder(64)
@@ -31,7 +31,40 @@ func TestXDRRequestDecoderNeverPanics(t *testing.T) {
 	for i := 0; i < len(valid); i++ {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xFF
-		_, _, _, _ = decodeRequest(mut)
+		_, _, _, _ = decodeRequest(nil, mut)
+	}
+}
+
+// TestXDRDecodersRefuseHostileCounts: a 20-byte frame that claims 65536
+// arguments (or results) must be refused by looking at the frame, not by
+// first building a 2 MB argument slice for it.
+func TestXDRDecodersRefuseHostileCounts(t *testing.T) {
+	e := xdr.NewEncoder(32)
+	e.String("i")
+	e.String("op")
+	e.Uint32(xdr.MaxArgs)
+	e.Uint32(0) // 4 bytes of "arguments"
+	req := append([]byte(nil), e.Bytes()...)
+	e.Reset()
+	e.Uint32(0) // status ok
+	e.Uint32(xdr.MaxArgs)
+	e.Uint32(0)
+	resp := append([]byte(nil), e.Bytes()...)
+
+	var arena xdr.Arena
+	for name, decode := range map[string]func() error{
+		"request":       func() error { _, _, _, err := decodeRequest(nil, req); return err },
+		"request/arena": func() error { _, _, _, err := decodeRequest(&arena, req); return err },
+		"response":      func() error { _, err := decodeResponse(resp); return err },
+	} {
+		if err := decode(); err == nil {
+			t.Errorf("%s: hostile count accepted", name)
+		}
+		// The error itself and the two header strings are all that may be
+		// allocated: well under the 2 MB the count asks for.
+		if per := allocBytesPerOp(10, func() { _ = decode() }); per > 1024 {
+			t.Errorf("%s: %d bytes allocated per hostile frame", name, per)
+		}
 	}
 }
 

@@ -277,7 +277,7 @@ func openPort(ref wsdl.PortRef, opts Options) (Port, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !sameHost(host) {
+		if !soap.SameHost(host) {
 			return nil, nil // different machine; not an error, just unusable
 		}
 		p, err := NewShmPort(ref.Port.Address, instanceFromDefs(ref))
@@ -299,7 +299,7 @@ func openPort(ref wsdl.PortRef, opts Options) (Port, error) {
 		p := NewXDRPort(ref.Port.Address, inst, opts.DialPerCall)
 		p.SetTelemetry(opts.Telemetry)
 		p.SetChaos(opts.Chaos)
-		p.SetCompression(resolveCompress(opts.Compress, ref.Binding))
+		p.SetCompression(resolveCompress(opts.Compress, ref.Binding, ref.Port.Address))
 		return p, nil
 	case wsdl.BindSOAP:
 		return &SOAPPort{URL: ref.Port.Address, Client: soap.Client{Codec: opts.Codec}, Telemetry: opts.Telemetry, Chaos: opts.Chaos}, nil

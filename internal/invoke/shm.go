@@ -76,12 +76,6 @@ func ParseShmAddress(addr string) (hostname, sockPath string, err error) {
 	return rest[:i], rest[i+1:], nil
 }
 
-// sameHost reports whether the advertised shm address names this machine.
-func sameHost(hostname string) bool {
-	hn, err := os.Hostname()
-	return err == nil && hn == hostname
-}
-
 var shmSockSeq atomic.Uint64
 
 // ShmServerOption configures NewShmServer.
@@ -122,20 +116,14 @@ func WithShmRingBytes(n int) ShmServerOption {
 // instances: a handshake listener plus one shmring segment and worker
 // loop per connected client.
 type ShmServer struct {
-	c          *container.Container
+	dispatcher
 	ln         net.Listener
 	sockPath   string
 	hostname   string
 	generation uint64
 	ringBytes  int
 
-	tel     *telemetry.Registry
-	limiter *resilience.Limiter
-	m       bindingMetrics
-
-	sem       chan struct{}
-	closeCtx  context.Context
-	closeStop context.CancelFunc
+	sem chan struct{}
 
 	mu     sync.Mutex
 	closed bool
@@ -164,21 +152,19 @@ func NewShmServer(c *container.Container, sockPath string, opts ...ShmServerOpti
 	if err != nil {
 		hostname = "localhost"
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &ShmServer{
-		c: c, ln: ln, sockPath: sockPath, hostname: hostname,
+		ln: ln, sockPath: sockPath, hostname: hostname,
 		// The generation stamp must differ across restarts of the same
 		// socket path; wall-clock nanoseconds at startup do.
 		generation: uint64(time.Now().UnixNano()) | 1,
 		ringBytes:  shmring.DefaultRingBytes,
 		sem:        make(chan struct{}, defaultXDRWorkers()),
-		closeCtx:   ctx, closeStop: cancel,
-		conns: make(map[net.Conn]*shmring.Segment),
+		conns:      make(map[net.Conn]*shmring.Segment),
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	s.m = newBindingMetrics(telemetry.Or(s.tel), "shm-server")
+	s.dispatcher.init(c, "shm-server")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -192,20 +178,6 @@ func (s *ShmServer) SockPath() string { return s.sockPath }
 
 // Generation returns the server's incarnation stamp.
 func (s *ShmServer) Generation() uint64 { return s.generation }
-
-// Retarget points the server at a different container (node bootstrap;
-// see XDRServer.Retarget).
-func (s *ShmServer) Retarget(c *container.Container) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.c = c
-}
-
-func (s *ShmServer) target() *container.Container {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c
-}
 
 // Close stops the listener and all segments, then waits for in-flight
 // handlers to drain.
@@ -323,9 +295,10 @@ func (s *ShmServer) serveSegment(seg *shmring.Segment) {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			var arena xdr.Arena
 			for t := range tasks {
 				s.sem <- struct{}{}
-				resp := s.handleRecord(t.frame)
+				resp := s.handle(t.frame, 0, &arena)
 				xdr.PutFrameBuf(t.frame)
 				wmu.Lock()
 				err := seg.B.WriteRecord(t.id, resp.Bytes())
@@ -358,37 +331,6 @@ func (s *ShmServer) serveSegment(seg *shmring.Segment) {
 	}
 	close(tasks)
 	workers.Wait()
-}
-
-// handleRecord decodes one request, invokes it, and encodes the response
-// into a pooled encoder the caller must release — the same contract as
-// XDRServer.handleFrame, minus the frame header (the ring record carries
-// the id).
-func (s *ShmServer) handleRecord(frame []byte) *xdr.Encoder {
-	e := xdr.GetEncoder()
-	fault := func(err error) *xdr.Encoder {
-		e.Reset()
-		return encodeFault(e, err)
-	}
-	instance, op, args, err := decodeRequest(frame)
-	if err != nil {
-		return fault(err)
-	}
-	release, err := s.limiter.Acquire(s.closeCtx)
-	if err != nil {
-		return fault(err)
-	}
-	h, start := s.m.begin(op)
-	out, err := s.target().Invoke(s.closeCtx, instance, op, args)
-	release()
-	s.m.done(op, h, start, err)
-	if err != nil {
-		return fault(err)
-	}
-	if err := encodeResponse(e, out); err != nil {
-		return fault(err)
-	}
-	return e
 }
 
 type shmReply struct {

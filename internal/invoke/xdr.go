@@ -10,6 +10,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"harness2/internal/container"
@@ -94,20 +95,14 @@ func WithXDRMaxProto(v int) XDRServerOption {
 // every request frame to a bounded worker pool so one slow invocation
 // cannot head-of-line-block the connection.
 type XDRServer struct {
-	c  *container.Container
+	dispatcher
 	ln net.Listener
-
-	tel     *telemetry.Registry
-	limiter *resilience.Limiter // admission control; nil admits everything
-	m       bindingMetrics
-	wm      xdrWireMetrics
+	wm xdrWireMetrics
 
 	cpol     CompressPolicy // v3 compression stance (default auto)
 	maxProto int            // highest wire protocol served (default 3)
 
-	sem       chan struct{} // bounds concurrently executing v2 requests
-	closeCtx  context.Context
-	closeStop context.CancelFunc
+	sem chan struct{} // bounds concurrently executing v2 requests
 
 	mu     sync.Mutex
 	closed bool
@@ -122,19 +117,16 @@ func NewXDRServer(c *container.Container, addr string, opts ...XDRServerOption) 
 	if err != nil {
 		return nil, fmt.Errorf("invoke: xdr listen: %w", err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &XDRServer{
-		c: c, ln: ln, conns: make(map[net.Conn]bool),
+		ln: ln, conns: make(map[net.Conn]bool),
 		sem:      make(chan struct{}, defaultXDRWorkers()),
 		maxProto: 3,
-		closeCtx: ctx, closeStop: cancel,
 	}
 	for _, opt := range opts {
 		opt(s)
 	}
-	reg := telemetry.Or(s.tel)
-	s.m = newBindingMetrics(reg, "xdr-server")
-	s.wm = newXDRWireMetrics(reg, "server")
+	s.dispatcher.init(c, "xdr-server")
+	s.wm = newXDRWireMetrics(telemetry.Or(s.tel), "server")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -150,21 +142,6 @@ func defaultXDRWorkers() int {
 
 // Addr returns the listener's address.
 func (s *XDRServer) Addr() string { return s.ln.Addr().String() }
-
-// Retarget points the server at a different container. Node bootstrap
-// needs this: endpoint addresses must be known before the final container
-// configuration (which advertises them) can be built.
-func (s *XDRServer) Retarget(c *container.Container) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.c = c
-}
-
-func (s *XDRServer) target() *container.Container {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.c
-}
 
 // Close stops the listener and all open connections, then waits for
 // in-flight handlers to drain.
@@ -244,9 +221,10 @@ func (s *XDRServer) serveConn(conn net.Conn) {
 // serveV1 is the legacy path: one frame in, one frame out, in order.
 func (s *XDRServer) serveV1(conn net.Conn, br *bufio.Reader, firstLen uint32) {
 	bw := bufio.NewWriterSize(&countingWriter{w: conn, tx: s.wm.tx}, xdrBufSize)
+	var arena xdr.Arena
 	frame, err := xdr.ReadFramePooledAfterLen(br, firstLen)
 	for err == nil {
-		resp := s.handleFrame(frame, 1)
+		resp := s.handle(frame, 1, &arena)
 		xdr.PutFrameBuf(frame)
 		if werr := xdr.WriteFrame(bw, resp.Bytes()); werr == nil {
 			err = bw.Flush()
@@ -354,6 +332,7 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
+			var arena xdr.Arena // this worker's request arrays, reused across requests
 			for t := range tasks {
 				s.sem <- struct{}{} // global bound across connections
 				if t.flags != 0 {
@@ -367,7 +346,7 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 					}
 					t.frame = dec
 				}
-				resp := s.handleFrame(t.frame, proto)
+				resp := s.handle(t.frame, proto, &arena)
 				xdr.PutFrameBuf(t.frame)
 				var frame []byte
 				var ce *xdr.Encoder
@@ -430,20 +409,51 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 	wmu.Unlock()
 }
 
-// handleFrame decodes one request, invokes it, and encodes the response
-// into a pooled encoder the caller must release with xdr.PutEncoder.
-// proto primes the encoder for the caller's framing: 2 reserves a v2
-// header for Encoder.FrameBytes, 3 a v3 header for FrameBytesV3, 1 none
-// (the v1 path frames separately). The request frame is fully copied out
-// by decodeRequest, so the caller may release it as soon as handleFrame
-// returns.
-func (s *XDRServer) handleFrame(frame []byte, proto int) *xdr.Encoder {
+// dispatcher is the half of a server that does not know which transport
+// it sits behind. The XDR socket server and the shm ring server each embed
+// one, so a request is decoded, admitted, invoked and answered by the same
+// code whichever rung carried it.
+type dispatcher struct {
+	c       atomic.Pointer[container.Container]
+	tel     *telemetry.Registry
+	limiter *resilience.Limiter // admission control; nil admits everything
+	m       bindingMetrics
+
+	closeCtx  context.Context // cancelled by Close: aborts admission waits and invokes
+	closeStop context.CancelFunc
+}
+
+func (d *dispatcher) init(c *container.Container, binding string) {
+	d.c.Store(c)
+	d.m = newBindingMetrics(telemetry.Or(d.tel), binding)
+	d.closeCtx, d.closeStop = context.WithCancel(context.Background())
+}
+
+// Retarget points the server at a different container. Node bootstrap
+// needs this: endpoint addresses must be known before the final container
+// configuration (which advertises them) can be built.
+func (d *dispatcher) Retarget(c *container.Container) { d.c.Store(c) }
+
+// handle decodes one request frame, admits and invokes it, and encodes the
+// response — or the fault — into a pooled encoder the caller must release
+// with xdr.PutEncoder. proto primes the encoder for the caller's framing:
+// 2 reserves a v2 header for Encoder.FrameBytes, 3 a v3 header for
+// FrameBytesV3, anything else none (the v1 stream and the shm ring frame
+// the payload themselves).
+//
+// Strings are copied out of the frame and arrays into the calling worker's
+// arena, so the frame may be released as soon as handle returns. The
+// arena's memory is lent to the component for the length of its Invoke
+// (the container.Component contract) — results may alias arguments, which
+// is why it is taken back only after the response is encoded.
+func (d *dispatcher) handle(frame []byte, proto int, arena *xdr.Arena) *xdr.Encoder {
+	defer arena.Release()
 	e := xdr.GetEncoder()
 	reserve := func() {
-		switch {
-		case proto >= 3:
+		switch proto {
+		case 3:
 			e.ReserveFrameHeaderV3()
-		case proto == 2:
+		case 2:
 			e.ReserveFrameHeader()
 		}
 	}
@@ -453,21 +463,21 @@ func (s *XDRServer) handleFrame(frame []byte, proto int) *xdr.Encoder {
 		reserve()
 		return encodeFault(e, err)
 	}
-	instance, op, args, err := decodeRequest(frame)
+	instance, op, args, err := decodeRequest(arena, frame)
 	if err != nil {
 		return fault(err)
 	}
-	release, err := s.limiter.Acquire(s.closeCtx)
+	release, err := d.limiter.Acquire(d.closeCtx)
 	if err != nil {
 		// Shed before execution: the fault message carries the Overloaded
 		// token so clients classify it as retryable-elsewhere across the
 		// string-typed wire.
 		return fault(err)
 	}
-	h, start := s.m.begin(op)
-	out, err := s.target().Invoke(s.closeCtx, instance, op, args)
+	h, start := d.m.begin(op)
+	out, err := d.c.Load().Invoke(d.closeCtx, instance, op, args)
 	release()
-	s.m.done(op, h, start, err)
+	d.m.done(op, h, start, err)
 	if err != nil {
 		return fault(err)
 	}
@@ -477,29 +487,51 @@ func (s *XDRServer) handleFrame(frame []byte, proto int) *xdr.Encoder {
 	return e
 }
 
-func decodeRequest(frame []byte) (instance, op string, args []wire.Arg, err error) {
-	d := xdr.NewDecoder(frame)
+// argCount reads a declared argument or result count and refuses one the
+// rest of the frame cannot hold — every entry is at least a name length
+// word and a value tag — before it sizes anything.
+func argCount(d *xdr.Decoder) (int, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return 0, err
+	}
+	if n > xdr.MaxArgs || int(n) > d.Remaining()/8 {
+		return 0, errors.New("invoke: absurd argument count")
+	}
+	return int(n), nil
+}
+
+// decodeArgs reads n (name, tagged value) pairs.
+func decodeArgs(d *xdr.Decoder, n int) ([]wire.Arg, error) {
+	args := make([]wire.Arg, n)
+	for i := range args {
+		var err error
+		if args[i].Name, err = d.String(); err != nil {
+			return nil, err
+		}
+		if args[i].Value, err = xdr.DecodeValue(d); err != nil {
+			return nil, err
+		}
+	}
+	return args, nil
+}
+
+// decodeRequest decodes a request frame. Arrays among the arguments are
+// arena memory when arena is non-nil (see dispatcher.handle).
+func decodeRequest(arena *xdr.Arena, frame []byte) (instance, op string, args []wire.Arg, err error) {
+	d := arena.Decoder(frame)
 	if instance, err = d.String(); err != nil {
 		return "", "", nil, err
 	}
 	if op, err = d.String(); err != nil {
 		return "", "", nil, err
 	}
-	n, err := d.Uint32()
+	n, err := argCount(d)
 	if err != nil {
 		return "", "", nil, err
 	}
-	if n > xdr.MaxArgs {
-		return "", "", nil, errors.New("invoke: absurd argument count")
-	}
-	args = make([]wire.Arg, n)
-	for i := range args {
-		if args[i].Name, err = d.String(); err != nil {
-			return "", "", nil, err
-		}
-		if args[i].Value, err = xdr.DecodeValue(d); err != nil {
-			return "", "", nil, err
-		}
+	if args, err = decodeArgs(d, n); err != nil {
+		return "", "", nil, err
 	}
 	return instance, op, args, nil
 }
@@ -554,23 +586,11 @@ func decodeResponse(frame []byte) ([]wire.Arg, error) {
 		}
 		return nil, fmt.Errorf("invoke: xdr fault: %s", msg)
 	}
-	n, err := d.Uint32()
+	n, err := argCount(d)
 	if err != nil {
 		return nil, err
 	}
-	if n > xdr.MaxArgs {
-		return nil, errors.New("invoke: absurd result count")
-	}
-	out := make([]wire.Arg, n)
-	for i := range out {
-		if out[i].Name, err = d.String(); err != nil {
-			return nil, err
-		}
-		if out[i].Value, err = xdr.DecodeValue(d); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return decodeArgs(d, n)
 }
 
 // XDRMode selects the wire behavior of an XDRPort.

@@ -3,6 +3,7 @@ package invoke
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -74,6 +75,40 @@ func BenchmarkXDRInvokeArray1MB(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Invoke(ctx, "getResult", args); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkXDRInvokeArray64K is the benchmark's xdr-array call as a
+// microbenchmark: 8192 doubles each way through client, server and a
+// component that allocates its output. B/op is the number the allocation
+// gate above bounds.
+func BenchmarkXDRInvokeArray64K(b *testing.B) {
+	for _, mode := range benchModes {
+		b.Run(mode.String(), func(b *testing.B) {
+			c := container.New(container.Config{Name: "bench"})
+			c.RegisterFactory("Scale", scaleImpl())
+			if _, _, err := c.Deploy("Scale", "s1"); err != nil {
+				b.Fatal(err)
+			}
+			srv, err := NewXDRServer(c, "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			p := NewXDRPortMode(srv.Addr(), "s1", mode)
+			defer p.Close()
+			const n = 8192
+			args := wire.Args("factor", 1.5, "data", randDoubles(rand.New(rand.NewSource(1)), n))
+			ctx := context.Background()
+			b.SetBytes(2 * 8 * n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Invoke(ctx, "scale", args); err != nil {
 					b.Fatal(err)
 				}
 			}

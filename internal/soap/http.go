@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -234,14 +235,26 @@ func AppendReadAll(dst []byte, r io.Reader, sizeHint int64) ([]byte, error) {
 	}
 }
 
-// sameHost reports whether a URL's host names this machine on the face of
-// it — "localhost" or a literal loopback address — without asking DNS.
-func sameHost(host string) bool {
+// hostname is this machine's name, asked for once.
+var hostname = sync.OnceValue(func() string {
+	hn, _ := os.Hostname()
+	return hn
+})
+
+// SameHost reports whether host names this machine on the face of it —
+// "localhost", a literal loopback address, or the machine's own hostname —
+// without asking DNS. It is the one locality test of the stack: a peer it
+// accepts has no link to save time on, so the SOAP client asks it for no
+// gzip, an auto-mode XDR client offers it no codec, and only it can be
+// reached over the shm rung.
+func SameHost(host string) bool {
 	if host == "localhost" {
 		return true
 	}
-	ip, err := netip.ParseAddr(host)
-	return err == nil && ip.IsLoopback()
+	if ip, err := netip.ParseAddr(host); err == nil {
+		return ip.IsLoopback()
+	}
+	return host != "" && host == hostname()
 }
 
 // CallRemote posts call to the endpoint URL and decodes the response.
@@ -269,7 +282,7 @@ func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
 	// only off-host. The header is always sent, because without one
 	// net/http asks for gzip itself and inflates transparently, building a
 	// fresh 32 KiB window per reply; appendGunzip inflates through a pool.
-	if sameHost(req.URL.Hostname()) {
+	if SameHost(req.URL.Hostname()) {
 		req.Header.Set("Accept-Encoding", "identity")
 	} else {
 		req.Header.Set("Accept-Encoding", "gzip")

@@ -217,11 +217,13 @@ func (e *Encoder) StringArray(a []string) {
 
 // Decoder consumes XDR primitives from a byte slice.
 type Decoder struct {
-	buf []byte
-	off int
+	buf   []byte
+	off   int
+	arena *Arena // owner of decoded slices; nil = the caller (see Arena)
 }
 
-// NewDecoder returns a decoder over buf. The decoder does not copy buf.
+// NewDecoder returns a decoder over buf. The decoder does not copy buf,
+// and every slice it returns is freshly allocated and the caller's to keep.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Remaining returns the number of unread bytes.
@@ -297,8 +299,9 @@ func (d *Decoder) declaredLen() (int, error) {
 	return int(n), nil
 }
 
-// Opaque decodes variable-length opaque data into a fresh slice.
-func (d *Decoder) Opaque() ([]byte, error) {
+// opaque consumes variable-length opaque data and returns it in place, as
+// a sub-slice of the frame.
+func (d *Decoder) opaque() ([]byte, error) {
 	n, err := d.declaredLen()
 	if err != nil {
 		return nil, err
@@ -307,16 +310,28 @@ func (d *Decoder) Opaque() ([]byte, error) {
 	if d.Remaining() < padded {
 		return nil, ErrShortBuffer
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
+	src := d.buf[d.off : d.off+n]
 	d.off += padded
+	return src, nil
+}
+
+// Opaque decodes variable-length opaque data into a slice that does not
+// alias the frame.
+func (d *Decoder) Opaque() ([]byte, error) {
+	src, err := d.opaque()
+	if err != nil {
+		return nil, err
+	}
+	out := alloc[byte](d, len(src))
+	copy(out, src)
 	return out, nil
 }
 
-// String decodes a variable-length string.
+// String decodes a variable-length string (one copy, straight out of the
+// frame; strings are never arena memory).
 func (d *Decoder) String() (string, error) {
-	b, err := d.Opaque()
-	return string(b), err
+	src, err := d.opaque()
+	return string(src), err
 }
 
 // array carves the next elemSize*n bytes out of the frame in one bounds
@@ -335,10 +350,10 @@ func (d *Decoder) array(n, elemSize int) ([]byte, error) {
 func (d *Decoder) Int32Array() ([]int32, error) { return d.Int32ArrayInto(nil) }
 
 // Int32ArrayInto decodes an int32 array into dst, reusing its capacity
-// when it suffices and allocating only otherwise; it returns dst resliced
-// to the decoded length. The decode-into variants let steady-state
-// callers (pooled buffers, preallocated workspaces) take arrays off the
-// wire with zero allocations.
+// when it suffices and otherwise taking the destination from the decoder's
+// arena (or the heap, without one); it returns dst resliced to the decoded
+// length. The decode-into variants let steady-state callers (preallocated
+// workspaces) take arrays off the wire with zero allocations.
 func (d *Decoder) Int32ArrayInto(dst []int32) ([]int32, error) {
 	n, err := d.declaredLen()
 	if err != nil {
@@ -349,7 +364,7 @@ func (d *Decoder) Int32ArrayInto(dst []int32) ([]int32, error) {
 		return nil, err
 	}
 	if cap(dst) < n {
-		dst = make([]int32, n)
+		dst = alloc[int32](d, n)
 	}
 	dst = dst[:n]
 	if ZeroCopyEnabled() {
@@ -377,7 +392,7 @@ func (d *Decoder) Int64ArrayInto(dst []int64) ([]int64, error) {
 		return nil, err
 	}
 	if cap(dst) < n {
-		dst = make([]int64, n)
+		dst = alloc[int64](d, n)
 	}
 	dst = dst[:n]
 	if ZeroCopyEnabled() {
@@ -405,7 +420,7 @@ func (d *Decoder) Float32ArrayInto(dst []float32) ([]float32, error) {
 		return nil, err
 	}
 	if cap(dst) < n {
-		dst = make([]float32, n)
+		dst = alloc[float32](d, n)
 	}
 	dst = dst[:n]
 	if ZeroCopyEnabled() {
@@ -434,7 +449,7 @@ func (d *Decoder) Float64ArrayInto(dst []float64) ([]float64, error) {
 		return nil, err
 	}
 	if cap(dst) < n {
-		dst = make([]float64, n)
+		dst = alloc[float64](d, n)
 	}
 	dst = dst[:n]
 	if ZeroCopyEnabled() {
@@ -453,7 +468,10 @@ func (d *Decoder) BoolArray() ([]bool, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]bool, n)
+	if d.Remaining() < 4*n {
+		return nil, ErrShortBuffer // before n sizes anything
+	}
+	out := alloc[bool](d, n)
 	for i := range out {
 		v, err := d.Bool()
 		if err != nil {
@@ -469,6 +487,9 @@ func (d *Decoder) StringArray() ([]string, error) {
 	n, err := d.declaredLen()
 	if err != nil {
 		return nil, err
+	}
+	if d.Remaining() < 4*n {
+		return nil, ErrShortBuffer // before n sizes anything
 	}
 	out := make([]string, n)
 	for i := range out {
@@ -597,6 +618,11 @@ func DecodeValues(d *Decoder) ([]any, error) {
 	n, err := d.declaredLen()
 	if err != nil {
 		return nil, err
+	}
+	// A value is at least a tag word and a payload word: a count the frame
+	// cannot hold is refused before it sizes anything.
+	if n > d.Remaining()/8 {
+		return nil, ErrShortBuffer
 	}
 	out := make([]any, n)
 	for i := range out {

@@ -15,7 +15,9 @@ import (
 // decoder. The fuzzer interprets the input bytes as raw element storage
 // for each array type in turn, encodes through both implementations,
 // requires identical wire bytes, then decodes through both and requires
-// bit-identical values (NaN payloads included).
+// bit-identical values (NaN payloads included). It then holds the two
+// owners of decoded arrays to each other the same way: a decoder lending
+// arena memory against the allocating one.
 func FuzzXDRZeroCopyDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
@@ -107,6 +109,73 @@ func FuzzXDRZeroCopyDifferential(f *testing.F) {
 		if len(f64) > 0 {
 			if got := fd[0].([]float64); math.Float64bits(got[0]) != math.Float64bits(f64[0]) {
 				t.Fatalf("round-trip lost first element bit pattern")
+			}
+		}
+
+		// Owner differential: a decoder lending arena memory must decode
+		// what the allocating decoder does — same values, same error at
+		// the same field — on the intact frame, on one cut short, and on
+		// one whose first length word declares more (or less) than the
+		// frame holds. The frame gains an opaque and a bool array so every
+		// kind the arena lends is covered.
+		bools := make([]bool, len(data)%7)
+		for i := range bools {
+			bools[i] = data[i]&1 == 1
+		}
+		e := NewEncoder(len(fast) + len(data) + 64)
+		e.Float64Array(f64)
+		e.Int64Array(i64)
+		e.Float32Array(f32)
+		e.Int32Array(i32)
+		e.Opaque(data)
+		e.BoolArray(bools)
+		whole := e.Bytes()
+		decodeAll := func(d *Decoder) (out []any, err error) {
+			for _, field := range []func() (any, error){
+				func() (any, error) { return d.Float64Array() },
+				func() (any, error) { return d.Int64Array() },
+				func() (any, error) { return d.Float32Array() },
+				func() (any, error) { return d.Int32Array() },
+				func() (any, error) { return d.Opaque() },
+				func() (any, error) { return d.BoolArray() },
+			} {
+				v, err := field()
+				if err != nil {
+					return out, err
+				}
+				out = append(out, v)
+			}
+			return out, nil
+		}
+		var arena Arena
+		frames := [][]byte{whole, whole[:len(data)%(len(whole)+1)]}
+		if len(data) >= 4 {
+			relen := append([]byte(nil), whole...)
+			copy(relen, data[:4]) // the float64 array's length word
+			frames = append(frames, relen)
+		}
+		for round := 0; round < 2; round++ { // the second round decodes into a used slab
+			for i, frame := range frames {
+				want, wantErr := decodeAll(NewDecoder(frame))
+				got, gotErr := decodeAll(arena.Decoder(frame))
+				if gotErr != wantErr || len(got) != len(want) {
+					t.Fatalf("frame %d: arena decoded %d fields, err %v; heap decoded %d, err %v",
+						i, len(got), gotErr, len(want), wantErr)
+				}
+				for j := range want {
+					if !wire.Equal(got[j], want[j]) {
+						t.Fatalf("frame %d field %d: arena and heap decoders disagree", i, j)
+					}
+				}
+				if af, hf := got, want; len(af) > 0 {
+					a, h := af[0].([]float64), hf[0].([]float64)
+					for k := range h {
+						if math.Float64bits(a[k]) != math.Float64bits(h[k]) {
+							t.Fatalf("frame %d: float64[%d] bit patterns differ", i, k)
+						}
+					}
+				}
+				arena.Release()
 			}
 		}
 	})
