@@ -176,7 +176,7 @@ func e3Port(b *testing.B, kind wsdl.BindingKind) invoke.Port {
 	case wsdl.BindJavaObject:
 		return &invoke.LocalPort{Container: node.Container(), Instance: "mm"}
 	case wsdl.BindXDR:
-		p := invoke.NewXDRPort(node.XDRAddr(), "mm", false)
+		p := invoke.NewXDRPort(node.XDRAddr(), "mm")
 		b.Cleanup(func() { _ = p.Close() })
 		return p
 	default:
@@ -450,7 +450,7 @@ func benchLinSolveVia(b *testing.B, kind wsdl.BindingKind) {
 	case wsdl.BindJavaObject:
 		p = &invoke.LocalPort{Container: node.Container(), Instance: "lapack"}
 	case wsdl.BindXDR:
-		xp := invoke.NewXDRPort(node.XDRAddr(), "lapack", false)
+		xp := invoke.NewXDRPort(node.XDRAddr(), "lapack")
 		b.Cleanup(func() { _ = xp.Close() })
 		p = xp
 	default:

@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"context"
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"harness2/internal/wire"
 )
 
 func parseCell(t *testing.T, cell string) float64 {
@@ -293,6 +297,32 @@ func TestNetworkExperimentsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestE11ShimsKnownAnswer: each E11/E3b transport shim is the one port
+// type underneath, so each returns the component's answer, call after call.
+func TestE11ShimsKnownAnswer(t *testing.T) {
+	h, err := newHost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.close()
+	h.node.Container().RegisterFactory("ArraySink", arraySinkFactory())
+	if _, err := h.publish("ArraySink", "sink"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range e11Transports {
+		port := tr.open(h.node.XDRAddr(), "sink")
+		for call := 0; call < 3; call++ {
+			out, err := port.Invoke(context.Background(), "checksum", wire.Args("data", []float64{1, 2, 3.5}))
+			if sum, _ := wire.GetArg(out, "sum"); err != nil || sum != 6.5 {
+				t.Fatalf("%s call %d: sum = %v, err = %v", tr.name, call, sum, err)
+			}
+		}
+		if err := port.Close(); err != nil {
+			t.Fatalf("%s: close: %v", tr.name, err)
+		}
+	}
+}
+
 func TestE11ShapeMuxScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network experiment is slow")
@@ -300,27 +330,32 @@ func TestE11ShapeMuxScales(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing-shape assertion; the race detector skews scheduling")
 	}
-	// Enough calls for the scaling signal to beat loopback noise.
-	tb, err := E11Concurrency([]int{1, 16}, 150, 256, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Index speedup by (transport, clients) for the small payload, where
-	// per-call latency (not wire bandwidth) dominates.
-	speedup := map[string]float64{}
-	for _, row := range tb.Rows {
-		if strings.HasPrefix(row[0], "small") {
-			speedup[row[1]+"/"+row[2]] = parseCell(t, row[7])
+	// A timing shape on a shared box: a trial that a neighbour's load
+	// flattened is repeated, twice at most, before the shape is called
+	// absent.
+	var failure string
+	for trial := 0; trial < 3; trial++ {
+		// Enough calls for the scaling signal to beat loopback noise.
+		tb, err := E11Concurrency([]int{1, 16}, 150, 256, 150)
+		if err != nil {
+			t.Fatal(err)
 		}
+		// Index speedup by (transport, clients) for the small payload, where
+		// per-call latency (not wire bandwidth) dominates.
+		speedup := map[string]float64{}
+		for _, row := range tb.Rows {
+			if strings.HasPrefix(row[0], "small") {
+				speedup[row[1]+"/"+row[2]] = parseCell(t, row[7])
+			}
+		}
+		// The multiplexed transport must convert 16 concurrent callers into
+		// real aggregate throughput; the serial port cannot (one call in
+		// flight per connection, so scaling hovers near 1x).
+		mux, serial := speedup["mux/16"], speedup["serial/16"]
+		if mux >= 2 && serial <= mux {
+			return
+		}
+		failure = fmt.Sprintf("mux speedup at 16 clients = %.2fx (want >= 2x), serial = %.2fx (want <= mux)\n%s", mux, serial, tb)
 	}
-	// The multiplexed transport must convert 16 concurrent callers into
-	// real aggregate throughput; the serial port cannot (one call in
-	// flight per connection, so scaling hovers near 1x).
-	if s := speedup["mux/16"]; s < 2 {
-		t.Fatalf("mux speedup at 16 clients = %.2fx, want >= 2x\n%s", s, tb)
-	}
-	if s := speedup["serial/16"]; s > speedup["mux/16"] {
-		t.Fatalf("serial (%v) should not out-scale mux (%v)\n%s",
-			s, speedup["mux/16"], tb)
-	}
+	t.Fatal(failure)
 }

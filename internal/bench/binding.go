@@ -100,8 +100,8 @@ func E3Bindings(sizes []int) (*Table, error) {
 			}
 		}
 		variants = append(variants,
-			variant{"xdr (reused conn)", invoke.NewXDRPort(h.node.XDRAddr(), "mm", false)},
-			variant{"xdr (dial/call)", invoke.NewXDRPort(h.node.XDRAddr(), "mm", true)},
+			variant{"xdr (reused conn)", invoke.NewXDRPort(h.node.XDRAddr(), "mm")},
+			variant{"xdr (dial/call)", dialPerCallPort{invoke.NewXDRPort(h.node.XDRAddr(), "mm"), "mm"}},
 		)
 		if soapRefs := defs.PortsByKind(wsdl.BindSOAP); len(soapRefs) == 1 {
 			variants = append(variants, variant{"soap/http (base64)",
@@ -263,7 +263,7 @@ func E9Locality(n, jobs int) (*Table, error) {
 			&invoke.SOAPPort{URL: refs[0].Port.Address}})
 	}
 	placements = append(placements,
-		placement{"same host", "xdr socket", invoke.NewXDRPort(h.node.XDRAddr(), "lapack", false)},
+		placement{"same host", "xdr socket", invoke.NewXDRPort(h.node.XDRAddr(), "lapack")},
 		placement{"same container", "local (JavaObject)",
 			&invoke.LocalPort{Container: h.node.Container(), Instance: "lapack"}},
 	)

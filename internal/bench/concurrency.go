@@ -45,26 +45,60 @@ func arraySinkFactory() container.Factory {
 	})
 }
 
-// e11Transports lists the XDR client strategies under comparison.
-func e11Transports() []invoke.XDRMode {
-	return []invoke.XDRMode{
-		invoke.XDRModeSerial,
-		invoke.XDRModeDialPerCall,
-		invoke.XDRModeMux,
-	}
+// serialPort is the one-call-in-flight ablation: a mutex around Invoke on
+// a shared port, so callers queue on the round trip the way they would on
+// a connection without request IDs.
+type serialPort struct {
+	mu sync.Mutex
+	*invoke.XDRPort
+}
+
+func (p *serialPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.XDRPort.Invoke(ctx, op, args)
+}
+
+// dialPerCallPort is the no-reuse ablation: every Invoke opens a port of
+// its own, and so a connection of its own, and closes it. The embedded
+// port is never dialed; it answers Kind, Endpoint and Close.
+type dialPerCallPort struct {
+	*invoke.XDRPort
+	instance string
+}
+
+func (p dialPerCallPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
+	port := invoke.NewXDRPort(p.Endpoint(), p.instance)
+	defer port.Close()
+	return port.Invoke(ctx, op, args)
+}
+
+// e11Transports lists the XDR client strategies under comparison, all
+// built from the one port type.
+var e11Transports = []struct {
+	name string
+	open func(addr, instance string) invoke.Port
+}{
+	{"serial", func(addr, inst string) invoke.Port {
+		return &serialPort{XDRPort: invoke.NewXDRPort(addr, inst)}
+	}},
+	{"dial-per-call", func(addr, inst string) invoke.Port {
+		return dialPerCallPort{invoke.NewXDRPort(addr, inst), inst}
+	}},
+	{"mux", func(addr, inst string) invoke.Port { return invoke.NewXDRPort(addr, inst) }},
 }
 
 // E11Concurrency measures aggregate XDR invocation throughput as client
-// concurrency grows, for each transport strategy: the legacy pooled
-// serial connection (one call in flight), dial-per-call (a connection per
-// invocation), and the v2 multiplexed connection (many calls pipelined
-// over one stream, demultiplexed by request ID).
+// concurrency grows, for each transport strategy: one call in flight on
+// the shared connection (serial), a connection per invocation
+// (dial-per-call), and the port as it is (many calls pipelined over one
+// stream, demultiplexed by request ID).
 //
 // The claim under test: the serial port is flat — adding callers cannot
-// add throughput because the single connection admits one outstanding
-// call — while the multiplexed port scales aggregate calls/sec with the
-// number of concurrent callers until the server's worker pool or the
-// loopback saturates.
+// add throughput because the connection admits one outstanding call —
+// while the multiplexed port scales aggregate calls/sec with the number
+// of concurrent callers until the server's worker pool or the loopback
+// saturates.
 func E11Concurrency(clients []int, smallCalls, arrayLen, arrayCalls int) (*Table, error) {
 	t := &Table{
 		ID:    "E11",
@@ -97,14 +131,14 @@ func E11Concurrency(clients []int, smallCalls, arrayLen, arrayCalls int) (*Table
 	}
 
 	for _, pl := range payloads {
-		for _, mode := range e11Transports() {
+		for _, tr := range e11Transports {
 			var base float64 // calls/sec at clients=1 for this transport
 			for _, n := range clients {
-				port := invoke.NewXDRPortMode(addr, "sink", mode)
+				port := tr.open(addr, "sink")
 				// Warm the connection (and any pools) outside the timer.
 				if _, err := port.Invoke(ctx, "checksum", pl.args); err != nil {
 					_ = port.Close()
-					return nil, fmt.Errorf("bench: E11 %s warmup: %w", mode, err)
+					return nil, fmt.Errorf("bench: E11 %s warmup: %w", tr.name, err)
 				}
 				total := n * pl.calls
 				var wg sync.WaitGroup
@@ -127,13 +161,13 @@ func E11Concurrency(clients []int, smallCalls, arrayLen, arrayCalls int) (*Table
 				wall := time.Since(start)
 				_ = port.Close()
 				if firstErr != nil {
-					return nil, fmt.Errorf("bench: E11 %s/%d: %w", mode, n, firstErr)
+					return nil, fmt.Errorf("bench: E11 %s/%d: %w", tr.name, n, firstErr)
 				}
 				rate := float64(total) / wall.Seconds()
 				if base == 0 {
 					base = rate
 				}
-				t.AddRow(pl.label, mode.String(), FmtInt(n), FmtInt(total),
+				t.AddRow(pl.label, tr.name, FmtInt(n), FmtInt(total),
 					FmtDur(wall), FmtDur(wall/time.Duration(total)),
 					FmtFloat(rate), FmtRatio(rate/base))
 			}

@@ -654,9 +654,9 @@ func e15Real(clients, callsPerClient, services int) (*e15RealResult, error) {
 	if _, err := hostB.publish("ArraySink", "sinkB"); err != nil {
 		return nil, err
 	}
-	portA := invoke.NewXDRPortMode(hostA.node.XDRAddr(), "sinkA", invoke.XDRModeMux)
+	portA := invoke.NewXDRPort(hostA.node.XDRAddr(), "sinkA")
 	defer portA.Close()
-	portB := invoke.NewXDRPortMode(hostB.node.XDRAddr(), "sinkB", invoke.XDRModeMux)
+	portB := invoke.NewXDRPort(hostB.node.XDRAddr(), "sinkB")
 	defer portB.Close()
 	ctx := context.Background()
 	args := wire.Args("data", []float64{1})

@@ -241,17 +241,6 @@ func (p Params) e19WanCalls() int {
 	return 4
 }
 
-// e19LoopCalls sizes the loopback v2-vs-v3-raw ablation.
-func (p Params) e19LoopCalls() int {
-	if p.Short {
-		return 40
-	}
-	if p.Full {
-		return 400
-	}
-	return 150
-}
-
 // Run executes one experiment by ID (E1–E19).
 func Run(id string, p Params) (*Table, error) {
 	switch id {
@@ -299,7 +288,7 @@ func Run(id string, p Params) (*Table, error) {
 	case "E18":
 		return E18Fleet(p.e18Ns(), p.e18Kills())
 	case "E19":
-		return E19WANPlane(p.e19ArrayLen(), p.e19WanCalls(), p.e19LoopCalls())
+		return E19WANPlane(p.e19ArrayLen(), p.e19WanCalls())
 	}
 	return nil, fmt.Errorf("bench: unknown experiment %q", id)
 }

@@ -11,30 +11,27 @@ import (
 	"harness2/internal/wire"
 )
 
-// E19WANPlane measures the negotiated v3 data plane with adaptive
-// per-frame compression (DESIGN.md S33) on links where bandwidth, not
-// CPU, is the bottleneck. Stage "wan": the same ArraySink checksum call
-// through simnet LinkProxies modelling LAN and WAN pipes, with
-// compressible and incompressible 64 KiB arrays under each client
-// compression policy — the proxy bills post-compression bytes, so the
-// wire/call column is exactly what a real bandwidth cap would meter.
-// Stage "loopback": the v3 raw path against the v2 framing it replaced,
-// proving negotiation and the flags byte cost nothing measurable where
-// compression cannot win.
-func E19WANPlane(arrayLen, wanCalls, loopCalls int) (*Table, error) {
+// E19WANPlane measures the negotiated data plane with adaptive per-frame
+// compression (DESIGN.md S33) on links where bandwidth, not CPU, is the
+// bottleneck: the same ArraySink checksum call through simnet LinkProxies
+// modelling LAN and WAN pipes, with compressible and incompressible
+// 64 KiB arrays under each client compression policy — the proxy bills
+// post-compression bytes, so the wire/call column is exactly what a real
+// bandwidth cap would meter.
+func E19WANPlane(arrayLen, wanCalls int) (*Table, error) {
 	t := &Table{
 		ID:    "E19",
-		Title: "WAN data plane: v3 negotiated frames with adaptive compression",
+		Title: "WAN data plane: negotiated frames with adaptive compression",
 		Note: fmt.Sprintf("ArraySink checksum, %s request arrays, best of three trials; wire/call is post-compression bytes through the link proxy (both directions); speedup vs the off policy on the same link and payload",
 			FmtBytes(int64(8*arrayLen))),
-		Columns: []string{"stage", "link", "payload", "policy", "per-op", "wire/call", "speedup"},
+		Columns: []string{"link", "payload", "policy", "per-op", "wire/call", "speedup"},
 	}
 
 	c := container.New(container.Config{Name: "e19"})
 	c.RegisterFactory("ArraySink", arraySinkFactory())
 	// The server accepts and answers with flate; clients choose per row.
 	xs, err := invoke.NewXDRServer(c, "127.0.0.1:0",
-		invoke.WithXDRCompression(invoke.CompressPolicy{Mode: invoke.CompressAdaptive}))
+		invoke.ServerOptions{Compress: invoke.CompressPolicy{Mode: invoke.CompressAdaptive}})
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +58,7 @@ func E19WANPlane(arrayLen, wanCalls, loopCalls int) (*Table, error) {
 	}
 
 	measure := func(addr string, pol invoke.CompressPolicy, data []float64, calls int) (time.Duration, error) {
-		p := invoke.NewXDRPort(addr, "sink", false)
+		p := invoke.NewXDRPort(addr, "sink")
 		defer p.Close()
 		p.SetCompression(pol)
 		args := wire.Args("data", data)
@@ -80,8 +77,8 @@ func E19WANPlane(arrayLen, wanCalls, loopCalls int) (*Table, error) {
 		return best, nil
 	}
 
-	// Stage 1 — wan: paced links. Each (link, payload, policy) cell gets
-	// a fresh proxy so the per-connection byte counters isolate the cell.
+	// Each (link, payload, policy) cell gets a fresh proxy so the
+	// per-connection byte counters isolate the cell.
 	links := []struct {
 		name string
 		cfg  simnet.LinkConfig
@@ -109,41 +106,11 @@ func E19WANPlane(arrayLen, wanCalls, loopCalls int) (*Table, error) {
 				if pc.name == "off" {
 					rawPer = per
 				}
-				t.AddRow("wan", link.name, pl.name, pc.name, FmtDur(per),
+				t.AddRow(link.name, pl.name, pc.name, FmtDur(per),
 					FmtBytes(wirePerCall), FmtRatio(float64(rawPer)/float64(per)))
 			}
 		}
 	}
 
-	// Stage 2 — loopback ablation: raw v3 vs the v2 wire it replaced, on
-	// the incompressible payload (the worst case for v3: the flags byte
-	// and negotiation buy nothing). Ratios near 1x are the pass.
-	data := RandDoubles(arrayLen, 23)
-	v2 := invoke.NewXDRPort(xs.Addr(), "sink", false)
-	v2.SetWireProtocol(2)
-	v3 := invoke.NewXDRPort(xs.Addr(), "sink", false)
-	v3.SetCompression(invoke.CompressPolicy{Mode: invoke.CompressOff})
-	loopMeasure := func(p *invoke.XDRPort) time.Duration {
-		defer p.Close()
-		args := wire.Args("data", data)
-		call := func() {
-			if _, err := p.Invoke(ctx, "checksum", args); err != nil {
-				panic(err)
-			}
-		}
-		call()
-		best := time.Duration(0)
-		for trial := 0; trial < 3; trial++ {
-			if per := timeIt(loopCalls, call); best == 0 || per < best {
-				best = per
-			}
-		}
-		return best
-	}
-	v2Per := loopMeasure(v2)
-	v3Per := loopMeasure(v3)
-	t.AddRow("loopback", "direct", "random", "v2 frames", FmtDur(v2Per), "-", FmtRatio(1))
-	t.AddRow("loopback", "direct", "random", "v3 raw", FmtDur(v3Per), "-",
-		FmtRatio(float64(v2Per)/float64(v3Per)))
 	return t, nil
 }

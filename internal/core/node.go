@@ -40,7 +40,7 @@ type NodeOptions struct {
 	DisableXDR  bool
 	DisableShm  bool
 	// Compress is the XDR wire-compression policy (S33). The zero value
-	// (CompressAuto) accepts adaptive flate from v3 clients and advertises
+	// (CompressAuto) accepts adaptive flate from clients and advertises
 	// the codec in generated WSDL; CompressOff disables negotiation.
 	Compress invoke.CompressPolicy
 	// Telemetry selects the metrics registry for the node's container,
@@ -104,10 +104,9 @@ func NewNode(name string, opts NodeOptions) (*Node, error) {
 	// container with empty addresses first, then re-create with the final
 	// config. The container is cheap; no instances exist yet.
 	c := container.New(cfg)
+	srvOpts := invoke.ServerOptions{Telemetry: opts.Telemetry, Compress: opts.Compress}
 	if !opts.DisableXDR {
-		xs, err := invoke.NewXDRServer(c, "127.0.0.1:0",
-			invoke.WithXDRTelemetry(opts.Telemetry),
-			invoke.WithXDRCompression(opts.Compress))
+		xs, err := invoke.NewXDRServer(c, "127.0.0.1:0", srvOpts)
 		if err != nil {
 			if n.httpLn != nil {
 				_ = n.httpLn.Close()
@@ -122,7 +121,7 @@ func NewNode(name string, opts NodeOptions) (*Node, error) {
 	if !opts.DisableShm {
 		// Best-effort: on platforms without mmap segments the node simply
 		// does not advertise the shm rung; clients fall back to XDR.
-		if ss, err := invoke.NewShmServer(c, "", invoke.WithShmTelemetry(opts.Telemetry)); err == nil {
+		if ss, err := invoke.NewShmServer(c, "", srvOpts); err == nil {
 			n.shmSrv = ss
 			n.shmAddr = ss.Addr()
 			cfg.ShmAddr = n.shmAddr

@@ -63,20 +63,17 @@ func borrowPorts(t *testing.T, instance string) map[string]Port {
 }
 
 // borrowPortsOn serves c and returns a port per server-side code path: mux
-// and v1 serial workers on the socket, ring workers on shm.
+// workers on the socket, ring workers on shm.
 func borrowPortsOn(t *testing.T, c *container.Container, instance string) map[string]Port {
 	t.Helper()
-	xs, err := NewXDRServer(c, "127.0.0.1:0", WithXDRTelemetry(telemetry.Disabled()))
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = xs.Close() })
-	ports := map[string]Port{
-		"xdr-mux":    NewXDRPortMode(xs.Addr(), instance, XDRModeMux),
-		"xdr-serial": NewXDRPortMode(xs.Addr(), instance, XDRModeSerial),
-	}
+	ports := map[string]Port{"xdr": NewXDRPort(xs.Addr(), instance)}
 	if shmring.Supported() {
-		ss, err := NewShmServer(c, "", WithShmTelemetry(telemetry.Disabled()))
+		ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,12 +303,12 @@ func TestXDRArrayCallAllocationGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	xs, err := NewXDRServer(c, "127.0.0.1:0", WithXDRTelemetry(telemetry.Disabled()))
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer xs.Close()
-	p := NewXDRPort(xs.Addr(), "s1", false)
+	p := NewXDRPort(xs.Addr(), "s1")
 	p.SetTelemetry(telemetry.Disabled())
 	defer p.Close()
 
@@ -396,7 +393,7 @@ func TestAutoCompressionFollowsLocality(t *testing.T) {
 	// connection negotiated.
 	reg := telemetry.New()
 	c := container.New(container.Config{Name: "loc"})
-	xs, err := NewXDRServer(c, "0.0.0.0:0", WithXDRTelemetry(telemetry.Disabled()))
+	xs, err := NewXDRServer(c, "0.0.0.0:0", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 package invoke
 
-// Wire-compression policy for the XDR v3 binding (DESIGN.md S33). The
+// Wire-compression policy for the XDR binding (DESIGN.md S33). The
 // codec itself is negotiated once at dial time (see internal/xdr frame
 // docs); the policy decides what each side offers/accepts and how
 // aggressively its own outbound frames are compressed. Modes:
@@ -28,7 +28,7 @@ import (
 	"harness2/internal/xdr"
 )
 
-// CompressMode selects how an endpoint treats v3 wire compression.
+// CompressMode selects how an endpoint treats wire compression.
 type CompressMode int
 
 const (
@@ -56,7 +56,7 @@ func (m CompressMode) String() string {
 	return fmt.Sprintf("CompressMode(%d)", int(m))
 }
 
-// CompressPolicy is one endpoint's v3 compression stance. The zero value
+// CompressPolicy is one endpoint's compression stance. The zero value
 // is CompressAuto with the default codec (flate).
 type CompressPolicy struct {
 	Mode  CompressMode

@@ -10,54 +10,32 @@ import (
 	"harness2/internal/container"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
+	"harness2/internal/wsdl"
 )
 
-// TestXDRNegotiationMatrix is the S33 compatibility regression: every
-// pairwise combination of wire generations — a v1 serial client, a v2 mux
-// client, and v3 clients with compression off and on — against servers
-// capped at v2 and v3 servers with compression off, on, and adaptive. A
-// stale peer on either side must degrade silently to the common protocol;
-// no pairing may corrupt payloads. This is the E3 invoke check run across
+// TestXDRNegotiationMatrix is the capability matrix of the one wire:
+// every client compression policy — off, on, adaptive, and auto resolved
+// against a binding that advertises the codec — against every server
+// policy. A pairing compresses exactly when both sides allow it, and no
+// pairing may corrupt payloads. This is the E3 invoke check run across
 // the full negotiation space.
 func TestXDRNegotiationMatrix(t *testing.T) {
-	type serverCase struct {
+	advertised := &wsdl.Binding{Kind: wsdl.BindXDR,
+		Capabilities: []wsdl.Capability{{Name: "compress", Value: "flate"}}}
+	servers := []CompressPolicy{{Mode: CompressOff}, {Mode: CompressOn}, {Mode: CompressAdaptive}}
+	clients := []struct {
 		name string
-		opts []XDRServerOption
-	}
-	type clientCase struct {
-		name string
-		dial func(addr string) *XDRPort
-	}
-
-	servers := []serverCase{
-		{"maxproto2", []XDRServerOption{WithXDRMaxProto(2)}},
-		{"v3-off", []XDRServerOption{WithXDRCompression(CompressPolicy{Mode: CompressOff})}},
-		{"v3-on", []XDRServerOption{WithXDRCompression(CompressPolicy{Mode: CompressOn})}},
-		{"v3-adaptive", []XDRServerOption{WithXDRCompression(CompressPolicy{Mode: CompressAdaptive})}},
-	}
-	clients := []clientCase{
-		{"serial-v1", func(addr string) *XDRPort {
-			return NewXDRPortMode(addr, "m1", XDRModeSerial)
-		}},
-		{"mux-v2", func(addr string) *XDRPort {
-			p := NewXDRPort(addr, "m1", false)
-			p.SetWireProtocol(2)
-			return p
-		}},
-		{"v3-off", func(addr string) *XDRPort {
-			p := NewXDRPort(addr, "m1", false)
-			p.SetCompression(CompressPolicy{Mode: CompressOff})
-			return p
-		}},
-		{"v3-on", func(addr string) *XDRPort {
-			p := NewXDRPort(addr, "m1", false)
-			p.SetCompression(CompressPolicy{Mode: CompressAdaptive})
-			return p
-		}},
+		pol  CompressPolicy
+	}{
+		{"off", CompressPolicy{Mode: CompressOff}},
+		{"on", CompressPolicy{Mode: CompressOn}},
+		{"adaptive", CompressPolicy{Mode: CompressAdaptive}},
+		// What openPort hands an auto-mode client of an off-host endpoint.
+		{"auto-advertised", resolveCompress(CompressPolicy{}, advertised, "10.0.0.7:9000")},
 	}
 
 	// Compressible payload comfortably above the compression floor, so
-	// v3-on pairings actually exercise the flate path.
+	// compressing pairings actually exercise the flate path.
 	mata := make([]float64, 4096)
 	matb := make([]float64, 4096)
 	for i := range mata {
@@ -65,12 +43,12 @@ func TestXDRNegotiationMatrix(t *testing.T) {
 		matb[i] = 2
 	}
 
-	for _, sc := range servers {
-		sc := sc
-		t.Run("server="+sc.name, func(t *testing.T) {
+	for _, sp := range servers {
+		sp := sp
+		t.Run("server="+sp.Mode.String(), func(t *testing.T) {
 			c := container.New(container.Config{Name: "node1"})
 			c.RegisterFactory("MatMul", matmulImpl())
-			xs, err := NewXDRServer(c, "127.0.0.1:0", sc.opts...)
+			xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Compress: sp})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +59,8 @@ func TestXDRNegotiationMatrix(t *testing.T) {
 			for _, cc := range clients {
 				cc := cc
 				t.Run("client="+cc.name, func(t *testing.T) {
-					p := cc.dial(xs.Addr())
+					p := NewXDRPort(xs.Addr(), "m1")
+					p.SetCompression(cc.pol)
 					defer p.Close()
 					ctx := context.Background()
 					// Several calls per pairing: the first negotiates,
@@ -107,13 +86,19 @@ func TestXDRNegotiationMatrix(t *testing.T) {
 							}
 						}
 					}
+					// The first reply followed the server's answer word, so
+					// the connection's codec is settled by now.
+					want := cc.pol.Mode != CompressOff && sp.Mode != CompressOff
+					if got := p.mc.comp.Load() != nil; got != want {
+						t.Fatalf("compressing = %v, want %v", got, want)
+					}
 				})
 			}
 		})
 	}
 }
 
-// TestXDRNegotiationConcurrent drives the v3-on/v3-adaptive pairing from
+// TestXDRNegotiationConcurrent drives the adaptive/adaptive pairing from
 // many goroutines at once — the arrangement the race detector cares
 // about: concurrent compressors, one shared muxConn, negotiation racing
 // the first batch of requests.
@@ -121,7 +106,7 @@ func TestXDRNegotiationConcurrent(t *testing.T) {
 	c := container.New(container.Config{Name: "node1"})
 	c.RegisterFactory("MatMul", matmulImpl())
 	xs, err := NewXDRServer(c, "127.0.0.1:0",
-		WithXDRCompression(CompressPolicy{Mode: CompressAdaptive}))
+		ServerOptions{Compress: CompressPolicy{Mode: CompressAdaptive}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +114,7 @@ func TestXDRNegotiationConcurrent(t *testing.T) {
 	if _, _, err := c.Deploy("MatMul", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	p := NewXDRPort(xs.Addr(), "m1", false)
+	p := NewXDRPort(xs.Addr(), "m1")
 	p.SetCompression(CompressPolicy{Mode: CompressAdaptive})
 	defer p.Close()
 
@@ -173,8 +158,7 @@ func TestCompressionMetricsExposed(t *testing.T) {
 	c := container.New(container.Config{Name: "node1"})
 	c.RegisterFactory("MatMul", matmulImpl())
 	xs, err := NewXDRServer(c, "127.0.0.1:0",
-		WithXDRTelemetry(reg),
-		WithXDRCompression(CompressPolicy{Mode: CompressAdaptive}))
+		ServerOptions{Telemetry: reg, Compress: CompressPolicy{Mode: CompressAdaptive}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +166,7 @@ func TestCompressionMetricsExposed(t *testing.T) {
 	if _, _, err := c.Deploy("MatMul", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	p := NewXDRPort(xs.Addr(), "m1", false)
+	p := NewXDRPort(xs.Addr(), "m1")
 	p.SetTelemetry(reg)
 	p.SetCompression(CompressPolicy{Mode: CompressAdaptive})
 

@@ -6,13 +6,13 @@ import (
 	"harness2/internal/telemetry"
 )
 
-// largeFrameMin is the frame size at which the v2 write path stops
+// largeFrameMin is the frame size at which the write path stops
 // copying through the coalescing buffer and hands the frame to the
 // kernel directly, vectored together with whatever smaller frames are
 // already buffered.
 const largeFrameMin = 8 << 10
 
-// frameWriter is the v2 write side: small frames coalesce in a buffer
+// frameWriter is a connection's write side: small frames coalesce in a buffer
 // that a flusher commits in one write syscall (see muxConn.flushLoop),
 // while frames of largeFrameMin bytes or more skip the copy and leave
 // immediately as a single writev of [buffered frames, large frame] via

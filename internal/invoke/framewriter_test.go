@@ -107,16 +107,16 @@ func TestXDRMuxLargeFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	xs, err := NewXDRServer(c, "127.0.0.1:0", WithXDRTelemetry(telemetry.Disabled()))
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer xs.Close()
 
-	pm := NewXDRPort(xs.Addr(), "m1", false)
+	pm := NewXDRPort(xs.Addr(), "m1")
 	pm.SetTelemetry(telemetry.Disabled())
 	defer pm.Close()
-	pc := NewXDRPort(xs.Addr(), "c1", false)
+	pc := NewXDRPort(xs.Addr(), "c1")
 	pc.SetTelemetry(telemetry.Disabled())
 	defer pc.Close()
 

@@ -1,6 +1,7 @@
 package invoke
 
 import (
+	"io"
 	"math/rand"
 	"net"
 	"strings"
@@ -138,7 +139,7 @@ func TestXDRServerSurvivesGarbageConnections(t *testing.T) {
 	if _, _, err := c.Deploy("Counter", "c1"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0")
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestXDRServerSurvivesGarbageConnections(t *testing.T) {
 		_ = conn.Close()
 	}
 	// A correct client still works.
-	p := NewXDRPort(srv.Addr(), "c1", false)
+	p := NewXDRPort(srv.Addr(), "c1")
 	defer p.Close()
 	out, err := p.Invoke(t.Context(), "inc", wire.Args("by", int64(5)))
 	if err != nil {
@@ -176,7 +177,7 @@ func TestXDRServerSurvivesGarbageConnections(t *testing.T) {
 // TestXDRServerRejectsOversizedFrame confirms the frame-length guard.
 func TestXDRServerRejectsOversizedFrame(t *testing.T) {
 	c := container.New(container.Config{Name: "fz2"})
-	srv, err := NewXDRServer(c, "127.0.0.1:0")
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,16 +187,15 @@ func TestXDRServerRejectsOversizedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Declare a 4 GiB frame.
-	if _, err := conn.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}); err != nil {
+	// A proper opening, then a frame header declaring 4 GiB.
+	if _, err := conn.Write([]byte("HXD3\x00\x00\x00\x01\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x00\x01\x00")); err != nil {
 		t.Fatal(err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+	// The answer word, then the hang-up: a response frame would mean the
+	// server tried to allocate the absurd frame (xdr.MaxLen guards it).
 	buf := make([]byte, 16)
-	if _, err := conn.Read(buf); err == nil {
-		// Server may simply hang up; reading an actual response would
-		// mean it tried to allocate the absurd frame.
-		t.Log("server responded (acceptable if it was a fault frame)")
+	if n, err := io.ReadFull(conn, buf); n != 4 || err != io.ErrUnexpectedEOF {
+		t.Fatalf("read %d bytes, err %v; want the 4-byte answer and then EOF", n, err)
 	}
-	_ = xdr.MaxLen // documents the guard under test
 }

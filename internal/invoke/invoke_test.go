@@ -76,7 +76,7 @@ func newHost(t *testing.T) *testHost {
 
 	hs := httptest.NewServer(&SOAPHandler{Container: c})
 	t.Cleanup(hs.Close)
-	xs, err := NewXDRServer(c, "127.0.0.1:0")
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestXDRConnectionReuse(t *testing.T) {
 	if len(ref) != 1 {
 		t.Fatalf("xdr ports = %d", len(ref))
 	}
-	p := NewXDRPort(ref[0].Port.Address, "c1", false)
+	p := NewXDRPort(ref[0].Port.Address, "c1")
 	defer p.Close()
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
@@ -257,63 +257,45 @@ func TestXDRConnectionReuse(t *testing.T) {
 	}
 }
 
-func TestXDRDialPerCall(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
-	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1", true)
-	defer p.Close()
-	ctx := context.Background()
-	for i := 0; i < 5; i++ {
-		if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(2))); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestXDRReconnectAfterServerRestart(t *testing.T) {
 	// After the server drops a pooled connection, the port must recover
 	// on a fresh connection without ever double-invoking: either the dead
 	// connection is detected before sending (transparent), or the call
 	// surfaces an error and the *next* call succeeds. The counter proves
 	// exactly one server-side increment per successful call.
-	for _, mode := range []XDRMode{XDRModeMux, XDRModeSerial} {
-		t.Run(mode.String(), func(t *testing.T) {
-			h := newHost(t)
-			_, defs := h.deploy(t, "Counter", mode.String())
-			ref := defs.PortsByKind(wsdl.BindXDR)
-			p := NewXDRPortMode(ref[0].Port.Address, mode.String(), mode)
-			defer p.Close()
-			ctx := context.Background()
-			if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
-				t.Fatal(err)
-			}
-			// Kill the pooled connection server-side.
-			h.xdr.mu.Lock()
-			for conn := range h.xdr.conns {
-				_ = conn.Close()
-			}
-			h.xdr.mu.Unlock()
-			var successes int64 = 1 // the call before the kill
-			var lastTotal int64
-			for attempt := 0; attempt < 10; attempt++ {
-				out, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1)))
-				if err != nil {
-					continue // ambiguous-outcome error is acceptable once
-				}
-				successes++
-				total, _ := wire.GetArg(out, "total")
-				lastTotal = total.(int64)
-				break
-			}
-			if lastTotal == 0 {
-				t.Fatal("port never recovered after peer close")
-			}
-			if lastTotal != successes {
-				t.Fatalf("total = %d after %d successful calls (silent retry double-invoked?)",
-					lastTotal, successes)
-			}
-		})
+	h := newHost(t)
+	_, defs := h.deploy(t, "Counter", "c1")
+	ref := defs.PortsByKind(wsdl.BindXDR)
+	p := NewXDRPort(ref[0].Port.Address, "c1")
+	defer p.Close()
+	ctx := context.Background()
+	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	// Kill the pooled connection server-side.
+	h.xdr.mu.Lock()
+	for conn := range h.xdr.conns {
+		_ = conn.Close()
+	}
+	h.xdr.mu.Unlock()
+	var successes int64 = 1 // the call before the kill
+	var lastTotal int64
+	for attempt := 0; attempt < 10; attempt++ {
+		out, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1)))
+		if err != nil {
+			continue // ambiguous-outcome error is acceptable once
+		}
+		successes++
+		total, _ := wire.GetArg(out, "total")
+		lastTotal = total.(int64)
+		break
+	}
+	if lastTotal == 0 {
+		t.Fatal("port never recovered after peer close")
+	}
+	if lastTotal != successes {
+		t.Fatalf("total = %d after %d successful calls (silent retry double-invoked?)",
+			lastTotal, successes)
 	}
 }
 
@@ -321,7 +303,7 @@ func TestXDRRejectsNonNumericArgs(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1", false)
+	p := NewXDRPort(ref[0].Port.Address, "c1")
 	defer p.Close()
 	_, err := p.Invoke(context.Background(), "inc", wire.Args("by", "a string"))
 	if err == nil {
@@ -336,13 +318,13 @@ func TestXDRFaults(t *testing.T) {
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	ctx := context.Background()
 
-	ghost := NewXDRPort(ref[0].Port.Address, "ghost", false)
+	ghost := NewXDRPort(ref[0].Port.Address, "ghost")
 	defer ghost.Close()
 	if _, err := ghost.Invoke(ctx, "inc", wire.Args("by", int64(1))); err == nil ||
 		!strings.Contains(err.Error(), "no such instance") {
 		t.Fatalf("err = %v", err)
 	}
-	p := NewXDRPort(ref[0].Port.Address, "c2", false)
+	p := NewXDRPort(ref[0].Port.Address, "c2")
 	defer p.Close()
 	if _, err := p.Invoke(ctx, "nosuchop", nil); err == nil {
 		t.Fatal("unknown op should fault")
@@ -431,7 +413,7 @@ func TestConcurrentXDRClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := NewXDRPort(ref[0].Port.Address, "c1", false)
+			p := NewXDRPort(ref[0].Port.Address, "c1")
 			defer p.Close()
 			for j := 0; j < 25; j++ {
 				if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {

@@ -58,13 +58,14 @@ func (m *bindingMetrics) done(op string, h *telemetry.Histogram, start time.Time
 // by the client port and the server with a distinguishing role label.
 type xdrWireMetrics struct {
 	tx, rx     *telemetry.Counter   // bytes that reached / left the socket
-	inflight   *telemetry.Gauge     // v2: registered, unanswered requests
-	flushBatch *telemetry.Histogram // v2: bytes committed per flush syscall
+	inflight   *telemetry.Gauge     // registered, unanswered requests
+	flushBatch *telemetry.Histogram // bytes committed per flush syscall
+	refused    *telemetry.Counter   // connections that ended at the preamble
 
-	// v3 compression plane (S33): wire bytes that traveled compressed in
+	// Compression plane (S33): wire bytes that traveled compressed in
 	// each direction, the per-frame compressed/original size ratio, and a
 	// per-codec gauge of live connections that negotiated it. All nil-safe:
-	// a raw v3 stream touches none of them.
+	// a raw stream touches none of them.
 	compOut   *telemetry.Counter   // compressed payload bytes sent
 	compIn    *telemetry.Counter   // compressed payload bytes received
 	compRatio *telemetry.Histogram // per-frame compressed size as % of original
@@ -74,10 +75,11 @@ type xdrWireMetrics struct {
 func newXDRWireMetrics(r *telemetry.Registry, role string) xdrWireMetrics {
 	r.Help("harness_xdr_tx_bytes_total", "bytes written to XDR sockets by role")
 	r.Help("harness_xdr_rx_bytes_total", "bytes read from XDR sockets by role")
-	r.Help("harness_xdr_mux_inflight", "v2 requests awaiting a response by role")
-	r.Help("harness_xdr_mux_flush_batch_bytes", "bytes per v2 flush syscall by role")
-	r.Help("harness_xdr_compress_out_bytes_total", "compressed v3 payload bytes sent by role")
-	r.Help("harness_xdr_compress_in_bytes_total", "compressed v3 payload bytes received by role")
+	r.Help("harness_xdr_mux_inflight", "requests awaiting a response by role")
+	r.Help("harness_xdr_mux_flush_batch_bytes", "bytes per flush syscall by role")
+	r.Help("harness_invoke_xdr_refused_total", "XDR connections refused at the dial preamble by role")
+	r.Help("harness_xdr_compress_out_bytes_total", "compressed payload bytes sent by role")
+	r.Help("harness_xdr_compress_in_bytes_total", "compressed payload bytes received by role")
 	r.Help("harness_xdr_compress_ratio_pct", "per-frame compressed size as percent of original by role")
 	r.Help("harness_xdr_codec_connections", "live XDR connections by negotiated codec and role")
 	return xdrWireMetrics{
@@ -85,6 +87,7 @@ func newXDRWireMetrics(r *telemetry.Registry, role string) xdrWireMetrics {
 		rx:         r.Counter("harness_xdr_rx_bytes_total", "role", role),
 		inflight:   r.Gauge("harness_xdr_mux_inflight", "role", role),
 		flushBatch: r.Histogram("harness_xdr_mux_flush_batch_bytes", "role", role),
+		refused:    r.Counter("harness_invoke_xdr_refused_total", "role", role),
 		compOut:    r.Counter("harness_xdr_compress_out_bytes_total", "role", role),
 		compIn:     r.Counter("harness_xdr_compress_in_bytes_total", "role", role),
 		compRatio:  r.Histogram("harness_xdr_compress_ratio_pct", "role", role),

@@ -164,8 +164,6 @@ type Options struct {
 	LocalContainers []*container.Container
 	// Codec configures SOAP array encoding for SOAP ports.
 	Codec soap.Codec
-	// DialPerCall disables XDR connection reuse (ablation E3b).
-	DialPerCall bool
 	// Forbid excludes binding kinds from selection.
 	Forbid []wsdl.BindingKind
 	// Telemetry selects the metrics registry for opened ports; nil falls
@@ -296,7 +294,7 @@ func openPort(ref wsdl.PortRef, opts Options) (Port, error) {
 		return p, nil
 	case wsdl.BindXDR:
 		inst := instanceFromDefs(ref)
-		p := NewXDRPort(ref.Port.Address, inst, opts.DialPerCall)
+		p := NewXDRPort(ref.Port.Address, inst)
 		p.SetTelemetry(opts.Telemetry)
 		p.SetChaos(opts.Chaos)
 		p.SetCompression(resolveCompress(opts.Compress, ref.Binding, ref.Port.Address))

@@ -11,6 +11,7 @@ import (
 	"harness2/internal/container"
 	"harness2/internal/resilience"
 	"harness2/internal/resilience/chaos"
+	"harness2/internal/shmring"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
@@ -234,56 +235,81 @@ func blockerImpl(started chan<- struct{}, release <-chan struct{}) container.Fac
 	})
 }
 
-// TestXDRServerShedsWhenOverloaded: an XDR server with a one-slot, no-queue
-// limiter sheds the second concurrent call with a fault that classifies as
-// Overloaded on the client side of the wire.
+// TestXDRServerShedsWhenOverloaded: a container whose one admission point
+// is a one-slot, no-queue limiter sheds the second concurrent call with a
+// fault that classifies as Overloaded on the client side of the wire —
+// the socket's and the ring's alike.
 func TestXDRServerShedsWhenOverloaded(t *testing.T) {
-	started := make(chan struct{}, 4)
-	release := make(chan struct{})
-	c := container.New(container.Config{Name: "shed"})
-	c.RegisterFactory("Blocker", blockerImpl(started, release))
-	if _, _, err := c.Deploy("Blocker", "b1"); err != nil {
-		t.Fatal(err)
-	}
-	xs, err := NewXDRServer(c, "127.0.0.1:0",
-		WithXDRLimiter(resilience.NewLimiter(1, 0, 0)),
-		WithXDRTelemetry(telemetry.Disabled()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer xs.Close()
+	opts := ServerOptions{Telemetry: telemetry.Disabled()}
+	for name, open := range map[string]func(t *testing.T, c *container.Container) func() Port{
+		"xdr": func(t *testing.T, c *container.Container) func() Port {
+			xs, err := NewXDRServer(c, "127.0.0.1:0", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = xs.Close() })
+			return func() Port {
+				p := NewXDRPort(xs.Addr(), "b1")
+				p.SetTelemetry(telemetry.Disabled())
+				return p
+			}
+		},
+		"shm": func(t *testing.T, c *container.Container) func() Port {
+			if !shmring.Supported() {
+				t.Skip("no shm on this platform")
+			}
+			ss, err := NewShmServer(c, "", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = ss.Close() })
+			return func() Port {
+				p, err := NewShmPort(ss.Addr(), "b1")
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.SetTelemetry(telemetry.Disabled())
+				return p
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			started := make(chan struct{}, 4)
+			release := make(chan struct{})
+			c := container.New(container.Config{Name: "shed", Admission: resilience.NewLimiter(1, 0, 0)})
+			c.RegisterFactory("Blocker", blockerImpl(started, release))
+			if _, _, err := c.Deploy("Blocker", "b1"); err != nil {
+				t.Fatal(err)
+			}
+			port := open(t, c)
+			p1 := port()
+			defer p1.Close()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := p1.Invoke(context.Background(), "block", nil)
+				errc <- err
+			}()
+			<-started // the slot is now held
 
-	port := func() *XDRPort {
-		p := NewXDRPort(xs.Addr(), "b1", false)
-		p.SetTelemetry(telemetry.Disabled())
-		return p
-	}
-	p1 := port()
-	defer p1.Close()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := p1.Invoke(context.Background(), "block", nil)
-		errc <- err
-	}()
-	<-started // the slot is now held
-
-	p2 := port()
-	defer p2.Close()
-	_, err = p2.Invoke(context.Background(), "block", nil)
-	if err == nil {
-		t.Fatal("second concurrent call should be shed")
-	}
-	if kind := resilience.Classify(err); kind != resilience.KindOverloaded {
-		t.Fatalf("shed classified %v (err %v), want Overloaded", kind, err)
-	}
-	close(release)
-	if err := <-errc; err != nil {
-		t.Fatalf("admitted call failed: %v", err)
-	}
-	// With the slot free the next call is admitted again.
-	go func() { <-started }()
-	if _, err := p2.Invoke(context.Background(), "block", nil); err != nil {
-		t.Fatalf("post-release call failed: %v", err)
+			p2 := port()
+			defer p2.Close()
+			_, err := p2.Invoke(context.Background(), "block", nil)
+			if err == nil {
+				t.Fatal("second concurrent call should be shed")
+			}
+			if kind := resilience.Classify(err); kind != resilience.KindOverloaded {
+				t.Fatalf("shed classified %v (err %v), want Overloaded", kind, err)
+			}
+			close(release)
+			if err := <-errc; err != nil {
+				t.Fatalf("admitted call failed: %v", err)
+			}
+			// With the slot free the next call is admitted again.
+			go func() { <-started }()
+			if _, err := p2.Invoke(context.Background(), "block", nil); err != nil {
+				t.Fatalf("post-release call failed: %v", err)
+			}
+		})
 	}
 }
 

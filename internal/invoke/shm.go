@@ -78,40 +78,6 @@ func ParseShmAddress(addr string) (hostname, sockPath string, err error) {
 
 var shmSockSeq atomic.Uint64
 
-// ShmServerOption configures NewShmServer.
-type ShmServerOption func(*ShmServer)
-
-// WithShmTelemetry selects the server's metrics registry; nil falls back
-// to the process default.
-func WithShmTelemetry(r *telemetry.Registry) ShmServerOption {
-	return func(s *ShmServer) { s.tel = r }
-}
-
-// WithShmLimiter installs server-side admission control, shared with the
-// other bindings' servers.
-func WithShmLimiter(l *resilience.Limiter) ShmServerOption {
-	return func(s *ShmServer) { s.limiter = l }
-}
-
-// WithShmWorkers bounds concurrently executing requests across all
-// segments. Values < 1 are ignored.
-func WithShmWorkers(n int) ShmServerOption {
-	return func(s *ShmServer) {
-		if n >= 1 {
-			s.sem = make(chan struct{}, n)
-		}
-	}
-}
-
-// WithShmRingBytes sizes each direction's ring for new segments.
-func WithShmRingBytes(n int) ShmServerOption {
-	return func(s *ShmServer) {
-		if n > 0 {
-			s.ringBytes = n
-		}
-	}
-}
-
 // ShmServer serves the shared-memory binding for a container's
 // instances: a handshake listener plus one shmring segment and worker
 // loop per connected client.
@@ -121,7 +87,6 @@ type ShmServer struct {
 	sockPath   string
 	hostname   string
 	generation uint64
-	ringBytes  int
 
 	sem chan struct{}
 
@@ -134,8 +99,8 @@ type ShmServer struct {
 // NewShmServer starts a shm handshake listener for container c. An empty
 // sockPath picks a fresh socket in the segment directory. On platforms
 // without mmap support it returns an error; callers advertise the
-// binding only when the server started.
-func NewShmServer(c *container.Container, sockPath string, opts ...ShmServerOption) (*ShmServer, error) {
+// binding only when the server started. Of opts only Telemetry applies.
+func NewShmServer(c *container.Container, sockPath string, opts ServerOptions) (*ShmServer, error) {
 	if !shmring.Supported() {
 		return nil, errors.New("invoke: shm binding unsupported on this platform")
 	}
@@ -157,14 +122,10 @@ func NewShmServer(c *container.Container, sockPath string, opts ...ShmServerOpti
 		// The generation stamp must differ across restarts of the same
 		// socket path; wall-clock nanoseconds at startup do.
 		generation: uint64(time.Now().UnixNano()) | 1,
-		ringBytes:  shmring.DefaultRingBytes,
-		sem:        make(chan struct{}, defaultXDRWorkers()),
+		sem:        make(chan struct{}, serverWorkers()),
 		conns:      make(map[net.Conn]*shmring.Segment),
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	s.dispatcher.init(c, "shm-server")
+	s.dispatcher.init(c, "shm-server", opts.Telemetry)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -231,7 +192,7 @@ func (s *ShmServer) serveConn(conn net.Conn) {
 	defer watcher.Wait()
 	defer conn.Close()
 
-	seg, err := shmring.Create("", s.ringBytes, s.generation)
+	seg, err := shmring.Create("", shmring.DefaultRingBytes, s.generation)
 	if err != nil {
 		return
 	}
@@ -282,7 +243,7 @@ type shmTask struct {
 	frame []byte
 }
 
-// serveSegment is the shm twin of XDRServer.serveV2: request records
+// serveSegment is the shm twin of XDRServer.serveMux: request records
 // fan out to a worker pool (bounded globally by s.sem) and responses
 // return on the B ring in completion order, tagged with their request
 // id. No flusher is needed — a ring write is its own commit.

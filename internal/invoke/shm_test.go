@@ -37,12 +37,12 @@ func newShmHost(t *testing.T, sockPath string) *shmHost {
 	c := container.New(container.Config{Name: "shmhost"})
 	c.RegisterFactory("MatMul", matmulImpl())
 	c.RegisterFactory("Counter", counterImpl())
-	ss, err := NewShmServer(c, sockPath, WithShmTelemetry(telemetry.Disabled()))
+	ss, err := NewShmServer(c, sockPath, ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = ss.Close() })
-	xs, err := NewXDRServer(c, "127.0.0.1:0", WithXDRTelemetry(telemetry.Disabled()))
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestShmStaleGenerationInvalidatesBinding(t *testing.T) {
 	if err := h.shm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ss2, err := NewShmServer(h.c, sockPath, WithShmTelemetry(telemetry.Disabled()))
+	ss2, err := NewShmServer(h.c, sockPath, ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestShmNoLeakOnServerChurn(t *testing.T) {
 	}
 
 	round := func(killMidFlight bool) {
-		ss, err := NewShmServer(c, "", WithShmTelemetry(telemetry.Disabled()))
+		ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,7 +429,7 @@ func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
 	if _, _, err := c.Deploy("Blocker", "b1"); err != nil {
 		t.Fatal(err)
 	}
-	ss, err := NewShmServer(c, "", WithShmTelemetry(telemetry.Disabled()))
+	ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestShmServerCloseWaitsForSegmentUnlink(t *testing.T) {
 		t.Skip("shm binding unsupported on this platform")
 	}
 	c := container.New(container.Config{Name: "shmunlink"})
-	ss, err := NewShmServer(c, "", WithShmTelemetry(telemetry.Disabled()))
+	ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func TestInvokeMetricsPerBinding(t *testing.T) {
 	}
 	// Failed calls feed the error counter.
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	ghost := NewXDRPort(ref[0].Port.Address, "ghost", false)
+	ghost := NewXDRPort(ref[0].Port.Address, "ghost")
 	ghost.SetTelemetry(reg)
 	defer ghost.Close()
 	if _, err := ghost.Invoke(ctx, "inc", wire.Args("by", int64(1))); err == nil {

@@ -11,10 +11,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"harness2/internal/container"
-	"harness2/internal/resilience"
 	"harness2/internal/resilience/chaos"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
@@ -22,10 +20,9 @@ import (
 	"harness2/internal/xdr"
 )
 
-// The XDR binding wire protocol. Each frame is an xdr record — a v1
-// [len][payload] record for legacy serial connections, or a v2
-// [len][request-id][payload] record on multiplexed connections (see
-// internal/xdr/frame.go for the framing and version negotiation).
+// The XDR binding wire protocol. Each message is one request-id-tagged
+// frame on a multiplexed connection (see internal/xdr/frame.go for the
+// framing and the dial-time codec negotiation).
 //
 // Request:  string instance; string op; uint32 nargs;
 //           nargs × (string name, tagged value)
@@ -42,67 +39,42 @@ import (
 // per frame means one write syscall for any frame that fits.
 const xdrBufSize = 32 << 10
 
-// XDRServerOption configures NewXDRServer.
-type XDRServerOption func(*XDRServer)
+// ErrXDRRefused reports a connection the peer closed before answering the
+// dial preamble: whatever listens there does not speak this wire. There is
+// no quieter dialect to retry with — the declared fallback is the next
+// binding on Dial's ladder, which is where a resilience policy takes a
+// call that may be repeated (the error classifies as transient; it is
+// unsent only under the usual rule, zero bytes written).
+var ErrXDRRefused = errors.New("invoke: xdr peer refused the connection preamble")
 
-// WithXDRWorkers bounds the v2 dispatch worker pool: at most n request
-// frames execute concurrently across all multiplexed connections. Values
-// < 1 are ignored.
-func WithXDRWorkers(n int) XDRServerOption {
-	return func(s *XDRServer) {
-		if n >= 1 {
-			s.sem = make(chan struct{}, n)
-		}
-	}
-}
-
-// WithXDRTelemetry selects the server's metrics registry; nil falls back
-// to the process default, telemetry.Disabled() switches instrumentation
-// off.
-func WithXDRTelemetry(r *telemetry.Registry) XDRServerOption {
-	return func(s *XDRServer) { s.tel = r }
-}
-
-// WithXDRLimiter installs server-side admission control: requests beyond
-// the limiter's bounds are refused with the distinguished Overloaded
-// fault before the container executes them. A nil limiter admits
-// everything.
-func WithXDRLimiter(l *resilience.Limiter) XDRServerOption {
-	return func(s *XDRServer) { s.limiter = l }
-}
-
-// WithXDRCompression sets the server's v3 compression policy: which
-// codec it accepts from clients (and answers at negotiation) and how its
-// own response frames are compressed. The default (auto) accepts the
-// default codec and compresses responses adaptively — but only on
-// connections whose client offered a codec, so raw peers see no change.
-func WithXDRCompression(pol CompressPolicy) XDRServerOption {
-	return func(s *XDRServer) { s.cpol = pol }
-}
-
-// WithXDRMaxProto caps the wire protocol versions the server speaks —
-// WithXDRMaxProto(2) reproduces a pre-v3 peer, which reads MagicV3 as an
-// over-limit v1 frame length and drops the connection, exactly what the
-// negotiation matrix tests need to prove clients fall back silently.
-func WithXDRMaxProto(v int) XDRServerOption {
-	return func(s *XDRServer) { s.maxProto = v }
+// ServerOptions configures the binary-binding servers, NewXDRServer and
+// NewShmServer alike.
+type ServerOptions struct {
+	// Telemetry selects the server's metrics registry; nil falls back to
+	// the process default, telemetry.Disabled() switches instrumentation
+	// off.
+	Telemetry *telemetry.Registry
+	// Compress is the socket server's compression policy: which codec it
+	// accepts from clients (and answers at negotiation) and how its own
+	// response frames are compressed. The zero value (auto) accepts the
+	// default codec and compresses responses adaptively — but only on
+	// connections whose client offered a codec, so raw peers see no
+	// change. The shm ring has no link to save time on and ignores it.
+	Compress CompressPolicy
 }
 
 // XDRServer serves the XDR socket binding for a container's instances.
-// It speaks both wire protocol versions, auto-detected per connection:
-// v1 connections are served strictly sequentially (the protocol has no
-// request IDs, so ordering is the contract); v2 connections dispatch
-// every request frame to a bounded worker pool so one slow invocation
-// cannot head-of-line-block the connection.
+// Every connection is multiplexed: each request frame is dispatched to a
+// bounded worker pool so one slow invocation cannot head-of-line-block
+// the connection.
 type XDRServer struct {
 	dispatcher
 	ln net.Listener
 	wm xdrWireMetrics
 
-	cpol     CompressPolicy // v3 compression stance (default auto)
-	maxProto int            // highest wire protocol served (default 3)
+	cpol CompressPolicy
 
-	sem chan struct{} // bounds concurrently executing v2 requests
+	sem chan struct{} // bounds concurrently executing requests
 
 	mu     sync.Mutex
 	closed bool
@@ -112,27 +84,26 @@ type XDRServer struct {
 
 // NewXDRServer starts an XDR listener on addr (e.g. "127.0.0.1:0") that
 // dispatches to instances of c.
-func NewXDRServer(c *container.Container, addr string, opts ...XDRServerOption) (*XDRServer, error) {
+func NewXDRServer(c *container.Container, addr string, opts ServerOptions) (*XDRServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("invoke: xdr listen: %w", err)
 	}
 	s := &XDRServer{
 		ln: ln, conns: make(map[net.Conn]bool),
-		sem:      make(chan struct{}, defaultXDRWorkers()),
-		maxProto: 3,
+		cpol: opts.Compress,
+		sem:  make(chan struct{}, serverWorkers()),
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	s.dispatcher.init(c, "xdr-server")
-	s.wm = newXDRWireMetrics(telemetry.Or(s.tel), "server")
+	s.dispatcher.init(c, "xdr-server", opts.Telemetry)
+	s.wm = newXDRWireMetrics(telemetry.Or(opts.Telemetry), "server")
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
 }
 
-func defaultXDRWorkers() int {
+// serverWorkers is how many requests one binary-binding server executes
+// at once, across all of its connections.
+func serverWorkers() int {
 	n := 4 * runtime.GOMAXPROCS(0)
 	if n < 8 {
 		n = 8
@@ -182,13 +153,9 @@ func (s *XDRServer) acceptLoop() {
 	}
 }
 
-// serveConn sniffs the protocol version from the first word of the
-// stream: MagicV2 opens a multiplexed session, MagicV3 a multiplexed
-// session with codec negotiation; any legal v1 frame length (always <
-// MagicV2 < MagicV3, by construction) starts a legacy sequential
-// session. With maxProto < 3 the MagicV3 word falls through to the v1
-// path, which rejects it as an over-limit frame length — byte-for-byte
-// what a real pre-v3 server does.
+// serveConn accepts exactly one opening: MagicV3 followed by the client's
+// offered-codec word. Anything else is refused — counted, and closed
+// before a single frame is decoded.
 func (s *XDRServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -198,56 +165,28 @@ func (s *XDRServer) serveConn(conn net.Conn) {
 		_ = conn.Close()
 	}()
 	br := bufio.NewReaderSize(&countingReader{r: conn, rx: s.wm.rx}, xdrBufSize)
-	var first [4]byte
-	if _, err := io.ReadFull(br, first[:]); err != nil {
+	var pre [8]byte
+	if _, err := io.ReadFull(br, pre[:4]); err != nil {
 		return
 	}
-	word := binary.BigEndian.Uint32(first[:])
-	if word == xdr.MagicV2 {
-		s.serveMux(conn, br, 2, 0)
+	if binary.BigEndian.Uint32(pre[:4]) != xdr.MagicV3 {
+		s.wm.refused.Inc()
 		return
 	}
-	if word == xdr.MagicV3 && s.maxProto >= 3 {
-		var off [4]byte
-		if _, err := io.ReadFull(br, off[:]); err != nil {
-			return
-		}
-		s.serveMux(conn, br, 3, binary.BigEndian.Uint32(off[:]))
+	if _, err := io.ReadFull(br, pre[4:]); err != nil {
 		return
 	}
-	s.serveV1(conn, br, word)
+	s.serveMux(conn, br, binary.BigEndian.Uint32(pre[4:]))
 }
 
-// serveV1 is the legacy path: one frame in, one frame out, in order.
-func (s *XDRServer) serveV1(conn net.Conn, br *bufio.Reader, firstLen uint32) {
-	bw := bufio.NewWriterSize(&countingWriter{w: conn, tx: s.wm.tx}, xdrBufSize)
-	var arena xdr.Arena
-	frame, err := xdr.ReadFramePooledAfterLen(br, firstLen)
-	for err == nil {
-		resp := s.handle(frame, 1, &arena)
-		xdr.PutFrameBuf(frame)
-		if werr := xdr.WriteFrame(bw, resp.Bytes()); werr == nil {
-			err = bw.Flush()
-		} else {
-			err = werr
-		}
-		xdr.PutEncoder(resp)
-		if err != nil {
-			return
-		}
-		frame, err = xdr.ReadFramePooled(br)
-	}
-}
-
-// v2task is one request frame awaiting a worker.
-type v2task struct {
+// muxTask is one request frame awaiting a worker.
+type muxTask struct {
 	id    uint64
-	flags byte // v3 codec flags; 0 on v2 connections and raw frames
+	flags byte // codec flags; 0 on raw frames
 	frame []byte
 }
 
-// serveMux is the multiplexed path (wire protocol v2 and v3): request
-// frames are handed to a pool of persistent per-connection workers
+// serveMux serves one connection: request frames are handed to a pool of persistent per-connection workers
 // (bounded globally by s.sem) and responses are written back — tagged
 // with the request ID they answer — as they complete, in any order.
 // Persistent workers, rather than a goroutine per frame, keep their grown
@@ -263,33 +202,31 @@ type v2task struct {
 // — frameWriter sends it vectored with whatever is already buffered.
 // See muxConn.flushLoop for the client-side twin.
 //
-// On a v3 connection the server first answers the client's offer word
-// with the chosen codec — flushed before any request frame is touched,
-// so a client that never sees the answer knows the server processed
-// nothing — then decompresses flagged request payloads in the workers
-// (parallel CPU) and compresses eligible response frames per cpol.
-func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer uint32) {
+// The server first answers the client's offer word with the chosen codec
+// — flushed before any request frame is touched, so a client that never
+// sees the answer knows the server processed nothing — then decompresses
+// flagged request payloads in the workers (parallel CPU) and compresses
+// eligible response frames per cpol.
+func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, offer uint32) {
 	fw := newFrameWriter(conn, s.wm)
 	var wmu sync.Mutex // serializes response frames on the shared writer
 
 	var comp *xdr.Compressor // response compression; nil = raw
-	if proto >= 3 {
-		chosen := xdr.ChooseCodec(offer, s.cpol.acceptWord(true))
-		var answer [4]byte
-		if chosen != nil {
-			binary.BigEndian.PutUint32(answer[:], uint32(chosen.ID()))
-		}
-		if _, err := fw.Write(answer[:]); err != nil {
-			return
-		}
-		if err := fw.Flush(); err != nil {
-			return
-		}
-		if chosen != nil {
-			comp = xdr.NewCompressor(chosen, s.cpol.adaptive(), 0)
-			s.wm.codecs.With(chosen.Name()).Inc()
-			defer s.wm.codecs.With(chosen.Name()).Dec()
-		}
+	chosen := xdr.ChooseCodec(offer, s.cpol.acceptWord(true))
+	var answer [4]byte
+	if chosen != nil {
+		binary.BigEndian.PutUint32(answer[:], uint32(chosen.ID()))
+	}
+	if _, err := fw.Write(answer[:]); err != nil {
+		return
+	}
+	if err := fw.Flush(); err != nil {
+		return
+	}
+	if chosen != nil {
+		comp = xdr.NewCompressor(chosen, s.cpol.adaptive(), 0)
+		s.wm.codecs.With(chosen.Name()).Inc()
+		defer s.wm.codecs.With(chosen.Name()).Dec()
 	}
 
 	flushKick := make(chan struct{}, 1)
@@ -326,7 +263,7 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 	}()
 
 	nw := cap(s.sem)
-	tasks := make(chan v2task, nw)
+	tasks := make(chan muxTask, nw)
 	var workers sync.WaitGroup
 	for i := 0; i < nw; i++ {
 		workers.Add(1)
@@ -346,23 +283,19 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 					}
 					t.frame = dec
 				}
-				resp := s.handle(t.frame, proto, &arena)
+				resp := s.handle(t.frame, xdr.FrameHeaderLenV3, &arena)
 				xdr.PutFrameBuf(t.frame)
 				var frame []byte
 				var ce *xdr.Encoder
 				var err error
-				if proto >= 3 {
-					if comp != nil {
-						payload := resp.FramePayloadV3()
-						if frame, ce = comp.CompressFrameV3(t.id, payload); ce != nil {
-							s.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
-						}
+				if comp != nil {
+					payload := resp.FramePayloadV3()
+					if frame, ce = comp.CompressFrameV3(t.id, payload); ce != nil {
+						s.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
 					}
-					if ce == nil {
-						frame, err = resp.FrameBytesV3(t.id, 0)
-					}
-				} else {
-					frame, err = resp.FrameBytes(t.id)
+				}
+				if ce == nil {
+					frame, err = resp.FrameBytesV3(t.id, 0)
 				}
 				if err == nil {
 					wmu.Lock()
@@ -384,14 +317,9 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 	}
 
 	for {
-		var t v2task
+		var t muxTask
 		var err error
-		if proto >= 3 {
-			t.id, t.flags, t.frame, err = xdr.ReadFrameV3(br)
-		} else {
-			t.id, t.frame, err = xdr.ReadFrameID(br)
-		}
-		if err != nil {
+		if t.id, t.flags, t.frame, err = xdr.ReadFrameV3(br); err != nil {
 			break
 		}
 		tasks <- t // blocks when workers saturate
@@ -414,18 +342,16 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, proto int, offer u
 // one, so a request is decoded, admitted, invoked and answered by the same
 // code whichever rung carried it.
 type dispatcher struct {
-	c       atomic.Pointer[container.Container]
-	tel     *telemetry.Registry
-	limiter *resilience.Limiter // admission control; nil admits everything
-	m       bindingMetrics
+	c atomic.Pointer[container.Container]
+	m bindingMetrics
 
-	closeCtx  context.Context // cancelled by Close: aborts admission waits and invokes
+	closeCtx  context.Context // cancelled by Close: aborts invokes in flight
 	closeStop context.CancelFunc
 }
 
-func (d *dispatcher) init(c *container.Container, binding string) {
+func (d *dispatcher) init(c *container.Container, binding string, tel *telemetry.Registry) {
 	d.c.Store(c)
-	d.m = newBindingMetrics(telemetry.Or(d.tel), binding)
+	d.m = newBindingMetrics(telemetry.Or(tel), binding)
 	d.closeCtx, d.closeStop = context.WithCancel(context.Background())
 }
 
@@ -434,27 +360,25 @@ func (d *dispatcher) init(c *container.Container, binding string) {
 // configuration (which advertises them) can be built.
 func (d *dispatcher) Retarget(c *container.Container) { d.c.Store(c) }
 
-// handle decodes one request frame, admits and invokes it, and encodes the
-// response — or the fault — into a pooled encoder the caller must release
-// with xdr.PutEncoder. proto primes the encoder for the caller's framing:
-// 2 reserves a v2 header for Encoder.FrameBytes, 3 a v3 header for
-// FrameBytesV3, anything else none (the v1 stream and the shm ring frame
-// the payload themselves).
+// handle decodes one request frame, invokes it, and encodes the response —
+// or the fault — into a pooled encoder the caller must release with
+// xdr.PutEncoder. hdr is the frame header the caller will seal in front of
+// the response: xdr.FrameHeaderLenV3 on a socket (Encoder.FrameBytesV3), 0
+// on the shm ring, whose records frame themselves. Admission is the
+// container's (container.Config.Admission), so a shed call comes back from
+// Invoke as the Overloaded fault like any other error.
 //
 // Strings are copied out of the frame and arrays into the calling worker's
 // arena, so the frame may be released as soon as handle returns. The
 // arena's memory is lent to the component for the length of its Invoke
 // (the container.Component contract) — results may alias arguments, which
 // is why it is taken back only after the response is encoded.
-func (d *dispatcher) handle(frame []byte, proto int, arena *xdr.Arena) *xdr.Encoder {
+func (d *dispatcher) handle(frame []byte, hdr int, arena *xdr.Arena) *xdr.Encoder {
 	defer arena.Release()
 	e := xdr.GetEncoder()
 	reserve := func() {
-		switch proto {
-		case 3:
+		if hdr == xdr.FrameHeaderLenV3 {
 			e.ReserveFrameHeaderV3()
-		case 2:
-			e.ReserveFrameHeader()
 		}
 	}
 	reserve()
@@ -467,16 +391,8 @@ func (d *dispatcher) handle(frame []byte, proto int, arena *xdr.Arena) *xdr.Enco
 	if err != nil {
 		return fault(err)
 	}
-	release, err := d.limiter.Acquire(d.closeCtx)
-	if err != nil {
-		// Shed before execution: the fault message carries the Overloaded
-		// token so clients classify it as retryable-elsewhere across the
-		// string-typed wire.
-		return fault(err)
-	}
 	h, start := d.m.begin(op)
 	out, err := d.c.Load().Invoke(d.closeCtx, instance, op, args)
-	release()
 	d.m.done(op, h, start, err)
 	if err != nil {
 		return fault(err)
@@ -593,34 +509,6 @@ func decodeResponse(frame []byte) ([]wire.Arg, error) {
 	return decodeArgs(d, n)
 }
 
-// XDRMode selects the wire behavior of an XDRPort.
-type XDRMode int
-
-const (
-	// XDRModeMux (the default) multiplexes many concurrent in-flight
-	// calls over one shared v2 connection.
-	XDRModeMux XDRMode = iota
-	// XDRModeSerial keeps one pooled v1 connection with a single call in
-	// flight — the pre-multiplexing behavior, kept as the E11 baseline
-	// and for wire compatibility with v1-only servers.
-	XDRModeSerial
-	// XDRModeDialPerCall reconnects (v1) for every invocation — the E3
-	// ablation quantifying connection reuse.
-	XDRModeDialPerCall
-)
-
-func (m XDRMode) String() string {
-	switch m {
-	case XDRModeMux:
-		return "mux"
-	case XDRModeSerial:
-		return "serial"
-	case XDRModeDialPerCall:
-		return "dial-per-call"
-	}
-	return fmt.Sprintf("XDRMode(%d)", int(m))
-}
-
 // countingWriter counts bytes that reached the underlying writer. The
 // retry logic uses it to tell "nothing of this request hit the wire"
 // (safe to resend) from "the frame was partially written" (resending
@@ -641,16 +529,14 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// XDRPort is the client side of the XDR socket binding. In the default
-// multiplexed mode it keeps one shared v2 connection over which any
-// number of goroutines may Invoke concurrently; each call is tagged with
-// a request ID and a demultiplexing goroutine routes responses back to
-// their callers, so calls pipeline instead of serializing on round
-// trips. See XDRMode for the legacy behaviors.
+// XDRPort is the client side of the XDR socket binding. It keeps one
+// shared connection over which any number of goroutines may Invoke
+// concurrently; each call is tagged with a request ID and a
+// demultiplexing goroutine routes responses back to their callers, so
+// calls pipeline instead of serializing on round trips.
 type XDRPort struct {
 	addr     string
 	instance string
-	mode     XDRMode
 
 	tel   *telemetry.Registry
 	chaos *chaos.Injector
@@ -658,41 +544,19 @@ type XDRPort struct {
 	m     bindingMetrics
 	wm    xdrWireMetrics
 
-	cpol CompressPolicy // outbound v3 compression stance
+	cpol CompressPolicy // outbound compression stance
 
-	mu    sync.Mutex
-	mc    *muxConn // XDRModeMux
-	proto int      // mux wire protocol: 0 = newest (v3); 2 after a stale-peer downgrade
-
-	// Serial (v1) connection state. A non-nil conn is always "pooled":
-	// a connection that failed mid-call is dropped, so anything that
-	// survives to the next Invoke completed its previous exchange.
-	conn net.Conn
-	cw   *countingWriter
-	bw   *bufio.Writer
-	br   *bufio.Reader
+	mu sync.Mutex
+	mc *muxConn
 }
 
 var _ Port = (*XDRPort)(nil)
 
 // NewXDRPort returns a port bound to the XDR endpoint at addr targeting
-// the given instance. dialPerCall selects XDRModeDialPerCall; otherwise
-// the port is multiplexed (XDRModeMux).
-func NewXDRPort(addr, instance string, dialPerCall bool) *XDRPort {
-	mode := XDRModeMux
-	if dialPerCall {
-		mode = XDRModeDialPerCall
-	}
-	return NewXDRPortMode(addr, instance, mode)
+// the given instance.
+func NewXDRPort(addr, instance string) *XDRPort {
+	return &XDRPort{addr: addr, instance: instance}
 }
-
-// NewXDRPortMode returns a port with an explicit wire mode.
-func NewXDRPortMode(addr, instance string, mode XDRMode) *XDRPort {
-	return &XDRPort{addr: addr, instance: instance, mode: mode}
-}
-
-// Mode reports the port's wire mode.
-func (p *XDRPort) Mode() XDRMode { return p.mode }
 
 // SetTelemetry selects the port's metrics registry; it must be called
 // before the first Invoke (openPort does). Nil falls back to the process
@@ -704,21 +568,11 @@ func (p *XDRPort) SetTelemetry(r *telemetry.Registry) { p.tel = r }
 // injection at the cost of one branch.
 func (p *XDRPort) SetChaos(in *chaos.Injector) { p.chaos = in }
 
-// SetCompression sets the port's outbound v3 compression policy; it must
+// SetCompression sets the port's outbound compression policy; it must
 // be called before the first Invoke. The zero policy (auto) behaves as
 // off on a direct port — openPort resolves a WSDL-advertised `compress`
 // capability into an explicit adaptive policy here.
 func (p *XDRPort) SetCompression(pol CompressPolicy) { p.cpol = pol }
-
-// SetWireProtocol pins the multiplexed wire protocol version (2 or 3).
-// 0 (the default) dials the newest and falls back to v2 transparently
-// when the peer rejects the v3 preamble. Must be called before the first
-// Invoke; used by the negotiation matrix tests and mixed-version fleets.
-func (p *XDRPort) SetWireProtocol(v int) {
-	p.mu.Lock()
-	p.proto = v
-	p.mu.Unlock()
-}
 
 func (p *XDRPort) metrics() *bindingMetrics {
 	p.minit.Do(func() {
@@ -729,9 +583,8 @@ func (p *XDRPort) metrics() *bindingMetrics {
 	return &p.m
 }
 
-// Invoke implements Port. It is safe for concurrent use; in XDRModeMux
-// concurrent calls share one connection without serializing on each
-// other's round trips.
+// Invoke implements Port. It is safe for concurrent use; concurrent calls
+// share one connection without serializing on each other's round trips.
 func (p *XDRPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
 	if err := p.chaos.Apply(ctx, "xdr", op, p.addr); err != nil {
 		return nil, err
@@ -739,141 +592,11 @@ func (p *XDRPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wir
 	m := p.metrics()
 	h, start := m.begin(op)
 	ctx, sp := telemetry.Or(p.tel).ChildSpan(ctx, "invoke.xdr")
-	var out []wire.Arg
-	var err error
-	if p.mode == XDRModeMux {
-		out, err = p.invokeMux(ctx, op, args)
-	} else {
-		out, err = p.invokeSerial(ctx, op, args)
-	}
+	out, err := p.invokeMux(ctx, op, args)
 	sp.SetError(err)
 	sp.End()
 	m.done(op, h, start, err)
 	return out, err
-}
-
-// invokeSerial is the v1 path: the port mutex is held across the whole
-// exchange, so one call is in flight at a time.
-func (p *XDRPort) invokeSerial(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	e := xdr.GetEncoder()
-	defer xdr.PutEncoder(e)
-	if err := encodeRequest(e, p.instance, op, args); err != nil {
-		return nil, err
-	}
-	req := e.Bytes()
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		fresh := p.conn == nil
-		if err := p.connLocked(ctx); err != nil {
-			// A dial failure provably never sent the request: mark it so
-			// resilience policies may retry even non-idempotent operations.
-			return nil, resilience.MarkUnsent(err)
-		}
-		if !fresh && p.staleLocked() {
-			// The pooled connection was closed by the peer while idle
-			// (e.g. a server restart). Nothing has been sent yet, so
-			// replacing it is transparent and cannot double-invoke.
-			p.dropLocked()
-			if err := p.connLocked(ctx); err != nil {
-				return nil, resilience.MarkUnsent(err)
-			}
-			fresh = true
-		}
-		// Always arm the deadline from this call's context — a zero
-		// deadline clears any deadline a previous call left behind, so a
-		// pooled connection can never inherit a stale timeout.
-		deadline, _ := ctx.Deadline()
-		_ = p.conn.SetDeadline(deadline)
-
-		p.cw.n = 0
-		frame, err := p.exchangeLocked(req)
-		if err != nil {
-			wroteNothing := p.cw.n == 0
-			p.dropLocked()
-			// Transparent retry is restricted to the case where the
-			// *first write* on a pooled (reused) connection failed: no
-			// byte of the request reached the wire, so resending cannot
-			// invoke a non-idempotent operation twice. Mid-frame write
-			// failures and response-side errors are surfaced instead —
-			// the server may already have executed the call.
-			if !fresh && wroteNothing && attempt == 0 {
-				continue
-			}
-			werr := fmt.Errorf("invoke: xdr call %s: %w", op, err)
-			if wroteNothing {
-				// No byte of the request reached the wire: resending is
-				// provably safe, so let policies retry non-idempotent ops.
-				return nil, resilience.MarkUnsent(werr)
-			}
-			return nil, werr
-		}
-		if p.mode == XDRModeDialPerCall {
-			p.dropLocked()
-		}
-		out, derr := decodeResponse(frame)
-		xdr.PutFrameBuf(frame)
-		return out, derr
-	}
-}
-
-func (p *XDRPort) exchangeLocked(req []byte) ([]byte, error) {
-	if err := xdr.WriteFrame(p.bw, req); err != nil {
-		return nil, err
-	}
-	if err := p.bw.Flush(); err != nil {
-		return nil, err
-	}
-	return xdr.ReadFramePooled(p.br)
-}
-
-func (p *XDRPort) connLocked(ctx context.Context) error {
-	if p.conn != nil {
-		return nil
-	}
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", p.addr)
-	if err != nil {
-		return fmt.Errorf("invoke: xdr dial %s: %w", p.addr, err)
-	}
-	p.conn = conn
-	p.cw = &countingWriter{w: conn, tx: p.wm.tx}
-	p.bw = bufio.NewWriterSize(p.cw, xdrBufSize)
-	p.br = bufio.NewReaderSize(&countingReader{r: conn, rx: p.wm.rx}, xdrBufSize)
-	return nil
-}
-
-// staleLocked probes a pooled connection for a peer close with a
-// non-blocking read: a FIN/RST that arrived while the connection sat idle
-// is detected *before* the request is sent, which is the only moment a
-// replacement is provably safe.
-func (p *XDRPort) staleLocked() bool {
-	if p.br.Buffered() > 0 {
-		return true // response bytes with no call in flight: desynced
-	}
-	_ = p.conn.SetReadDeadline(time.Unix(1, 0)) // already expired
-	var scratch [1]byte
-	n, err := p.conn.Read(scratch[:])
-	_ = p.conn.SetReadDeadline(time.Time{})
-	if n > 0 {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		return false // nothing readable: the healthy idle state
-	}
-	return true // EOF, reset, or any other read failure
-}
-
-func (p *XDRPort) dropLocked() {
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-		p.cw = nil
-		p.bw = nil
-		p.br = nil
-	}
 }
 
 // Kind implements Port.
@@ -886,7 +609,6 @@ func (p *XDRPort) Endpoint() string { return p.addr }
 func (p *XDRPort) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.dropLocked()
 	if p.mc != nil {
 		p.mc.shutdown(errors.New("invoke: xdr port closed"))
 		p.mc = nil

@@ -22,7 +22,7 @@ func benchXDRHost(b *testing.B) *XDRServer {
 	if _, _, err := c.Deploy("Counter", "c1"); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0")
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -30,27 +30,20 @@ func benchXDRHost(b *testing.B) *XDRServer {
 	return srv
 }
 
-var benchModes = []XDRMode{XDRModeSerial, XDRModeMux}
-
 // BenchmarkXDRInvokeSmall measures one small (two-int64) call on a
-// single connection — the per-call frame/encode floor of the binding —
-// for the legacy serial transport and the multiplexed v2 transport.
+// single connection — the per-call frame/encode floor of the binding.
 func BenchmarkXDRInvokeSmall(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
-			srv := benchXDRHost(b)
-			p := NewXDRPortMode(srv.Addr(), "c1", mode)
-			defer p.Close()
-			args := wire.Args("by", int64(1))
-			ctx := context.Background()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Invoke(ctx, "inc", args); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	srv := benchXDRHost(b)
+	p := NewXDRPort(srv.Addr(), "c1")
+	defer p.Close()
+	args := wire.Args("by", int64(1))
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Invoke(ctx, "inc", args); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -58,27 +51,23 @@ func BenchmarkXDRInvokeSmall(b *testing.B) {
 // full client+server path: the numeric-array bulk encode/decode fast
 // path plus frame-buffer pooling.
 func BenchmarkXDRInvokeArray1MB(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
-			srv := benchXDRHost(b)
-			p := NewXDRPortMode(srv.Addr(), "mm", mode)
-			defer p.Close()
-			n := 1 << 17 // 128k doubles = 1 MiB
-			data := make([]float64, n)
-			for i := range data {
-				data[i] = float64(i)
-			}
-			args := wire.Args("mata", data, "matb", data)
-			ctx := context.Background()
-			b.SetBytes(int64(8 * n))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Invoke(ctx, "getResult", args); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	srv := benchXDRHost(b)
+	p := NewXDRPort(srv.Addr(), "mm")
+	defer p.Close()
+	n := 1 << 17 // 128k doubles = 1 MiB
+	data := make([]float64, n)
+	for i := range data {
+		data[i] = float64(i)
+	}
+	args := wire.Args("mata", data, "matb", data)
+	ctx := context.Background()
+	b.SetBytes(int64(8 * n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Invoke(ctx, "getResult", args); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -87,39 +76,35 @@ func BenchmarkXDRInvokeArray1MB(b *testing.B) {
 // component that allocates its output. B/op is the number the allocation
 // gate above bounds.
 func BenchmarkXDRInvokeArray64K(b *testing.B) {
-	for _, mode := range benchModes {
-		b.Run(mode.String(), func(b *testing.B) {
-			c := container.New(container.Config{Name: "bench"})
-			c.RegisterFactory("Scale", scaleImpl())
-			if _, _, err := c.Deploy("Scale", "s1"); err != nil {
-				b.Fatal(err)
-			}
-			srv, err := NewXDRServer(c, "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer srv.Close()
-			p := NewXDRPortMode(srv.Addr(), "s1", mode)
-			defer p.Close()
-			const n = 8192
-			args := wire.Args("factor", 1.5, "data", randDoubles(rand.New(rand.NewSource(1)), n))
-			ctx := context.Background()
-			b.SetBytes(2 * 8 * n)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.Invoke(ctx, "scale", args); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	c := container.New(container.Config{Name: "bench"})
+	c.RegisterFactory("Scale", scaleImpl())
+	if _, _, err := c.Deploy("Scale", "s1"); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	p := NewXDRPort(srv.Addr(), "s1")
+	defer p.Close()
+	const n = 8192
+	args := wire.Args("factor", 1.5, "data", randDoubles(rand.New(rand.NewSource(1)), n))
+	ctx := context.Background()
+	b.SetBytes(2 * 8 * n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Invoke(ctx, "scale", args); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // benchXDRConcurrent drives `clients` goroutines over one shared port.
-func benchXDRConcurrent(b *testing.B, mode XDRMode, clients int) {
+func benchXDRConcurrent(b *testing.B, clients int) {
 	srv := benchXDRHost(b)
-	p := NewXDRPortMode(srv.Addr(), "c1", mode)
+	p := NewXDRPort(srv.Addr(), "c1")
 	defer p.Close()
 	args := wire.Args("by", int64(1))
 	ctx := context.Background()
@@ -146,16 +131,13 @@ func benchXDRConcurrent(b *testing.B, mode XDRMode, clients int) {
 }
 
 // BenchmarkXDRInvokeConcurrent is the E11 companion: aggregate
-// throughput of one shared port under concurrent callers. The serial
-// transport admits one call in flight, so ns/op stays flat; the
-// multiplexed transport pipelines calls and batches frames per syscall,
-// so ns/op falls as concurrency grows.
+// throughput of one shared port under concurrent callers. The port
+// pipelines calls and batches frames per syscall, so ns/op falls as
+// concurrency grows.
 func BenchmarkXDRInvokeConcurrent(b *testing.B) {
-	for _, mode := range benchModes {
-		for _, clients := range []int{1, 4, 16, 64} {
-			b.Run(fmt.Sprintf("%s/clients=%d", mode, clients), func(b *testing.B) {
-				benchXDRConcurrent(b, mode, clients)
-			})
-		}
+	for _, clients := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			benchXDRConcurrent(b, clients)
+		})
 	}
 }

@@ -19,7 +19,7 @@ func goroutineCount() int {
 	return runtime.NumGoroutine()
 }
 
-// TestXDRMuxNoLeakOnServerChurn is the leak regression for the v2 client:
+// TestXDRMuxNoLeakOnServerChurn is the leak regression for the client:
 // every path out of the demux machinery (server death with calls in
 // flight, register on a dead pooled connection, port close) must unwind
 // both muxConn goroutines (readLoop, flushLoop) and close the socket.
@@ -33,11 +33,11 @@ func TestXDRMuxNoLeakOnServerChurn(t *testing.T) {
 	}
 
 	round := func(killMidFlight bool) {
-		xs, err := NewXDRServer(c, "127.0.0.1:0", WithXDRTelemetry(telemetry.Disabled()))
+		xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewXDRPort(xs.Addr(), "c1", false)
+		p := NewXDRPort(xs.Addr(), "c1")
 		p.SetTelemetry(telemetry.Disabled())
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
@@ -100,12 +100,12 @@ func TestXDRMuxCancelledCallersDoNotLeak(t *testing.T) {
 	if _, _, err := c.Deploy("Blocker", "b1"); err != nil {
 		t.Fatal(err)
 	}
-	xs, err := NewXDRServer(c, "127.0.0.1:0", WithXDRTelemetry(telemetry.Disabled()))
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer xs.Close()
-	p := NewXDRPort(xs.Addr(), "b1", false)
+	p := NewXDRPort(xs.Addr(), "b1")
 	p.SetTelemetry(telemetry.Disabled())
 	defer p.Close()
 

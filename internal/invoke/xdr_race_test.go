@@ -1,18 +1,22 @@
 package invoke
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"harness2/internal/container"
+	"harness2/internal/resilience"
+	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
 	"harness2/internal/xdr"
@@ -52,11 +56,8 @@ func TestXDRMuxConcurrentMixedPayloads(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "MatMul", "m1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "m1", false)
+	p := NewXDRPort(ref[0].Port.Address, "m1")
 	defer p.Close()
-	if p.Mode() != XDRModeMux {
-		t.Fatalf("default mode = %v, want mux", p.Mode())
-	}
 	ctx := context.Background()
 	sizes := []int{1, 3, 1024, 20000}
 	var wg sync.WaitGroup
@@ -101,12 +102,12 @@ func TestXDRMuxNoHeadOfLineBlocking(t *testing.T) {
 	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0")
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1", false)
+	p := NewXDRPort(srv.Addr(), "g1")
 	defer p.Close()
 
 	slowDone := make(chan error, 1)
@@ -142,12 +143,12 @@ func TestXDRMuxPerCallCancellation(t *testing.T) {
 	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0")
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1", false)
+	p := NewXDRPort(srv.Addr(), "g1")
 	defer p.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -179,7 +180,7 @@ func TestXDRMuxServerCloseMidStream(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1", false)
+	p := NewXDRPort(ref[0].Port.Address, "c1")
 	defer p.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -206,46 +207,43 @@ func TestXDRMuxServerCloseMidStream(t *testing.T) {
 // stronger assertion — the same connection is reused, not silently
 // replaced — rules out a retry masking the bug.
 func TestXDRDeadlineNotSticky(t *testing.T) {
-	for _, mode := range []XDRMode{XDRModeSerial, XDRModeMux} {
-		t.Run(mode.String(), func(t *testing.T) {
-			h := newHost(t)
-			_, defs := h.deploy(t, "Counter", "c1")
-			ref := defs.PortsByKind(wsdl.BindXDR)
-			p := NewXDRPortMode(ref[0].Port.Address, "c1", mode)
-			defer p.Close()
+	h := newHost(t)
+	_, defs := h.deploy(t, "Counter", "c1")
+	ref := defs.PortsByKind(wsdl.BindXDR)
+	p := NewXDRPort(ref[0].Port.Address, "c1")
+	defer p.Close()
 
-			ctx, cancel := context.WithDeadline(context.Background(),
-				time.Now().Add(200*time.Millisecond))
-			if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
-				t.Fatal(err)
-			}
-			cancel()
-			p.mu.Lock()
-			connBefore, mcBefore := p.conn, p.mc
-			p.mu.Unlock()
-			time.Sleep(250 * time.Millisecond) // the old deadline is now in the past
-			if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
-				t.Fatalf("call after expired-deadline call failed (stale deadline leaked): %v", err)
-			}
-			p.mu.Lock()
-			connAfter, mcAfter := p.conn, p.mc
-			p.mu.Unlock()
-			if connBefore != connAfter || mcBefore != mcAfter {
-				t.Fatal("connection was replaced between calls: a retry masked the stale deadline")
-			}
-		})
+	ctx, cancel := context.WithDeadline(context.Background(),
+		time.Now().Add(200*time.Millisecond))
+	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	p.mu.Lock()
+	mcBefore := p.mc
+	p.mu.Unlock()
+	time.Sleep(250 * time.Millisecond) // the old deadline is now in the past
+	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
+		t.Fatalf("call after expired-deadline call failed (stale deadline leaked): %v", err)
+	}
+	p.mu.Lock()
+	mcAfter := p.mc
+	p.mu.Unlock()
+	if mcBefore != mcAfter {
+		t.Fatal("connection was replaced between calls: a retry masked the stale deadline")
 	}
 }
 
 // fakeXDRServer accepts connections, answers the first reqsToServe
 // requests properly, then hangs up right after *reading* (i.e. having
 // "executed") the next request without answering it. It counts every
-// request frame it ever receives, across connections — the probe for
-// silent client-side re-sends.
+// connection and every request frame it ever receives, across
+// connections — the probes for hidden re-dials and silent re-sends.
 type fakeXDRServer struct {
 	ln       net.Listener
+	conns    atomic.Int64
 	requests atomic.Int64
-	serve    int64 // answer this many requests, then close-after-read
+	serve    int64 // answer this many requests, then close-after-read; < 0 hangs up on the preamble
 	wg       sync.WaitGroup
 }
 
@@ -277,60 +275,29 @@ func (f *fakeXDRServer) acceptLoop() {
 func (f *fakeXDRServer) serveConn(conn net.Conn) {
 	defer f.wg.Done()
 	defer conn.Close()
-	var first [4]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
+	f.conns.Add(1)
+	var pre [8]byte // MagicV3 + offer word
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || binary.BigEndian.Uint32(pre[:4]) != xdr.MagicV3 || f.serve < 0 {
 		return
 	}
-	word := binary.BigEndian.Uint32(first[:])
-	if word > xdr.MaxLen && word != xdr.MagicV2 {
-		// A pre-v3 peer: MagicV3 (or any unknown preamble) parses as an
-		// over-limit v1 frame length and the connection drops — the
-		// client must fall back to v2 silently.
+	if _, err := conn.Write(make([]byte, 4)); err != nil { // answer: raw only
 		return
-	}
-	v2 := word == xdr.MagicV2
-	readReq := func() (uint64, bool) {
-		if v2 {
-			id, frame, err := xdr.ReadFrameID(conn)
-			if err != nil {
-				return 0, false
-			}
-			xdr.PutFrameBuf(frame)
-			return id, true
-		}
-		var hdr []byte
-		if f.requests.Load() == 0 {
-			hdr = first[:] // the sniffed word was this frame's length
-		} else {
-			hdr = make([]byte, 4)
-			if _, err := io.ReadFull(conn, hdr); err != nil {
-				return 0, false
-			}
-		}
-		n := binary.BigEndian.Uint32(hdr)
-		body := make([]byte, n)
-		if _, err := io.ReadFull(conn, body); err != nil {
-			return 0, false
-		}
-		return 0, true
 	}
 	for {
-		id, ok := readReq()
-		if !ok {
+		id, _, frame, err := xdr.ReadFrameV3(conn)
+		if err != nil {
 			return
 		}
+		xdr.PutFrameBuf(frame)
 		got := f.requests.Add(1)
 		if got > f.serve {
 			return // hang up after reading: the ambiguous-outcome case
 		}
 		e := xdr.GetEncoder()
+		e.ReserveFrameHeaderV3()
 		_ = encodeResponse(e, wire.Args("total", int64(got)))
-		var err error
-		if v2 {
-			err = xdr.WriteFrameID(conn, id, e.Bytes())
-		} else {
-			err = xdr.WriteFrame(conn, e.Bytes())
-		}
+		resp, _ := e.FrameBytesV3(id, 0)
+		_, err = conn.Write(resp)
 		xdr.PutEncoder(e)
 		if err != nil {
 			return
@@ -345,25 +312,112 @@ func (f *fakeXDRServer) serveConn(conn net.Conn) {
 // would invoke a non-idempotent operation twice. The fake server counts
 // request frames across all connections to catch a re-send.
 func TestXDRNoSilentResendAfterDelivery(t *testing.T) {
-	for _, mode := range []XDRMode{XDRModeMux, XDRModeSerial} {
-		t.Run(mode.String(), func(t *testing.T) {
-			f := newFakeXDRServer(t, 1) // answer call 1; swallow call 2
-			p := NewXDRPortMode(f.ln.Addr().String(), "c1", mode)
-			defer p.Close()
-			ctx := context.Background()
-			if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
-				t.Fatal(err)
-			}
-			_, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1)))
-			if err == nil {
-				t.Fatal("call whose request was delivered but never answered must error")
-			}
-			// Give any (buggy) background re-send a moment to land.
-			time.Sleep(50 * time.Millisecond)
-			if got := f.requests.Load(); got != 2 {
-				t.Fatalf("server saw %d requests, want 2 — the client silently re-sent", got)
-			}
-		})
+	f := newFakeXDRServer(t, 1) // answer call 1; swallow call 2
+	p := NewXDRPort(f.ln.Addr().String(), "c1")
+	defer p.Close()
+	ctx := context.Background()
+	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	_, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1)))
+	if err == nil {
+		t.Fatal("call whose request was delivered but never answered must error")
+	}
+	// Give any (buggy) background re-send a moment to land.
+	time.Sleep(50 * time.Millisecond)
+	if got := f.requests.Load(); got != 2 {
+		t.Fatalf("server saw %d requests, want 2 — the client silently re-sent", got)
+	}
+}
+
+// TestXDRServerRefusesForeignPreamble: the server accepts one opening.
+// What the retired wire versions opened with — a bare request record, the
+// 0x48584432 word before an id-tagged frame — and plain garbage are all
+// closed without an answer, without an invocation, and counted.
+func TestXDRServerRefusesForeignPreamble(t *testing.T) {
+	reg := telemetry.New()
+	c := container.New(container.Config{Name: "node1"})
+	c.RegisterFactory("Counter", counterImpl())
+	inst, _, err := c.Deploy("Counter", "c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xs.Close()
+	e := xdr.NewEncoder(64)
+	if err := encodeRequest(e, "c1", "inc", wire.Args("by", int64(1))); err != nil {
+		t.Fatal(err)
+	}
+	var record bytes.Buffer // [len][request]: a whole, well-formed call on the first retired wire
+	_ = xdr.WriteFrame(&record, e.Bytes())
+	tagged := append([]byte("HXD2"), record.Bytes()[:4]...) // [magic][len][id][request] on the second
+	tagged = append(append(tagged, 0, 0, 0, 0, 0, 0, 0, 1), e.Bytes()...)
+	for name, opening := range map[string][]byte{
+		"bare-record": record.Bytes(), "old-magic": tagged, "garbage": []byte("GET / HTTP/1.1\r\n\r\n"),
+	} {
+		conn, err := net.Dial("tcp", xs.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: read %d bytes, err %v; want the connection closed unanswered", name, n, err)
+		}
+		_ = conn.Close()
+	}
+	if n := inst.Invocations(); n != 0 {
+		t.Errorf("refused openings reached the component %d times", n)
+	}
+	if n := reg.Counter("harness_invoke_xdr_refused_total", "role", "server").Value(); n != 3 {
+		t.Errorf("refused counter = %d, want 3", n)
+	}
+}
+
+// TestXDRClientRefusedNoRedial: against a peer that hangs up on the
+// preamble the port reports ErrXDRRefused — not unsent, the request rode
+// the same write — after exactly one connection, and a resilient ladder
+// over the same WSDL lands the call on its SOAP rung.
+func TestXDRClientRefusedNoRedial(t *testing.T) {
+	f := newFakeXDRServer(t, -1)
+	p := NewXDRPort(f.ln.Addr().String(), "m1")
+	defer p.Close()
+	args := wire.Args("mata", []float64{2, 3}, "matb", []float64{4, 5})
+	_, err := p.Invoke(context.Background(), "getResult", args)
+	if !errors.Is(err, ErrXDRRefused) || resilience.IsUnsent(err) {
+		t.Fatalf("err = %v (unsent %v), want a sent ErrXDRRefused", err, resilience.IsUnsent(err))
+	}
+	time.Sleep(50 * time.Millisecond) // give any (buggy) hidden re-dial a moment to land
+	if n := f.conns.Load(); n != 1 {
+		t.Fatalf("peer saw %d connections, want 1 — the client re-dialed", n)
+	}
+
+	h := newHost(t)
+	_, defs := h.deploy(t, "MatMul", "m1")
+	defs.PortsByKind(wsdl.BindXDR)[0].Port.Address = f.ln.Addr().String()
+	reg := telemetry.New()
+	rp, err := DialResilient(defs, Options{Policy: testResiliencePolicy(t), Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	out, err := rp.Invoke(context.Background(), "getResult", args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, _ := wire.GetArg(out, "result"); len(res.([]float64)) != 2 || res.([]float64)[1] != 15 {
+		t.Fatalf("result = %v", res)
+	}
+	calls := func(binding string) uint64 {
+		return reg.CounterVec("harness_invoke_calls_total", "op", "binding", binding).With("getResult").Value()
+	}
+	if calls("xdr") != 1 || calls("soap") != 1 {
+		t.Fatalf("calls: xdr %d, soap %d; want the one refused try, then SOAP", calls("xdr"), calls("soap"))
 	}
 }
 
@@ -374,7 +428,7 @@ func TestXDRMuxManyConcurrentCallers(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1", false)
+	p := NewXDRPort(ref[0].Port.Address, "c1")
 	defer p.Close()
 	ctx := context.Background()
 	const goroutines, calls = 64, 10
@@ -402,9 +456,9 @@ func TestXDRMuxManyConcurrentCallers(t *testing.T) {
 	}
 }
 
-// TestXDRServerWorkerPoolBounded verifies the WithXDRWorkers bound: with
-// a pool of 2 and 2 calls parked on the gate, a third call queues (the
-// pool is saturated) instead of executing, then runs once a slot frees.
+// TestXDRServerWorkerPoolBounded verifies the worker bound: with every
+// worker's call parked on the gate, one more call queues (the pool is
+// saturated) instead of executing, then runs once a slot frees.
 func TestXDRServerWorkerPoolBounded(t *testing.T) {
 	gate := make(chan struct{})
 	c := container.New(container.Config{Name: "gate"})
@@ -412,17 +466,18 @@ func TestXDRServerWorkerPoolBounded(t *testing.T) {
 	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0", WithXDRWorkers(2))
+	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1", false)
+	p := NewXDRPort(srv.Addr(), "g1")
 	defer p.Close()
 
+	workers := cap(srv.sem)
 	var parked sync.WaitGroup
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
+	results := make(chan error, workers)
+	for i := 0; i < workers; i++ {
 		parked.Add(1)
 		go func() {
 			parked.Done()
@@ -431,13 +486,13 @@ func TestXDRServerWorkerPoolBounded(t *testing.T) {
 		}()
 	}
 	parked.Wait()
-	// Both workers will park on the gate; a bounded third call must time
+	// Every worker will park on the gate; one more bounded call must time
 	// out client-side because no worker slot frees up.
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	deadlineErr := fmt.Errorf("sentinel")
 	if _, err := p.Invoke(ctx, "ping", nil); err == nil {
-		// Scheduling may have let ping in before both waits landed; that
+		// Scheduling may have let ping in before every wait landed; that
 		// is acceptable only if a wait had not yet taken a slot. Verify
 		// saturation deterministically by trying again.
 		ctx2, cancel2 := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -447,7 +502,7 @@ func TestXDRServerWorkerPoolBounded(t *testing.T) {
 		}
 	}
 	close(gate)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < workers; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("gated call: %v", err)
 		}

@@ -36,25 +36,23 @@ type clientCompress struct {
 	adaptive bool
 }
 
-// muxConn is one multiplexed (wire protocol v2 or v3) client connection:
-// a single TCP stream shared by any number of concurrent calls. Writers
-// serialize frame-at-a-time on wmu; a dedicated readLoop goroutine
-// demultiplexes responses to per-call channels by request ID.
+// muxConn is one multiplexed client connection: a single TCP stream shared
+// by any number of concurrent calls. Writers serialize frame-at-a-time on
+// wmu; a dedicated readLoop goroutine demultiplexes responses to per-call
+// channels by request ID.
 type muxConn struct {
 	conn net.Conn
 	cw   *countingWriter
 	fw   *frameWriter
 	wm   xdrWireMetrics // nil-safe handles; zero value is fully inert
 
-	// v3 negotiation state. The dial preamble (MagicV3 + offer word)
-	// pipelines with the first request frames; answered flips when the
-	// server's chosen-codec word arrives, and only then may outbound
-	// frames compress — the compressor pointer stays nil on raw streams,
-	// so the raw path costs one atomic load.
-	proto     int           // 2 or 3
-	offer     uint32        // codec word sent with MagicV3
+	// Negotiation state. The dial preamble (MagicV3 + offer word)
+	// pipelines with the first request frames; only once the server's
+	// chosen-codec word has arrived may outbound frames compress — the
+	// compressor pointer stays nil on raw streams, so the raw path costs
+	// one atomic load.
+	offer     uint32 // codec word sent with MagicV3
 	cc        clientCompress
-	answered  atomic.Bool
 	comp      atomic.Pointer[xdr.Compressor]
 	codecName atomic.Pointer[string] // negotiated codec, for the gauge
 
@@ -71,11 +69,10 @@ type muxConn struct {
 	pending map[uint64]chan muxResult
 }
 
-// dialMux opens a multiplexed connection: TCP connect plus the version
-// preamble (MagicV2, or MagicV3 with the offered-codec word), which is
-// buffered so it coalesces with the first request frame into a single
-// write syscall.
-func dialMux(ctx context.Context, addr string, wm xdrWireMetrics, proto int, offer uint32, cc clientCompress) (*muxConn, error) {
+// dialMux opens a multiplexed connection: TCP connect plus the preamble
+// (MagicV3 with the offered-codec word), which is buffered so it coalesces
+// with the first request frame into a single write syscall.
+func dialMux(ctx context.Context, addr string, wm xdrWireMetrics, offer uint32, cc clientCompress) (*muxConn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -87,35 +84,19 @@ func dialMux(ctx context.Context, addr string, wm xdrWireMetrics, proto int, off
 		cw:        fw.cw,
 		fw:        fw,
 		wm:        wm,
-		proto:     proto,
 		offer:     offer | 1,
 		cc:        cc,
 		pending:   make(map[uint64]chan muxResult),
 		flushKick: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
-	if proto >= 3 {
-		err = xdr.WriteMagicV3(mc.fw, offer)
-	} else {
-		err = xdr.WriteMagicV2(mc.fw)
-	}
-	if err != nil {
+	if err := xdr.WriteMagicV3(mc.fw, offer); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
 	go mc.readLoop()
 	go mc.flushLoop()
 	return mc, nil
-}
-
-// v3Refused reports whether this connection died before the server ever
-// acknowledged the v3 preamble — the signature of a pre-v3 peer, which
-// reads MagicV3 as an over-limit v1 frame length and closes. A genuine v3
-// server answers (and flushes) its codec word before touching any request
-// frame, so an unanswered death also proves the server did not respond to
-// anything sent on this connection.
-func (mc *muxConn) v3Refused() bool {
-	return mc.proto >= 3 && !mc.answered.Load()
 }
 
 // kickFlush schedules a flush of buffered request frames. The kick
@@ -163,52 +144,39 @@ func (mc *muxConn) flushLoop() {
 }
 
 // readLoop demultiplexes response frames to their waiting calls until
-// the connection dies, then fails every call still pending. On a v3
-// stream it first consumes the server's chosen-codec answer word, arming
-// outbound compression when a codec was negotiated; compressed response
-// payloads are restored here, before demux, so callers only ever see
-// logical frames.
+// the connection dies, then fails every call still pending. It first
+// consumes the server's chosen-codec answer word, arming outbound
+// compression when a codec was negotiated; a stream that ends before that
+// word was refused (ErrXDRRefused) — a server answers, and flushes, before
+// it touches a request frame. Compressed response payloads are restored
+// here, before demux, so callers only ever see logical frames.
 func (mc *muxConn) readLoop() {
 	br := bufio.NewReaderSize(&countingReader{r: mc.conn, rx: mc.wm.rx}, xdrBufSize)
-	if mc.proto >= 3 {
-		var word [4]byte
-		if _, err := io.ReadFull(br, word[:]); err != nil {
-			mc.shutdown(err)
+	var word [4]byte
+	if _, err := io.ReadFull(br, word[:]); err != nil {
+		mc.shutdown(resilience.MarkTransient(fmt.Errorf("%w: %w", ErrXDRRefused, err)))
+		return
+	}
+	if chosen := binary.BigEndian.Uint32(word[:]); chosen != 0 {
+		c := xdr.CodecByID(uint8(chosen))
+		if chosen > 255 || c == nil || mc.offer&(1<<chosen) == 0 {
+			mc.shutdown(fmt.Errorf("invoke: xdr peer chose unoffered codec %d", chosen))
 			return
 		}
-		chosen := binary.BigEndian.Uint32(word[:])
-		if chosen != 0 {
-			c := xdr.CodecByID(uint8(chosen))
-			if chosen > 255 || c == nil || mc.offer&(1<<chosen) == 0 {
-				mc.shutdown(fmt.Errorf("invoke: xdr v3 peer chose unoffered codec %d", chosen))
-				return
-			}
-			name := c.Name()
-			mc.codecName.Store(&name)
-			mc.wm.codecs.With(name).Inc()
-			if mc.cc.enabled {
-				mc.comp.Store(xdr.NewCompressor(c, mc.cc.adaptive, 0))
-			}
+		name := c.Name()
+		mc.codecName.Store(&name)
+		mc.wm.codecs.With(name).Inc()
+		if mc.cc.enabled {
+			mc.comp.Store(xdr.NewCompressor(c, mc.cc.adaptive, 0))
 		}
-		mc.answered.Store(true)
 	}
 	for {
-		var (
-			id    uint64
-			flags byte
-			frame []byte
-			err   error
-		)
-		if mc.proto >= 3 {
-			id, flags, frame, err = xdr.ReadFrameV3(br)
-			if err == nil && flags != 0 {
-				mc.wm.compressedIn(len(frame))
-				dec, derr := xdr.DecompressFrameV3(flags, frame)
-				xdr.PutFrameBuf(frame)
-				frame, err = dec, derr
-			}
-		} else {
-			id, frame, err = xdr.ReadFrameID(br)
+		id, flags, frame, err := xdr.ReadFrameV3(br)
+		if err == nil && flags != 0 {
+			mc.wm.compressedIn(len(frame))
+			dec, derr := xdr.DecompressFrameV3(flags, frame)
+			xdr.PutFrameBuf(frame)
+			frame, err = dec, derr
 		}
 		if err != nil {
 			mc.shutdown(err)
@@ -236,6 +204,9 @@ func (mc *muxConn) shutdown(err error) {
 	if mc.err == nil {
 		mc.err = err
 		close(mc.done)
+		if errors.Is(err, ErrXDRRefused) {
+			mc.wm.refused.Inc()
+		}
 		if name := mc.codecName.Load(); name != nil {
 			mc.wm.codecs.With(*name).Dec()
 		}
@@ -266,6 +237,9 @@ func (mc *muxConn) register() (uint64, chan muxResult, error) {
 	defer mc.mu.Unlock()
 	if mc.err != nil {
 		muxChPool.Put(ch)
+		if errors.Is(mc.err, ErrXDRRefused) {
+			return 0, nil, mc.err
+		}
 		return 0, nil, errXDRConnClosed
 	}
 	mc.nextID++
@@ -305,29 +279,24 @@ func (mc *muxConn) wasReused() bool { return mc.reused.Load() }
 // Flush errors for fully-buffered frames surface through the per-call
 // response channel when flushLoop shuts the connection down.
 //
-// On a v3 stream with a negotiated codec, the payload may be compressed
-// here — outside wmu, so flate CPU never serializes other writers. The
-// raw path (no compressor, frame under the floor, adaptive backoff, or
-// incompressible payload) seals the caller's encoder in place exactly
-// like v2, with zero extra allocations.
+// With a negotiated codec, the payload may be compressed here — outside
+// wmu, so flate CPU never serializes other writers. The raw path (no
+// compressor, frame under the floor, adaptive backoff, or incompressible
+// payload) seals the caller's encoder in place, with zero extra
+// allocations.
 func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) (wroteAny bool, err error) {
 	var frame []byte
 	var ce *xdr.Encoder // pooled holder of a compressed frame, if any
-	if mc.proto >= 3 {
-		if comp := mc.comp.Load(); comp != nil {
-			payload := e.FramePayloadV3()
-			if frame, ce = comp.CompressFrameV3(id, payload); ce != nil {
-				mc.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
-			}
+	if comp := mc.comp.Load(); comp != nil {
+		payload := e.FramePayloadV3()
+		if frame, ce = comp.CompressFrameV3(id, payload); ce != nil {
+			mc.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
 		}
-		if ce == nil {
-			frame, err = e.FrameBytesV3(id, 0)
-		}
-	} else {
-		frame, err = e.FrameBytes(id)
 	}
-	if err != nil {
-		return false, err
+	if ce == nil {
+		if frame, err = e.FrameBytesV3(id, 0); err != nil {
+			return false, err
+		}
 	}
 	if ce != nil {
 		defer xdr.PutEncoder(ce) // frameWriter copies or writes synchronously
@@ -356,44 +325,33 @@ func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) 
 	return wroteAny, err
 }
 
-// invokeMux is the multiplexed call path.
+// invokeMux is the call path behind Invoke.
 func (p *XDRPort) invokeMux(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
 	e := xdr.GetEncoder()
 	defer xdr.PutEncoder(e)
+	e.ReserveFrameHeaderV3()
+	if err := encodeRequest(e, p.instance, op, args); err != nil {
+		return nil, err
+	}
 
 	// At most one transparent resend, and only when provably safe (see
 	// below); a dead connection discovered before writing costs only a
 	// redial, bounded separately so a flapping peer cannot loop forever.
 	const maxRedials = 2
 	resent := false
-	encodedProto := 0
 	for redials := 0; ; {
 		mc, err := p.muxConnLocked(ctx)
 		if err != nil {
 			// Dial failure: provably unsent, safe to retry at any level.
 			return nil, resilience.MarkUnsent(err)
 		}
-		// The frame header size depends on the connection's protocol, and
-		// a v3→v2 downgrade can happen between loop iterations — re-encode
-		// only when the protocol actually changed.
-		if encodedProto != mc.proto {
-			e.Reset()
-			if mc.proto >= 3 {
-				e.ReserveFrameHeaderV3()
-			} else {
-				e.ReserveFrameHeader()
-			}
-			if err := encodeRequest(e, p.instance, op, args); err != nil {
-				return nil, err
-			}
-			encodedProto = mc.proto
-		}
 		id, ch, err := mc.register()
 		if err != nil {
-			// The pooled connection died while idle; nothing was sent.
-			p.noteV3Refused(mc)
+			// The pooled connection died before this call touched it;
+			// nothing was sent. One that died refused is not redialed: the
+			// peer's answer would be the same.
 			p.dropMux(mc)
-			if redials++; redials <= maxRedials {
+			if redials++; redials <= maxRedials && !errors.Is(err, ErrXDRRefused) {
 				continue
 			}
 			return nil, resilience.MarkUnsent(fmt.Errorf("invoke: xdr call %s: %w", op, err))
@@ -403,13 +361,11 @@ func (p *XDRPort) invokeMux(ctx context.Context, op string, args []wire.Arg) ([]
 			mc.deregister(id, ch)
 			mc.shutdown(err) // a partial frame desyncs the stream
 			p.dropMux(mc)
-			refused := p.noteV3Refused(mc)
 			// Resend only if this was a pooled (reused) connection whose
 			// first write failed outright — zero bytes reached the wire,
 			// so the server cannot have seen, let alone executed, the
-			// request — or if the peer provably rejected the v3 preamble
-			// before reading any frame. Mid-frame failures are surfaced.
-			if ((!wroteAny && mc.wasReused()) || refused) && !resent {
+			// request. Mid-frame failures are surfaced.
+			if !wroteAny && mc.wasReused() && !resent {
 				resent = true
 				continue
 			}
@@ -428,21 +384,12 @@ func (p *XDRPort) invokeMux(ctx context.Context, op string, args []wire.Arg) ([]
 			// recycled for a future call.
 			muxChPool.Put(ch)
 			if res.err != nil {
+				// The request reached the wire but the connection died
+				// before the response — refused at the preamble included,
+				// which this side cannot tell from an answer lost in
+				// flight: the server may have executed the call, so
+				// surfacing the error is the only safe move.
 				p.dropMux(mc)
-				// Silent fallback for pre-v3 peers: a v2-only server reads
-				// MagicV3 as an over-limit v1 frame length and closes
-				// without ever parsing a request frame, so resending on a
-				// downgraded connection cannot double-invoke. (A true v3
-				// server flushes its answer word before executing anything;
-				// losing that word in flight is the one — accepted and
-				// vanishingly narrow — replay window.)
-				if p.noteV3Refused(mc) && !resent {
-					resent = true
-					continue
-				}
-				// Otherwise the request reached the wire but the connection
-				// died before the response: the server may have executed
-				// the call, so surfacing the error is the only safe move.
 				return nil, fmt.Errorf("invoke: xdr call %s: %w", op, res.err)
 			}
 			mc.markReused()
@@ -466,39 +413,16 @@ func (p *XDRPort) muxConnLocked(ctx context.Context) (*muxConn, error) {
 	if p.mc != nil {
 		return p.mc, nil
 	}
-	proto := p.proto
-	if proto == 0 {
-		proto = 3
-	}
-	var offer uint32
-	var cc clientCompress
-	if proto >= 3 {
-		// A direct port resolves CompressAuto to off: with no WSDL there
-		// is no advertisement to follow (openPort translates an advertised
-		// `compress` capability into an explicit adaptive policy).
-		offer = p.cpol.offerWord(false)
-		cc = clientCompress{enabled: p.cpol.enabled(false), adaptive: p.cpol.adaptive()}
-	}
-	mc, err := dialMux(ctx, p.addr, p.wm, proto, offer, cc)
+	// A direct port resolves CompressAuto to off: with no WSDL there is no
+	// advertisement to follow (openPort translates an advertised `compress`
+	// capability into an explicit adaptive policy).
+	cc := clientCompress{enabled: p.cpol.enabled(false), adaptive: p.cpol.adaptive()}
+	mc, err := dialMux(ctx, p.addr, p.wm, p.cpol.offerWord(false), cc)
 	if err != nil {
 		return nil, err
 	}
 	p.mc = mc
 	return mc, nil
-}
-
-// noteV3Refused downgrades the port to the v2 wire protocol when mc died
-// without the server ever answering the v3 preamble — the stale-peer
-// fallback. It reports whether a downgrade happened, which also certifies
-// that the peer never processed anything sent on mc.
-func (p *XDRPort) noteV3Refused(mc *muxConn) bool {
-	if !mc.v3Refused() {
-		return false
-	}
-	p.mu.Lock()
-	p.proto = 2
-	p.mu.Unlock()
-	return true
 }
 
 // dropMux forgets mc if it is still the port's current connection. A

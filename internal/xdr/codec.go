@@ -214,7 +214,7 @@ const (
 // incompressible frames backs the compressor off to sampling, so random
 // payloads pay flate CPU on at most 1-in-16 frames; a frame that does
 // compress snaps it back to trying every frame. Safe for concurrent use
-// (the v2/v3 server compresses responses from many workers).
+// (the server compresses responses from many workers).
 type Compressor struct {
 	codec    Codec
 	adaptive bool
@@ -267,7 +267,7 @@ func (c *Compressor) CompressFrameV3(id uint64, payload []byte) ([]byte, *Encode
 		c.record(false)
 		return nil, nil
 	}
-	wire := e.Len() - frameHeaderLenV3
+	wire := e.Len() - FrameHeaderLenV3
 	if wire > MaxLen || wire >= len(payload)-len(payload)/8 {
 		PutEncoder(e)
 		c.record(false)

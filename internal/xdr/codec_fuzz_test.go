@@ -3,15 +3,15 @@ package xdr
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 )
 
-// FuzzXDRV3Differential proves the v3 compressed path is an identity over
-// the v2 path for every payload: whatever bytes WriteFrameID/ReadFrameID
-// carry, routing the same payload through CompressFrameV3 (forced-on, no
-// size floor) → ReadFrameV3 → DecompressFrameV3 — or the raw v3 frame
-// when the compressor declines on ratio — must yield byte-identical
-// payload and the same request ID.
+// FuzzXDRV3Differential proves the compressed path is an identity for
+// every payload: routing it through CompressFrameV3 (forced-on, no size
+// floor) → ReadFrameV3 → DecompressFrameV3 — or the raw frame when the
+// compressor declines on ratio — must yield byte-identical payload and
+// the same request ID.
 func FuzzXDRV3Differential(f *testing.F) {
 	f.Add(uint64(1), []byte{})
 	f.Add(uint64(7), []byte("payload"))
@@ -24,58 +24,48 @@ func FuzzXDRV3Differential(f *testing.F) {
 		if len(payload) > MaxLen {
 			t.Skip()
 		}
-		// Reference: the v2 path.
-		var v2 bytes.Buffer
-		if err := WriteFrameID(&v2, id, payload); err != nil {
-			t.Fatalf("v2 encode: %v", err)
-		}
-		refID, refPayload, err := ReadFrameID(&v2)
-		if err != nil {
-			t.Fatalf("v2 decode: %v", err)
-		}
-
-		// Subject: the v3 path, compressed when the codec saves enough,
-		// raw otherwise — exactly the sender's runtime decision.
+		// Compressed when the codec saves enough, raw otherwise — exactly
+		// the sender's runtime decision.
 		frame, enc := comp.CompressFrameV3(id, payload)
 		if enc == nil {
 			e := GetEncoder()
 			e.ReserveFrameHeaderV3()
 			copy(e.grow(len(payload)), payload)
+			var err error
 			if frame, err = e.FrameBytesV3(id, 0); err != nil {
-				t.Fatalf("v3 raw seal: %v", err)
+				t.Fatalf("raw seal: %v", err)
 			}
 			enc = e
 		}
 		gotID, flags, wire, err := ReadFrameV3(bytes.NewReader(frame))
 		if err != nil {
-			t.Fatalf("v3 decode: %v", err)
+			t.Fatalf("decode: %v", err)
 		}
 		got, err := DecompressFrameV3(flags, wire)
 		if err != nil {
-			t.Fatalf("v3 decompress (flags %d): %v", flags, err)
+			t.Fatalf("decompress (flags %d): %v", flags, err)
 		}
-
-		if gotID != refID {
-			t.Fatalf("id diverged: v3 %d, v2 %d", gotID, refID)
+		if gotID != id {
+			t.Fatalf("id diverged: out %d, in %d", gotID, id)
 		}
-		if !bytes.Equal(got, refPayload) {
-			t.Fatalf("payload diverged: v3 %d bytes, v2 %d bytes (flags %d)",
-				len(got), len(refPayload), flags)
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("payload diverged: out %d bytes, in %d bytes (flags %d)",
+				len(got), len(payload), flags)
 		}
 		if flags != 0 {
 			PutFrameBuf(got)
 		}
 		PutFrameBuf(wire)
-		PutFrameBuf(refPayload)
 		PutEncoder(enc)
 	})
 }
 
-// FuzzReadFrameV3 feeds arbitrary byte streams through the v3 header and
-// flags decoder, then through payload decompression. Invariants:
+// FuzzReadFrameV3 feeds arbitrary byte streams through the frame header
+// and flags decoder, then through payload decompression. Invariants:
 //
 //   - never panics, never accepts a payload above MaxLen;
-//   - an accepted frame obeys its declared wire length exactly;
+//   - an accepted frame obeys its declared wire length exactly and its
+//     payload is the wire bytes after the header;
 //   - decompression of a frame whose flags name a codec either fails
 //     cleanly or yields exactly the declared uncompressed length.
 func FuzzReadFrameV3(f *testing.F) {
@@ -91,22 +81,29 @@ func FuzzReadFrameV3(f *testing.F) {
 		}
 	}
 	f.Add(seed.Bytes())
+	// What the retired wire versions opened a stream with: a bare
+	// [len][payload] record, and the 0x48584432 magic before a
+	// [len][id][payload] frame.
+	f.Add([]byte("\x00\x00\x00\x07payload"))
+	f.Add([]byte("HXD2\x00\x00\x00\x07\x00\x00\x00\x00\x00\x00\x00\x07payload"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		id, flags, payload, err := ReadFrameV3(bytes.NewReader(data))
+		_, flags, payload, err := ReadFrameV3(bytes.NewReader(data))
 		if err != nil {
 			if payload != nil {
 				t.Fatalf("payload returned alongside error %v", err)
 			}
 			return
 		}
-		_ = id
 		if len(payload) > MaxLen {
 			t.Fatalf("accepted payload of %d bytes > MaxLen", len(payload))
 		}
 		declared := binary.BigEndian.Uint32(data[0:4])
 		if int(declared) != len(payload) {
 			t.Fatalf("declared %d bytes, decoded %d", declared, len(payload))
+		}
+		if !bytes.Equal(payload, data[FrameHeaderLenV3:FrameHeaderLenV3+len(payload)]) {
+			t.Fatal("payload does not match wire bytes")
 		}
 		out, err := DecompressFrameV3(flags, payload)
 		if err == nil && flags != 0 {
@@ -118,4 +115,26 @@ func FuzzReadFrameV3(f *testing.F) {
 		}
 		PutFrameBuf(payload)
 	})
+}
+
+// TestReadFrameV3Truncated exercises every truncation point of a valid
+// frame deterministically (the fuzz seeds only cover a handful).
+func TestReadFrameV3Truncated(t *testing.T) {
+	e := NewEncoder(32)
+	e.ReserveFrameHeaderV3()
+	e.Opaque([]byte("abcdefgh"))
+	full, err := e.FrameBytesV3(42, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(full); i++ {
+		_, _, _, err := ReadFrameV3(bytes.NewReader(full[:i]))
+		if err != io.EOF && err != io.ErrUnexpectedEOF {
+			t.Fatalf("truncation at %d/%d: error %v", i, len(full), err)
+		}
+	}
+	id, flags, payload, err := ReadFrameV3(bytes.NewReader(full))
+	if err != nil || id != 42 || flags != 0 || !bytes.Equal(payload, e.FramePayloadV3()) {
+		t.Fatalf("id=%d flags=%d payload=%q err=%v", id, flags, payload, err)
+	}
 }

@@ -1,74 +1,6 @@
 package xdr
 
-import (
-	"bytes"
-	"encoding/binary"
-	"io"
-	"testing"
-)
-
-// FuzzReadFrameID feeds arbitrary byte streams through the v2 framed
-// header decoder. Invariants under fuzzing:
-//
-//   - never panics, never allocates more than MaxLen for a payload;
-//   - any frame it accepts obeys the declared length exactly;
-//   - a frame produced by WriteFrameID round-trips to the same id and
-//     payload (self-consistency of the codec pair).
-func FuzzReadFrameID(f *testing.F) {
-	// Seed corpus: empty, truncated header, zero-length frame, small
-	// frame, oversized length word, and the magic preamble itself.
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	var small bytes.Buffer
-	if err := WriteFrameID(&small, 7, []byte("payload")); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(small.Bytes())
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0, 0, 0, 0, 0})
-	magic := make([]byte, 4)
-	binary.BigEndian.PutUint32(magic, MagicV2)
-	f.Add(magic)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		id, payload, err := ReadFrameID(r)
-		if err != nil {
-			if payload != nil {
-				t.Fatalf("payload %d bytes returned alongside error %v", len(payload), err)
-			}
-			return
-		}
-		// Accepted frame: the declared length must match what was read
-		// and stay under the guard.
-		if len(payload) > MaxLen {
-			t.Fatalf("accepted payload of %d bytes > MaxLen", len(payload))
-		}
-		declared := binary.BigEndian.Uint32(data[0:4])
-		if int(declared) != len(payload) {
-			t.Fatalf("declared %d bytes, decoded %d", declared, len(payload))
-		}
-		if !bytes.Equal(payload, data[12:12+len(payload)]) {
-			t.Fatal("payload does not match wire bytes")
-		}
-
-		// Round-trip: re-encode and decode again; id and payload must
-		// survive.
-		var buf bytes.Buffer
-		if err := WriteFrameID(&buf, id, payload); err != nil {
-			t.Fatalf("re-encode of accepted frame failed: %v", err)
-		}
-		id2, payload2, err := ReadFrameID(&buf)
-		if err != nil {
-			t.Fatalf("round-trip decode failed: %v", err)
-		}
-		if id2 != id || !bytes.Equal(payload2, payload) {
-			t.Fatalf("round-trip mismatch: id %d→%d", id, id2)
-		}
-		PutFrameBuf(payload2)
-		PutFrameBuf(payload)
-	})
-}
+import "testing"
 
 // FuzzDecoderArrays drives the bulk-array decode fast paths with random
 // input: no input may panic or read out of bounds.
@@ -93,30 +25,4 @@ func FuzzDecoderArrays(f *testing.F) {
 			_, _ = dec(d)
 		}
 	})
-}
-
-// TestReadFrameIDTruncated exercises every truncation point of a valid
-// frame deterministically (the fuzz seeds only cover a handful).
-func TestReadFrameIDTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrameID(&buf, 42, []byte("abcdefgh")); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for i := 0; i < len(full); i++ {
-		_, _, err := ReadFrameID(bytes.NewReader(full[:i]))
-		if err == nil {
-			t.Fatalf("truncation at %d/%d accepted", i, len(full))
-		}
-		if err != io.EOF && err != io.ErrUnexpectedEOF && err != ErrTooLarge {
-			t.Fatalf("truncation at %d: unexpected error %v", i, err)
-		}
-	}
-	id, payload, err := ReadFrameID(bytes.NewReader(full))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 42 || string(payload) != "abcdefgh" {
-		t.Fatalf("id=%d payload=%q", id, payload)
-	}
 }
