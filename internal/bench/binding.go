@@ -101,7 +101,7 @@ func E3Bindings(sizes []int) (*Table, error) {
 		}
 		variants = append(variants,
 			variant{"xdr (reused conn)", invoke.NewXDRPort(h.node.XDRAddr(), "mm")},
-			variant{"xdr (dial/call)", dialPerCallPort{invoke.NewXDRPort(h.node.XDRAddr(), "mm"), "mm"}},
+			variant{"xdr (dial/call)", dialPerCallPort{h.node.XDRAddr(), "mm"}},
 		)
 		if soapRefs := defs.PortsByKind(wsdl.BindSOAP); len(soapRefs) == 1 {
 			variants = append(variants, variant{"soap/http (base64)",

@@ -60,18 +60,18 @@ func (p *serialPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]
 }
 
 // dialPerCallPort is the no-reuse ablation: every Invoke opens a port of
-// its own, and so a connection of its own, and closes it. The embedded
-// port is never dialed; it answers Kind, Endpoint and Close.
-type dialPerCallPort struct {
-	*invoke.XDRPort
-	instance string
-}
+// its own, and so a connection of its own, and closes it.
+type dialPerCallPort struct{ addr, instance string }
 
 func (p dialPerCallPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	port := invoke.NewXDRPort(p.Endpoint(), p.instance)
+	port := invoke.NewXDRPort(p.addr, p.instance)
 	defer port.Close()
 	return port.Invoke(ctx, op, args)
 }
+
+func (p dialPerCallPort) Kind() wsdl.BindingKind { return wsdl.BindXDR }
+func (p dialPerCallPort) Endpoint() string       { return p.addr }
+func (p dialPerCallPort) Close() error           { return nil }
 
 // e11Transports lists the XDR client strategies under comparison, all
 // built from the one port type.
@@ -83,7 +83,7 @@ var e11Transports = []struct {
 		return &serialPort{XDRPort: invoke.NewXDRPort(addr, inst)}
 	}},
 	{"dial-per-call", func(addr, inst string) invoke.Port {
-		return dialPerCallPort{invoke.NewXDRPort(addr, inst), inst}
+		return dialPerCallPort{addr, inst}
 	}},
 	{"mux", func(addr, inst string) invoke.Port { return invoke.NewXDRPort(addr, inst) }},
 }

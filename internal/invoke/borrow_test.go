@@ -333,7 +333,7 @@ func TestXDRArrayCallAllocationGate(t *testing.T) {
 	}
 	var arena xdr.Arena
 	perRequest := allocBytesPerOp(100, func() {
-		xdr.PutEncoder(xs.handle(e.Bytes(), 3, &arena))
+		xdr.PutEncoder(xs.handle(e.Bytes(), true, &arena))
 	})
 	t.Logf("server side of a %d-double echo: %d B/request", n, perRequest)
 	if perRequest > 512 {

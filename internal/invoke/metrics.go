@@ -60,7 +60,7 @@ type xdrWireMetrics struct {
 	tx, rx     *telemetry.Counter   // bytes that reached / left the socket
 	inflight   *telemetry.Gauge     // registered, unanswered requests
 	flushBatch *telemetry.Histogram // bytes committed per flush syscall
-	refused    *telemetry.Counter   // connections that ended at the preamble
+	refused    *telemetry.Counter   // connections closed unanswered at the preamble
 
 	// Compression plane (S33): wire bytes that traveled compressed in
 	// each direction, the per-frame compressed/original size ratio, and a
@@ -77,7 +77,7 @@ func newXDRWireMetrics(r *telemetry.Registry, role string) xdrWireMetrics {
 	r.Help("harness_xdr_rx_bytes_total", "bytes read from XDR sockets by role")
 	r.Help("harness_xdr_mux_inflight", "requests awaiting a response by role")
 	r.Help("harness_xdr_mux_flush_batch_bytes", "bytes per flush syscall by role")
-	r.Help("harness_invoke_xdr_refused_total", "XDR connections refused at the dial preamble by role")
+	r.Help("harness_invoke_xdr_refused_total", "XDR connections closed unanswered at the dial preamble (server: not MagicV3; client: peer hung up before its answer word) by role")
 	r.Help("harness_xdr_compress_out_bytes_total", "compressed payload bytes sent by role")
 	r.Help("harness_xdr_compress_in_bytes_total", "compressed payload bytes received by role")
 	r.Help("harness_xdr_compress_ratio_pct", "per-frame compressed size as percent of original by role")

@@ -259,7 +259,7 @@ func (s *ShmServer) serveSegment(seg *shmring.Segment) {
 			var arena xdr.Arena
 			for t := range tasks {
 				s.sem <- struct{}{}
-				resp := s.handle(t.frame, 0, &arena)
+				resp := s.handle(t.frame, false, &arena)
 				xdr.PutFrameBuf(t.frame)
 				wmu.Lock()
 				err := seg.B.WriteRecord(t.id, resp.Bytes())

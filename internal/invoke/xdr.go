@@ -39,12 +39,13 @@ import (
 // per frame means one write syscall for any frame that fits.
 const xdrBufSize = 32 << 10
 
-// ErrXDRRefused reports a connection the peer closed before answering the
-// dial preamble: whatever listens there does not speak this wire. There is
-// no quieter dialect to retry with — the declared fallback is the next
-// binding on Dial's ladder, which is where a resilience policy takes a
-// call that may be repeated (the error classifies as transient; it is
-// unsent only under the usual rule, zero bytes written).
+// ErrXDRRefused reports a connection the peer closed or reset with no byte
+// of its answer to the dial preamble: whatever listens there does not speak
+// this wire. A timeout, or a stream cut inside the answer, is a transport
+// fault and not this. There is no quieter dialect to retry with — the
+// declared fallback is the next binding on Dial's ladder, which is where a
+// resilience policy takes a call that may be repeated (the error classifies
+// as transient; it is unsent only under the usual rule, zero bytes written).
 var ErrXDRRefused = errors.New("invoke: xdr peer refused the connection preamble")
 
 // ServerOptions configures the binary-binding servers, NewXDRServer and
@@ -283,7 +284,7 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, offer uint32) {
 					}
 					t.frame = dec
 				}
-				resp := s.handle(t.frame, xdr.FrameHeaderLenV3, &arena)
+				resp := s.handle(t.frame, true, &arena)
 				xdr.PutFrameBuf(t.frame)
 				var frame []byte
 				var ce *xdr.Encoder
@@ -362,29 +363,28 @@ func (d *dispatcher) Retarget(c *container.Container) { d.c.Store(c) }
 
 // handle decodes one request frame, invokes it, and encodes the response —
 // or the fault — into a pooled encoder the caller must release with
-// xdr.PutEncoder. hdr is the frame header the caller will seal in front of
-// the response: xdr.FrameHeaderLenV3 on a socket (Encoder.FrameBytesV3), 0
-// on the shm ring, whose records frame themselves. Admission is the
-// container's (container.Config.Admission), so a shed call comes back from
-// Invoke as the Overloaded fault like any other error.
+// xdr.PutEncoder. framed says the caller will seal a frame header in front
+// of the response (Encoder.FrameBytesV3), so room for one is reserved: true
+// on a socket, false on the shm ring, whose records frame themselves.
+// Admission is the container's (container.Config.Admission), so a shed
+// call comes back from Invoke as the Overloaded fault like any other error.
 //
 // Strings are copied out of the frame and arrays into the calling worker's
 // arena, so the frame may be released as soon as handle returns. The
 // arena's memory is lent to the component for the length of its Invoke
 // (the container.Component contract) — results may alias arguments, which
 // is why it is taken back only after the response is encoded.
-func (d *dispatcher) handle(frame []byte, hdr int, arena *xdr.Arena) *xdr.Encoder {
+func (d *dispatcher) handle(frame []byte, framed bool, arena *xdr.Arena) *xdr.Encoder {
 	defer arena.Release()
 	e := xdr.GetEncoder()
-	reserve := func() {
-		if hdr == xdr.FrameHeaderLenV3 {
-			e.ReserveFrameHeaderV3()
-		}
+	if framed {
+		e.ReserveFrameHeaderV3()
 	}
-	reserve()
 	fault := func(err error) *xdr.Encoder {
 		e.Reset()
-		reserve()
+		if framed {
+			e.ReserveFrameHeaderV3()
+		}
 		return encodeFault(e, err)
 	}
 	instance, op, args, err := decodeRequest(arena, frame)

@@ -243,7 +243,7 @@ type fakeXDRServer struct {
 	ln       net.Listener
 	conns    atomic.Int64
 	requests atomic.Int64
-	serve    int64 // answer this many requests, then close-after-read; < 0 hangs up on the preamble
+	serve    int64 // answer this many requests, then close-after-read; -1 hangs up on the preamble, -2 inside its answer
 	wg       sync.WaitGroup
 }
 
@@ -277,7 +277,12 @@ func (f *fakeXDRServer) serveConn(conn net.Conn) {
 	defer conn.Close()
 	f.conns.Add(1)
 	var pre [8]byte // MagicV3 + offer word
-	if _, err := io.ReadFull(conn, pre[:]); err != nil || binary.BigEndian.Uint32(pre[:4]) != xdr.MagicV3 || f.serve < 0 {
+	if _, err := io.ReadFull(conn, pre[:]); err != nil || binary.BigEndian.Uint32(pre[:4]) != xdr.MagicV3 || f.serve == -1 {
+		return
+	}
+	if f.serve == -2 { // drain the request so the close is a FIN, then cut the answer word short
+		_, _, _, _ = xdr.ReadFrameV3(conn)
+		_, _ = conn.Write(make([]byte, 2))
 		return
 	}
 	if _, err := conn.Write(make([]byte, 4)); err != nil { // answer: raw only
@@ -382,15 +387,38 @@ func TestXDRServerRefusesForeignPreamble(t *testing.T) {
 // TestXDRClientRefusedNoRedial: against a peer that hangs up on the
 // preamble the port reports ErrXDRRefused — not unsent, the request rode
 // the same write — after exactly one connection, and a resilient ladder
-// over the same WSDL lands the call on its SOAP rung.
+// over the same WSDL lands the call on its SOAP rung. A peer that dies
+// inside its answer word is not a refusal.
 func TestXDRClientRefusedNoRedial(t *testing.T) {
-	f := newFakeXDRServer(t, -1)
-	p := NewXDRPort(f.ln.Addr().String(), "m1")
-	defer p.Close()
 	args := wire.Args("mata", []float64{2, 3}, "matb", []float64{4, 5})
+	// A stream cut inside the answer word is a transport fault, not a
+	// refusal: neither typed nor counted as one.
+	cut := newFakeXDRServer(t, -2)
+	creg := telemetry.New()
+	cp := NewXDRPort(cut.ln.Addr().String(), "m1")
+	cp.SetTelemetry(creg)
+	defer cp.Close()
+	if _, err := cp.Invoke(context.Background(), "getResult", args); err == nil || errors.Is(err, ErrXDRRefused) {
+		t.Fatalf("cut answer: err = %v, want a plain transport error", err)
+	}
+	refusals := func(r *telemetry.Registry) uint64 {
+		return r.Counter("harness_invoke_xdr_refused_total", "role", "client").Value()
+	}
+	if n := refusals(creg); n != 0 {
+		t.Fatalf("cut answer counted as %d refusals", n)
+	}
+
+	f := newFakeXDRServer(t, -1)
+	preg := telemetry.New()
+	p := NewXDRPort(f.ln.Addr().String(), "m1")
+	p.SetTelemetry(preg)
+	defer p.Close()
 	_, err := p.Invoke(context.Background(), "getResult", args)
-	if !errors.Is(err, ErrXDRRefused) || resilience.IsUnsent(err) {
-		t.Fatalf("err = %v (unsent %v), want a sent ErrXDRRefused", err, resilience.IsUnsent(err))
+	if !errors.Is(err, ErrXDRRefused) || resilience.IsUnsent(err) || resilience.Classify(err) != resilience.KindTransient {
+		t.Fatalf("err = %v (unsent %v, kind %v), want a sent, transient ErrXDRRefused", err, resilience.IsUnsent(err), resilience.Classify(err))
+	}
+	if n := refusals(preg); n != 1 {
+		t.Fatalf("client refused counter = %d, want 1", n)
 	}
 	time.Sleep(50 * time.Millisecond) // give any (buggy) hidden re-dial a moment to land
 	if n := f.conns.Load(); n != 1 {

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"harness2/internal/resilience"
@@ -146,15 +147,20 @@ func (mc *muxConn) flushLoop() {
 // readLoop demultiplexes response frames to their waiting calls until
 // the connection dies, then fails every call still pending. It first
 // consumes the server's chosen-codec answer word, arming outbound
-// compression when a codec was negotiated; a stream that ends before that
-// word was refused (ErrXDRRefused) — a server answers, and flushes, before
-// it touches a request frame. Compressed response payloads are restored
-// here, before demux, so callers only ever see logical frames.
+// compression when a codec was negotiated; a stream the peer closes or
+// resets with no byte of that word was refused (ErrXDRRefused) — a server
+// answers, and flushes, before it touches a request frame. A timeout or
+// any other read failure there is a plain transport error, redialed like
+// one. Compressed response payloads are restored here, before demux, so
+// callers only ever see logical frames.
 func (mc *muxConn) readLoop() {
 	br := bufio.NewReaderSize(&countingReader{r: mc.conn, rx: mc.wm.rx}, xdrBufSize)
 	var word [4]byte
-	if _, err := io.ReadFull(br, word[:]); err != nil {
-		mc.shutdown(resilience.MarkTransient(fmt.Errorf("%w: %w", ErrXDRRefused, err)))
+	if n, err := io.ReadFull(br, word[:]); err != nil {
+		if n == 0 && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)) {
+			err = fmt.Errorf("%w: %w", ErrXDRRefused, err) // still transient: the cause stays in the chain
+		}
+		mc.shutdown(err)
 		return
 	}
 	if chosen := binary.BigEndian.Uint32(word[:]); chosen != 0 {
