@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint loc test test-poison race cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
+.PHONY: all build vet lint loc test test-poison race race-shm cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
 
 all: build
 
@@ -42,6 +42,11 @@ cover:
 # themselves under the detector's slowdown).
 race:
 	$(GO) test -race ./...
+
+# The shm rung under the race detector, repeated: ownership of each
+# ring's read side moves between callers (client) and workers (server).
+race-shm:
+	$(GO) test -race -count=5 -run 'Shm' ./internal/invoke ./internal/shmring
 
 # All Go microbenchmarks with allocation stats.
 bench:
@@ -171,7 +176,7 @@ N ?= 10
 benchmark-pairs:
 	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
-ci: vet build race test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
+ci: vet build race race-shm test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

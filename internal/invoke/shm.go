@@ -238,59 +238,56 @@ func (s *ShmServer) serveConn(conn net.Conn) {
 	s.serveSegment(seg)
 }
 
-type shmTask struct {
-	id    uint64
-	frame []byte
-}
-
-// serveSegment is the shm twin of XDRServer.serveMux: request records
-// fan out to a worker pool (bounded globally by s.sem) and responses
-// return on the B ring in completion order, tagged with their request
-// id. No flusher is needed — a ring write is its own commit.
+// serveSegment serves one client's request records with cap(s.sem)
+// workers (bounded globally by s.sem) that share one read turn on ring
+// A: the holder reads one record, passes the turn on, then executes the
+// call itself and returns the response on ring B, tagged with its
+// request id. Passing the turn before executing means a slow call never
+// blocks the segment, and when every worker is busy nobody reads, which
+// is the back-pressure. XDRServer.serveMux keeps a dedicated reader
+// instead: a socket read blocks in netpoll, not on a shared counter.
 func (s *ShmServer) serveSegment(seg *shmring.Segment) {
 	var wmu sync.Mutex // serializes producers on the SPSC response ring
-	nw := cap(s.sem)
-	tasks := make(chan shmTask, nw)
+	turn := make(chan struct{}, 1)
+	turn <- struct{}{}
 	var workers sync.WaitGroup
-	for i := 0; i < nw; i++ {
+	for i := 0; i < cap(s.sem); i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
 			var arena xdr.Arena
-			for t := range tasks {
+			for {
+				// Each record needs its own buffer (workers hold them
+				// concurrently); the frame pool recycles them across requests.
+				<-turn
+				id, frame, err := seg.A.ReadRecord(xdr.GetFrameBuf(0))
+				turn <- struct{}{}
+				if err != nil {
+					return
+				}
 				s.sem <- struct{}{}
-				resp := s.handle(t.frame, false, &arena)
-				xdr.PutFrameBuf(t.frame)
+				resp := s.handle(frame, false, &arena)
+				<-s.sem // bounds execution, not a ring write that waits on a client
+				xdr.PutFrameBuf(frame)
 				wmu.Lock()
-				err := seg.B.WriteRecord(t.id, resp.Bytes())
+				err = seg.B.WriteRecord(id, resp.Bytes())
 				if errors.Is(err, shmring.ErrTooLarge) {
 					// An oversized response faults its one call; closing the
 					// segment would fail every other in-flight call too.
 					f := xdr.GetEncoder()
 					encodeFault(f, fmt.Errorf("invoke: shm response %d bytes exceeds the %d-byte record limit",
 						resp.Len(), shmring.MaxRecordBytes))
-					err = seg.B.WriteRecord(t.id, f.Bytes())
+					err = seg.B.WriteRecord(id, f.Bytes())
 					xdr.PutEncoder(f)
 				}
 				wmu.Unlock()
 				xdr.PutEncoder(resp)
-				<-s.sem
 				if err != nil {
-					_ = seg.Close() // unblocks the read loop below
+					_ = seg.Close() // ends the other workers' reads
 				}
 			}
 		}()
 	}
-	for {
-		// Each record needs its own buffer (workers hold them
-		// concurrently); the frame pool recycles them across requests.
-		id, payload, err := seg.A.ReadRecord(xdr.GetFrameBuf(0))
-		if err != nil {
-			break
-		}
-		tasks <- shmTask{id: id, frame: payload}
-	}
-	close(tasks)
 	workers.Wait()
 }
 
@@ -300,12 +297,14 @@ type shmReply struct {
 }
 
 // shmConn is one attached segment plus the pending-call map of the
-// Invokes routed through it. Scoping the map per connection (not per
-// port) means a demux goroutine left over from a replaced segment can
-// only ever fail the calls that were actually in flight on its own
-// segment — never fresh calls registered after a re-handshake.
+// Invokes routed through it, whose callers take turns reading ring B
+// (see await). Scoping the map per connection (not per port) means a
+// late turn holder on a replaced segment can only ever fail the calls
+// that were actually in flight on its own segment — never fresh calls
+// registered after a re-handshake.
 type shmConn struct {
-	seg *shmring.Segment
+	seg  *shmring.Segment
+	turn chan struct{} // one token: the right to read ring B
 
 	mu    sync.Mutex
 	calls map[uint64]chan shmReply
@@ -357,6 +356,56 @@ func (c *shmConn) fail(err error) {
 	}
 }
 
+// await returns the reply to call id: delivered on ch by whichever
+// caller holds the read turn, or read off ring B by this caller once the
+// turn is its own. The holder hands every other record to its caller
+// and passes the turn on when its own record arrives, its context ends,
+// or the segment fails. A caller whose context ends leaves its entry to
+// a background await that reads and discards the late reply.
+// A failure fails every call pending ON THIS CONNECTION: the request
+// may or may not have executed, so the error is NOT marked unsent.
+func (c *shmConn) await(ctx context.Context, id uint64, ch chan shmReply) (shmReply, error) {
+	select {
+	case r := <-ch:
+		return r, nil
+	case <-ctx.Done():
+		go c.await(context.Background(), id, ch) // reads the late reply
+		return shmReply{}, ctx.Err()
+	case <-c.turn:
+	}
+	defer func() { c.turn <- struct{}{} }()
+	select {
+	case r := <-ch: // delivered by the previous holder
+		return r, nil
+	default:
+	}
+	buf := xdr.GetFrameBuf(0)
+	for {
+		rid, payload, err := c.seg.B.ReadRecordStop(buf, ctx.Done())
+		if errors.Is(err, shmring.ErrStopped) {
+			// The reply is still due: a background waiter reads it, so
+			// replies nobody waits for never fill ring B and stall the
+			// server's writers.
+			go c.await(context.Background(), id, ch)
+			return shmReply{}, ctx.Err()
+		}
+		if err != nil {
+			c.fail(errors.New("invoke: shm connection lost"))
+			return <-ch, nil // whoever removed our entry answers on ch
+		}
+		w := c.take(rid)
+		if rid == id {
+			return shmReply{frame: payload}, nil
+		}
+		if w == nil {
+			buf = payload // nobody waits for this id; reuse the buffer
+			continue
+		}
+		w <- shmReply{frame: payload}
+		buf = xdr.GetFrameBuf(0)
+	}
+}
+
 // pending reports the number of calls awaiting responses (tests).
 func (c *shmConn) pending() int {
 	c.mu.Lock()
@@ -366,8 +415,8 @@ func (c *shmConn) pending() int {
 
 // ShmPort is the client side of the shared-memory binding. Like the
 // multiplexed XDRPort it supports any number of concurrent Invokes: each
-// call tags its request record with an id and a demultiplexing goroutine
-// routes response records back to their callers.
+// call tags its request record with an id, and the caller holding the
+// segment's read turn routes response records back to their callers.
 type ShmPort struct {
 	addr     string // advertised shm:<host>:<socket> address
 	sockPath string
@@ -480,13 +529,14 @@ func (p *ShmPort) segmentLocked(ctx context.Context) (*shmConn, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("invoke: shm attach: %w", err)
 	}
-	c := &shmConn{seg: seg, calls: make(map[uint64]chan shmReply)}
+	c := &shmConn{seg: seg, turn: make(chan struct{}, 1), calls: make(map[uint64]chan shmReply)}
+	c.turn <- struct{}{}
 	p.conn = conn
 	p.cur = c
 	p.generation = gen
 
 	// Liveness watcher: a dead server surfaces as socket EOF; closing the
-	// segment unblocks the demux loop and any writer stuck on a full ring.
+	// segment unblocks the turn holder and any writer stuck on a full ring.
 	go func() {
 		var b [1]byte
 		for {
@@ -496,31 +546,7 @@ func (p *ShmPort) segmentLocked(ctx context.Context) (*shmConn, error) {
 		}
 		_ = seg.Close()
 	}()
-	go demux(c)
 	return c, nil
-}
-
-// demux routes response records to the connection's waiting callers.
-// On segment close every call pending ON THIS CONNECTION fails: the
-// request may or may not have executed, so the error is NOT marked
-// unsent. Calls registered against a successor segment after a
-// re-handshake live in that segment's own shmConn and are untouched.
-func demux(c *shmConn) {
-	var buf []byte
-	for {
-		id, payload, err := c.seg.B.ReadRecord(buf)
-		if err != nil {
-			c.fail(errors.New("invoke: shm connection lost"))
-			return
-		}
-		ch := c.take(id)
-		if ch == nil {
-			buf = payload // caller gave up (ctx cancel); reuse the buffer
-			continue
-		}
-		buf = nil
-		ch <- shmReply{frame: payload}
-	}
 }
 
 // Invoke implements Port; safe for concurrent use.
@@ -574,18 +600,16 @@ func (p *ShmPort) invoke(ctx context.Context, op string, args []wire.Arg) ([]wir
 		return nil, resilience.MarkUnsent(fmt.Errorf("invoke: shm call %s: %w", op, err))
 	}
 
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return nil, fmt.Errorf("invoke: shm call %s: %w", op, r.err)
-		}
-		out, derr := decodeResponse(r.frame)
-		xdr.PutFrameBuf(r.frame)
-		return out, derr
-	case <-ctx.Done():
-		c.drop(id)
-		return nil, ctx.Err()
+	r, err := c.await(ctx, id, ch)
+	if err != nil {
+		return nil, err
 	}
+	if r.err != nil {
+		return nil, fmt.Errorf("invoke: shm call %s: %w", op, r.err)
+	}
+	out, derr := decodeResponse(r.frame)
+	xdr.PutFrameBuf(r.frame)
+	return out, derr
 }
 
 // Kind implements Port.

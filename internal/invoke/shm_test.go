@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"runtime"
@@ -138,11 +139,11 @@ func TestShmLargeArgsExceedRingCapacity(t *testing.T) {
 	}
 }
 
-// TestShmStaleDemuxCannotFailFreshCalls: pending-call maps are scoped
-// per segment, so a demux goroutine from a replaced (closed) segment
-// firing late can only fail calls that were in flight on its own
-// segment — never fresh calls registered after the re-handshake.
-func TestShmStaleDemuxCannotFailFreshCalls(t *testing.T) {
+// TestShmStaleSegmentCannotFailFreshCalls: pending-call maps are scoped
+// per segment, so a late turn holder on a replaced (closed) segment can
+// only fail calls that were in flight on its own segment — never fresh
+// calls registered after the re-handshake.
+func TestShmStaleSegmentCannotFailFreshCalls(t *testing.T) {
 	h := newShmHost(t, "")
 	defs := h.deploy(t, "Counter", "c1")
 	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
@@ -170,15 +171,15 @@ func TestShmStaleDemuxCannotFailFreshCalls(t *testing.T) {
 		t.Fatal("expected a fresh connection after segment loss")
 	}
 	// A call pending on the new connection must survive the old
-	// connection's (possibly delayed) demux failure path.
+	// connection's (possibly delayed) failure path.
 	ch := make(chan shmReply, 1)
 	if err := cur.register(99999, ch); err != nil {
 		t.Fatal(err)
 	}
-	old.fail(errors.New("stale demux firing late"))
+	old.fail(errors.New("stale turn holder failing late"))
 	select {
 	case r := <-ch:
-		t.Fatalf("fresh call failed by stale demux: %v", r.err)
+		t.Fatalf("fresh call failed by a stale segment: %v", r.err)
 	default:
 	}
 	cur.drop(99999)
@@ -211,7 +212,8 @@ func TestShmFaultsPropagate(t *testing.T) {
 }
 
 // TestShmConcurrentInvokes drives one port from many goroutines — the
-// multiplexing demux and the SPSC write serialization under load.
+// read turn passing between callers and the SPSC write serialization
+// under load.
 func TestShmConcurrentInvokes(t *testing.T) {
 	h := newShmHost(t, "")
 	defs := h.deploy(t, "Counter", "c1")
@@ -348,8 +350,8 @@ func TestShmInvokeRaceWithClose(t *testing.T) {
 
 // TestShmNoLeakOnServerChurn mirrors TestXDRMuxNoLeakOnServerChurn for
 // the shm binding: every exit path (server death with calls in flight,
-// handshake against a dead socket, port close) must unwind the demux and
-// watcher goroutines on both sides and unmap the segments.
+// handshake against a dead socket, port close) must unwind the workers
+// and watcher goroutines on both sides and unmap the segments.
 func TestShmNoLeakOnServerChurn(t *testing.T) {
 	if !shmring.Supported() {
 		t.Skip("shm binding unsupported on this platform")
@@ -415,9 +417,205 @@ func TestShmNoLeakOnServerChurn(t *testing.T) {
 	}
 }
 
+// TestShmIdlePortHoldsOnlyItsWatcher: once a burst of calls goes idle,
+// a port keeps exactly one goroutine per segment, its liveness watcher;
+// reading replies is the callers' own work. The server side of the
+// segment holds its handshake goroutine, its watcher and its workers.
+func TestShmIdlePortHoldsOnlyItsWatcher(t *testing.T) {
+	p, _, _ := newGatePort(t)
+	baseline := goroutineCount() // the port has never been called
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := p.Invoke(context.Background(), "ping", nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	want := baseline + 1 + 2 + serverWorkers() // client watcher; server serveConn, watcher, workers
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		now := goroutineCount()
+		if now == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("idle port: %d goroutines, want %d (baseline %d)\n%s", now, want, baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// newGatePort serves one Gate instance over shm and returns a port to
+// it, with the channel each wait call signals on when it starts
+// executing and the function that releases every wait call.
+func newGatePort(t *testing.T) (p *ShmPort, started <-chan struct{}, release func()) {
+	t.Helper()
+	if !shmring.Supported() {
+		t.Skip("shm binding unsupported on this platform")
+	}
+	st := make(chan struct{}, 16)
+	gate := make(chan struct{})
+	release = sync.OnceFunc(func() { close(gate) })
+	c := container.New(container.Config{Name: "shmgate"})
+	c.RegisterFactory("Gate", gateImpl(gate, st))
+	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err = NewShmPort(ss.Addr(), "g1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetTelemetry(telemetry.Disabled())
+	t.Cleanup(func() {
+		release()
+		_ = p.Close()
+		_ = ss.Close()
+	})
+	return p, st, release
+}
+
+// within receives from ch, failing the test if nothing arrives in time.
+func within[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+		panic("unreachable")
+	}
+}
+
+// ping makes one fast call, which must complete.
+func ping(t *testing.T, p *ShmPort) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := p.Invoke(ctx, "ping", nil); err != nil {
+		t.Fatalf("fast call behind a blocked one: %v", err)
+	}
+}
+
+// turnHeld waits until some caller on p holds the segment's read turn.
+func turnHeld(t *testing.T, p *ShmPort) {
+	t.Helper()
+	p.mu.Lock()
+	c := p.cur
+	p.mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(c.turn) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no caller took the read turn")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestShmSlowCallsDoNotBlockSegment: a server worker passes the ring-A
+// read turn on before it executes, so calls stuck executing on the
+// server neither stop the next requests being read nor a fast call on
+// the same port from completing.
+func TestShmSlowCallsDoNotBlockSegment(t *testing.T) {
+	p, started, release := newGatePort(t)
+	const slow = 3
+	done := make(chan error, slow)
+	for i := 0; i < slow; i++ {
+		go func() {
+			_, err := p.Invoke(context.Background(), "wait", nil)
+			done <- err
+		}()
+	}
+	for i := 0; i < slow; i++ {
+		within(t, started, "every slow call executing at once")
+	}
+	ping(t, p)
+	release()
+	for i := 0; i < slow; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("slow call: %v", err)
+		}
+	}
+}
+
+// TestShmTurnHolderDeliversOtherReplies: the caller holding the client
+// read turn is waiting on a call that does not return, yet the reply to
+// a second caller's fast call still reaches that caller.
+func TestShmTurnHolderDeliversOtherReplies(t *testing.T) {
+	p, started, release := newGatePort(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(context.Background(), "wait", nil)
+		done <- err
+	}()
+	within(t, started, "the blocked call")
+	turnHeld(t, p) // the blocked caller, the only one, holds the turn
+	ping(t, p)
+	select {
+	case err := <-done:
+		t.Fatalf("blocked call returned before release: %v", err)
+	default:
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("blocked call: %v", err)
+	}
+}
+
+// TestShmTurnHolderDeadlineHandsTurnOn: a turn holder whose context
+// expires returns context.DeadlineExceeded within a few milliseconds of
+// its deadline, and the caller waiting behind it takes the turn and gets
+// its own reply — nobody is stranded without a reader.
+func TestShmTurnHolderDeadlineHandsTurnOn(t *testing.T) {
+	p, started, release := newGatePort(t)
+	const timeout = 50 * time.Millisecond
+	first := make(chan error, 1)
+	var elapsed time.Duration
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		start := time.Now()
+		_, err := p.Invoke(ctx, "wait", nil)
+		elapsed = time.Since(start)
+		first <- err
+	}()
+	within(t, started, "the first call")
+	turnHeld(t, p)
+	second := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(context.Background(), "wait", nil)
+		second <- err
+	}()
+	within(t, started, "the second call")
+	if err := within(t, first, "the expired turn holder"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("turn holder past its deadline: %v, want DeadlineExceeded", err)
+	}
+	if elapsed > timeout+5*time.Millisecond {
+		t.Fatalf("turn holder returned %v after a %v deadline", elapsed, timeout)
+	}
+	turnHeld(t, p) // the second caller took the turn over
+	release()
+	if err := within(t, second, "the caller behind it"); err != nil {
+		t.Fatalf("caller behind the expired turn holder: %v", err)
+	}
+}
+
 // TestShmCancelledCallersDoNotLeakPendingEntries: a caller that abandons
-// an in-flight shm call via context cancellation must remove its entry
-// from the demux map; the late response is dropped and its buffer reused.
+// an in-flight shm call via context cancellation must not leave its entry
+// in the pending map; the late response is read and dropped.
 func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
@@ -472,6 +670,101 @@ func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
 			t.Fatalf("%d abandoned calls still pending", n)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestShmAbandonedRepliesDoNotStallServer: replies wider than ring B to
+// calls whose callers all gave up must still be read off the ring. If
+// they were not, every server worker would sit on its ring-B write: the
+// server's execution slots would be lost to other clients, and nobody
+// would read this port's next request, one wider than ring A.
+func TestShmAbandonedRepliesDoNotStallServer(t *testing.T) {
+	if !shmring.Supported() {
+		t.Skip("shm binding unsupported on this platform")
+	}
+	const n = 1 << 18 // 256Ki float64s = 2MiB, twice the default ring
+	started := make(chan struct{}, 64)
+	gate := make(chan struct{})
+	c := container.New(container.Config{Name: "shmbulk"})
+	c.RegisterFactory("Bulk", container.FuncFactory(func() *container.FuncComponent {
+		return &container.FuncComponent{
+			Spec: wsdl.ServiceSpec{Name: "Bulk", Operations: []wsdl.OpSpec{
+				{Name: "late", Output: []wsdl.ParamSpec{{Name: "v", Type: wire.KindFloat64Array}}},
+				{Name: "len", Input: []wsdl.ParamSpec{{Name: "v", Type: wire.KindFloat64Array}},
+					Output: []wsdl.ParamSpec{{Name: "n", Type: wire.KindInt64}}},
+			}},
+			Handlers: map[string]container.OpFunc{
+				"late": func(ctx context.Context, args []wire.Arg) ([]wire.Arg, error) {
+					started <- struct{}{}
+					<-gate
+					return wire.Args("v", make([]float64, n)), nil
+				},
+				"len": func(ctx context.Context, args []wire.Arg) ([]wire.Arg, error) {
+					v, _ := wire.GetArg(args, "v")
+					return wire.Args("n", int64(len(v.([]float64)))), nil
+				},
+			},
+		}
+	}))
+	if _, _, err := c.Deploy("Bulk", "b1"); err != nil {
+		t.Fatal(err)
+	}
+	ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ss.Close()
+	port := func() *ShmPort {
+		p, err := NewShmPort(ss.Addr(), "b1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.SetTelemetry(telemetry.Disabled())
+		t.Cleanup(func() { _ = p.Close() })
+		return p
+	}
+	idle, other := port(), port()
+
+	workers := serverWorkers()
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			if _, err := idle.Invoke(ctx, "late", nil); !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("abandoned call: %v, want DeadlineExceeded", err)
+			}
+		}()
+	}
+	for i := 0; i < workers; i++ {
+		within(t, started, "every worker executing an abandoned call")
+	}
+	wg.Wait()
+	close(gate) // every worker now owes the idle port a 2MiB reply
+
+	// length calls len on p with a v of m elements, in the background.
+	length := func(p *ShmPort, m int) <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			out, err := p.Invoke(ctx, "len", wire.Args("v", make([]float64, m)))
+			if err == nil {
+				if v, _ := wire.GetArg(out, "n"); v != int64(m) {
+					err = fmt.Errorf("len = %v, want %d", v, m)
+				}
+			}
+			errc <- err
+		}()
+		return errc
+	}
+	if err := within(t, length(other, 1), "a call from another segment"); err != nil {
+		t.Fatalf("call from another segment: %v", err)
+	}
+	if err := within(t, length(idle, n), "a wide request on the idle port"); err != nil {
+		t.Fatalf("wide request on the idle port: %v", err)
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 
 // gateImpl is a component whose "wait" op blocks until the test closes
 // gate — a deterministic stand-in for a slow invocation — and whose
-// "ping" op returns immediately.
-func gateImpl(gate chan struct{}) container.Factory {
+// "ping" op returns immediately. A non-nil started hears from each wait
+// as it begins executing.
+func gateImpl(gate chan struct{}, started chan<- struct{}) container.Factory {
 	return container.FuncFactory(func() *container.FuncComponent {
 		return &container.FuncComponent{
 			Spec: wsdl.ServiceSpec{Name: "Gate", Operations: []wsdl.OpSpec{
@@ -34,6 +35,9 @@ func gateImpl(gate chan struct{}) container.Factory {
 			}},
 			Handlers: map[string]container.OpFunc{
 				"wait": func(ctx context.Context, args []wire.Arg) ([]wire.Arg, error) {
+					if started != nil {
+						started <- struct{}{}
+					}
 					select {
 					case <-gate:
 					case <-ctx.Done():
@@ -98,7 +102,7 @@ func TestXDRMuxConcurrentMixedPayloads(t *testing.T) {
 func TestXDRMuxNoHeadOfLineBlocking(t *testing.T) {
 	gate := make(chan struct{})
 	c := container.New(container.Config{Name: "gate"})
-	c.RegisterFactory("Gate", gateImpl(gate))
+	c.RegisterFactory("Gate", gateImpl(gate, nil))
 	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestXDRMuxPerCallCancellation(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
 	c := container.New(container.Config{Name: "gate"})
-	c.RegisterFactory("Gate", gateImpl(gate))
+	c.RegisterFactory("Gate", gateImpl(gate, nil))
 	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +494,7 @@ func TestXDRMuxManyConcurrentCallers(t *testing.T) {
 func TestXDRServerWorkerPoolBounded(t *testing.T) {
 	gate := make(chan struct{})
 	c := container.New(container.Config{Name: "gate"})
-	c.RegisterFactory("Gate", gateImpl(gate))
+	c.RegisterFactory("Gate", gateImpl(gate, nil))
 	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
 		t.Fatal(err)
 	}

@@ -82,6 +82,9 @@ var (
 	// ErrWrongGeneration reports an attach against a segment created by
 	// a different server incarnation than the client negotiated with.
 	ErrWrongGeneration = errors.New("shmring: generation mismatch")
+	// ErrStopped reports a ReadRecordStop whose stop channel closed
+	// before the next record began; the ring is left untouched.
+	ErrStopped = errors.New("shmring: read stopped")
 )
 
 // SegmentSize returns the total byte size of a segment whose rings each
@@ -343,8 +346,9 @@ func (r *Ring) waitSpace(need uint64) error {
 // After the segment closes, whatever the producer already published
 // drains first; a cleanly empty ring then reports io.EOF and a partial
 // tail shorter than need reports io.ErrUnexpectedEOF (the peer died
-// mid-record).
-func (r *Ring) waitData(need uint64) error {
+// mid-record). A closed stop ends the wait with ErrStopped; a nil stop
+// never does.
+func (r *Ring) waitData(need uint64, stop <-chan struct{}) error {
 	delay := parkDelay
 	for i := 0; r.tail.Load()-r.head.Load() < need; i++ {
 		if r.closed.Load() != 0 {
@@ -358,6 +362,13 @@ func (r *Ring) waitData(need uint64) error {
 				return io.ErrUnexpectedEOF
 			}
 			return io.EOF
+		}
+		if stop != nil {
+			select {
+			case <-stop:
+				return ErrStopped
+			default:
+			}
 		}
 		if i < spinCount {
 			runtime.Gosched()
@@ -453,11 +464,19 @@ func (r *Ring) WriteRecord(id uint64, payload []byte) error {
 // io.ErrUnexpectedEOF mid-record); after this side's own Close it
 // returns ErrClosed immediately.
 func (r *Ring) ReadRecord(buf []byte) (id uint64, payload []byte, err error) {
+	return r.ReadRecordStop(buf, nil)
+}
+
+// ReadRecordStop is ReadRecord that gives up with ErrStopped, head
+// untouched, if stop closes while it waits for the next record's
+// header. A record that has begun always completes, however long it
+// streams, so the ring cannot desync.
+func (r *Ring) ReadRecordStop(buf []byte, stop <-chan struct{}) (id uint64, payload []byte, err error) {
 	if !r.life.enter() {
 		return 0, nil, ErrClosed
 	}
 	defer r.life.exit()
-	if err := r.waitData(recordHeader); err != nil {
+	if err := r.waitData(recordHeader, stop); err != nil {
 		return 0, nil, err
 	}
 	head := r.head.Load()
@@ -488,7 +507,7 @@ func (r *Ring) ReadRecord(buf []byte) (id uint64, payload []byte, err error) {
 	// publish (essential once the record exceeds the ring capacity).
 	r.consume(head + recordHeader)
 	for copied := 0; copied < n; {
-		if err := r.waitData(1); err != nil {
+		if err := r.waitData(1, nil); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF // peer died mid-record
 			}

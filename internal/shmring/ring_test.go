@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRecordRoundTrip(t *testing.T) {
@@ -202,7 +203,7 @@ func TestCloseMidStreamReportsTruncation(t *testing.T) {
 	}()
 	// Wait until the header is surely published, then close with the
 	// writer still blocked on space.
-	if err := creator.A.waitData(recordHeader); err != nil {
+	if err := creator.A.waitData(recordHeader, nil); err != nil {
 		t.Fatal(err)
 	}
 	peer.Close()
@@ -211,6 +212,102 @@ func TestCloseMidStreamReportsTruncation(t *testing.T) {
 	}
 	if _, _, err := creator.A.ReadRecord(nil); err == nil {
 		t.Fatal("truncated stream delivered without error")
+	}
+}
+
+// TestReadRecordStopBeforeRecord: a stop that closes while no record is
+// buffered ends the read with ErrStopped and leaves the ring exactly as
+// it was, so the next read gets the next record intact.
+func TestReadRecordStopBeforeRecord(t *testing.T) {
+	creator, peer, err := NewPair(1<<8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer creator.Close()
+	stop := make(chan struct{})
+	close(stop)
+	head, tail := creator.A.head.Load(), creator.A.tail.Load()
+	res := make(chan error, 1)
+	go func() {
+		_, _, err := creator.A.ReadRecordStop(nil, stop)
+		res <- err
+	}()
+	select {
+	case err := <-res:
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("stopped read on an empty ring: %v, want ErrStopped", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("read on an empty ring ignored its closed stop")
+	}
+	if creator.A.head.Load() != head || creator.A.tail.Load() != tail {
+		t.Fatal("stopped read moved the ring counters")
+	}
+	if err := peer.A.WriteRecord(3, []byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	id, got, err := creator.A.ReadRecord(nil)
+	if err != nil || id != 3 || string(got) != "next" {
+		t.Fatalf("read after stop: id=%d payload=%q err=%v", id, got, err)
+	}
+}
+
+// TestReadRecordStopMidStream: once a record has begun, a closed stop is
+// ignored — a record wider than the ring, still streaming when the read
+// starts, is delivered whole and bit-exact.
+func TestReadRecordStopMidStream(t *testing.T) {
+	creator, peer, err := NewPair(1<<8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer creator.Close()
+	payload := make([]byte, 1<<13)
+	for i := range payload {
+		payload[i] = byte(i * 29)
+	}
+	go func() {
+		if err := peer.A.WriteRecord(41, payload); err != nil {
+			t.Errorf("streamed write: %v", err)
+		}
+	}()
+	// The header is published and the writer is blocked on the full ring.
+	if err := creator.A.waitData(recordHeader, nil); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	close(stop)
+	id, got, err := creator.A.ReadRecordStop(nil, stop)
+	if err != nil || id != 41 || !bytes.Equal(got, payload) {
+		t.Fatalf("stopped mid-stream: id=%d len=%d err=%v", id, len(got), err)
+	}
+}
+
+// TestReadRecordStopWithClose: a stop that closes together with the
+// segment changes nothing about close semantics — buffered records
+// drain, then io.EOF after the peer's close and ErrClosed after this
+// side's own.
+func TestReadRecordStopWithClose(t *testing.T) {
+	creator, peer, err := NewPair(1<<8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer creator.Close()
+	stop := make(chan struct{})
+	if err := peer.A.WriteRecord(8, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	peer.Close()
+	id, got, err := creator.A.ReadRecordStop(nil, stop)
+	if err != nil || id != 8 || string(got) != "last" {
+		t.Fatalf("drain: id=%d err=%v", id, err)
+	}
+	if _, _, err := creator.A.ReadRecordStop(nil, stop); err != io.EOF {
+		t.Fatalf("after peer close: %v, want io.EOF", err)
+	}
+	creator.Close()
+	if _, _, err := creator.A.ReadRecordStop(nil, stop); !errors.Is(err, ErrClosed) {
+		t.Fatalf("after own close: %v, want ErrClosed", err)
 	}
 }
 
