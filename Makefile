@@ -48,6 +48,11 @@ race:
 race-shm:
 	$(GO) test -race -count=5 -run 'Shm' ./internal/invoke ./internal/shmring
 
+# The fleet supervisor under the race detector, repeated: every unit's
+# lifecycle has one owner goroutine, and stops, cycles and kills race it.
+race-fleet:
+	$(GO) test -race -count=10 ./internal/fleet/
+
 # All Go microbenchmarks with allocation stats.
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
@@ -140,9 +145,8 @@ churn-smoke:
 # The fleet smoke: a daemon supervising real HARNESS II nodes over the
 # HTTP control protocol; kill one mid-traffic and assert automatic
 # restart, re-enrollment, and lease recovery with zero failed finds.
-fleet-smoke:
+fleet-smoke: race-fleet
 	$(GO) test -run 'TestE18FleetSmoke|TestE18RecoverySmoke' -v -count=1 ./internal/bench/
-	$(GO) test -race ./internal/fleet/
 
 # The metacity smoke: both E15 modes race-enabled at a small client
 # count (the always-on slice), plus the env-gated alloc/envelope gate.
@@ -176,7 +180,7 @@ N ?= 10
 benchmark-pairs:
 	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
-ci: vet build race race-shm test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
+ci: vet build race race-shm race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

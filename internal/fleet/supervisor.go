@@ -12,6 +12,7 @@ import (
 	"harness2/internal/container"
 	"harness2/internal/dvm"
 	"harness2/internal/events"
+	"harness2/internal/resilience"
 	"harness2/internal/runnerbox"
 	"harness2/internal/telemetry"
 )
@@ -143,9 +144,9 @@ type Supervisor struct {
 	units       map[string]*unit
 	seq         int
 	closed      bool
-	closeCh     chan struct{}
 	wg          sync.WaitGroup
-	serveCond   *sync.Cond
+	// changed is broadcast on every unit state change (see await).
+	changed *sync.Cond
 }
 
 type boxState struct {
@@ -161,13 +162,16 @@ type deployment struct {
 	units []*unit
 }
 
-// unit is one supervised node.
+// unit is one supervised node. Its lifecycle is written only by its
+// owner goroutine (run); everyone else sends the owner a unitCmd.
 type unit struct {
 	id         string
 	deployment string
+	box        *boxState
+	cmds       chan unitCmd
+	done       chan struct{} // closed once the unit is terminal
 
 	mu          sync.Mutex
-	box         *boxState
 	state       UnitState
 	gen         int
 	jobID       string
@@ -177,11 +181,14 @@ type unit struct {
 	consecutive int
 	lastErr     string
 	since       time.Time
-	// stopCh signals the in-flight job to shut down gracefully; a fresh
-	// channel per attempt.
-	stopCh   chan struct{}
-	stopping bool
-	cycle    bool
+}
+
+// unitCmd asks a unit's owner to stop the unit, or with cycle to
+// relaunch it under its deployment's current descriptor. The owner
+// closes ack once it has acted.
+type unitCmd struct {
+	cycle bool
+	ack   chan struct{}
 }
 
 // New creates a Supervisor. The Launcher is required.
@@ -206,9 +213,8 @@ func New(cfg Config) (*Supervisor, error) {
 		boxes:       make(map[string]*boxState),
 		deployments: make(map[string]*deployment),
 		units:       make(map[string]*unit),
-		closeCh:     make(chan struct{}),
 	}
-	s.serveCond = sync.NewCond(&s.mu)
+	s.changed = sync.NewCond(&s.mu)
 	if cfg.Events != nil {
 		s.log.Bridge(cfg.Events, cfg.Name)
 	}
@@ -313,44 +319,59 @@ func (s *Supervisor) Deploy(d Descriptor) ([]string, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("fleet: deployment %q already exists", d.Name)
 	}
-	eligible := s.matchBoxesLocked(d.Constraints)
-	if len(eligible) == 0 {
+	if len(s.matchBoxesLocked(d.Constraints)) == 0 {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("fleet: no enrolled box satisfies %v", d.Constraints)
 	}
 	dep := &deployment{name: d.Name, desc: d}
 	s.deployments[d.Name] = dep
-	ids := make([]string, 0, d.Replicas)
-	var spawned []*unit
-	for i := 0; i < d.Replicas; i++ {
-		// Re-rank each placement so replicas spread by live load.
-		boxes := s.matchBoxesLocked(d.Constraints)
-		box := boxes[0]
-		s.seq++
-		u := &unit{
-			id:         fmt.Sprintf("%s-%d", d.Name, s.seq),
-			deployment: d.Name,
-			box:        box,
-			state:      Starting,
-			since:      time.Now(),
-		}
-		box.units[u.id] = u
-		s.units[u.id] = u
-		dep.units = append(dep.units, u)
-		ids = append(ids, u.id)
-		spawned = append(spawned, u)
+	units := make([]*unit, d.Replicas)
+	ids := make([]string, d.Replicas)
+	for i := range units {
+		units[i] = s.placeLocked(dep)
+		ids[i] = units[i].id
 	}
 	s.mu.Unlock()
 
 	s.met.deploys.Inc()
 	s.log.Append(Event{Kind: EvDeploy, Deployment: d.Name,
 		Detail: fmt.Sprintf("replicas=%d components=%v constraints=%v", d.Replicas, d.Components, d.Constraints)})
-	for _, u := range spawned {
-		s.met.units.With(Starting.String()).Inc()
-		s.wg.Add(1)
-		go s.runUnit(u)
+	for _, u := range units {
+		s.start(u)
 	}
 	return ids, nil
+}
+
+// placeLocked creates a Starting unit of dep on the least-loaded box its
+// constraints admit, re-ranked per call so replicas spread by live load.
+// It returns nil when the supervisor is closed or no box is eligible.
+// Call start once s.mu is released.
+func (s *Supervisor) placeLocked(dep *deployment) *unit {
+	boxes := s.matchBoxesLocked(dep.desc.Constraints)
+	if s.closed || len(boxes) == 0 {
+		return nil
+	}
+	s.seq++
+	u := &unit{
+		id:         fmt.Sprintf("%s-%d", dep.name, s.seq),
+		deployment: dep.name,
+		box:        boxes[0],
+		cmds:       make(chan unitCmd),
+		done:       make(chan struct{}),
+		state:      Starting,
+		since:      time.Now(),
+	}
+	u.box.units[u.id] = u
+	s.units[u.id] = u
+	dep.units = append(dep.units, u)
+	return u
+}
+
+// start hands a placed unit to its owner goroutine.
+func (s *Supervisor) start(u *unit) {
+	s.met.units.With(Starting.String()).Inc()
+	s.wg.Add(1)
+	go s.run(u)
 }
 
 // deploymentDesc snapshots the current descriptor of a deployment.
@@ -364,8 +385,8 @@ func (s *Supervisor) deploymentDesc(name string) (Descriptor, bool) {
 	return dep.desc, true
 }
 
-// setState moves a unit between states, maintaining the per-state gauge
-// and waking WaitServing waiters.
+// setState publishes a unit's state, maintaining the per-state gauge and
+// waking await. Only the unit's owner calls it.
 func (s *Supervisor) setState(u *unit, to UnitState) {
 	u.mu.Lock()
 	from := u.state
@@ -377,7 +398,7 @@ func (s *Supervisor) setState(u *unit, to UnitState) {
 		s.met.units.With(to.String()).Inc()
 	}
 	s.mu.Lock()
-	s.serveCond.Broadcast()
+	s.changed.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -386,33 +407,33 @@ type launchResult struct {
 	err  error
 }
 
-// spawn submits the unit's job to its box and waits until the launcher
-// reports serving (or failure/timeout). The job keeps running until it
-// is killed (crash semantics) or stopCh closes (graceful shutdown).
-func (s *Supervisor) spawn(u *unit, d Descriptor) (UnitNode, error) {
-	u.mu.Lock()
-	if u.stopping && !u.cycle {
-		// A full stop arrived in the window between attempts, when there
-		// was no stopCh to signal; abort before launching a job nobody
-		// would ever stop. The flag stays set for the caller to consume.
-		u.mu.Unlock()
-		return nil, errStopRequested
-	}
-	box := u.box
-	stopCh := make(chan struct{})
-	u.stopCh = stopCh
-	gen := u.gen
-	ref := UnitRef{ID: u.id, Deployment: u.deployment, Box: box.info.Name, Generation: gen}
-	u.mu.Unlock()
+// attempt is one launch of a unit's job as its owner watches it. The
+// zero attempt is "no live job": every channel is nil.
+type attempt struct {
+	start    time.Time
+	stop     chan struct{}     // closed to shut the job down gracefully
+	ready    chan launchResult // the launcher's outcome; nil once read
+	deadline <-chan time.Time  // the spawn deadline; nil once met or fired
+	exit     chan error        // the job's exit, sent by its waiter
+	timedOut bool
+}
 
-	ready := make(chan launchResult, 1)
+// launch submits the unit's job to its box. The job runs the launcher,
+// reports on ready, then holds the node until it is killed (crash
+// semantics) or stop closes (graceful shutdown); one waiter goroutine
+// per attempt reports its exit.
+func (s *Supervisor) launch(u *unit) attempt {
+	d, _ := s.deploymentDesc(u.deployment)
+	ref := UnitRef{ID: u.id, Deployment: u.deployment, Box: u.box.info.Name, Generation: u.gen}
+	a := attempt{start: time.Now(), stop: make(chan struct{}),
+		ready: make(chan launchResult, 1), exit: make(chan error, 1)}
+	stop, ready, exit := a.stop, a.ready, a.exit
 	cmd := func(ctx context.Context, args []string) error {
 		node, err := s.cfg.Launcher(ctx, ref, d)
+		ready <- launchResult{node: node, err: err}
 		if err != nil {
-			ready <- launchResult{err: err}
 			return err
 		}
-		ready <- launchResult{node: node}
 		select {
 		case <-ctx.Done():
 			// Killed: crash semantics. Listeners die with the process
@@ -420,198 +441,173 @@ func (s *Supervisor) spawn(u *unit, d Descriptor) (UnitNode, error) {
 			// leases expire (the restart recovers them).
 			_ = node.Shutdown(false)
 			return ctx.Err()
-		case <-stopCh:
+		case <-stop:
 			// Graceful: deregister everywhere, release leases.
 			return node.Shutdown(true)
 		}
 	}
-	box.info.Box.Backend().(registrar).Register(u.id, cmd)
-	jobID, cost, err := box.info.Box.Run(u.id, nil)
+	box := u.box.info.Box
+	box.Backend().(registrar).Register(u.id, cmd)
+	jobID, cost, err := box.Run(u.id, nil)
 	if err != nil {
-		return nil, err
+		a.ready = nil
+		exit <- err
+		return a
 	}
 	u.mu.Lock()
 	u.jobID = jobID
 	u.mu.Unlock()
+	a.deadline = time.After(s.cfg.SpawnTimeout)
+	go func() { exit <- box.Wait(jobID) }()
 	s.met.spawns.Inc()
-	s.log.Append(Event{Kind: EvSpawn, Deployment: u.deployment, Unit: u.id,
-		Box: box.info.Name, Detail: fmt.Sprintf("job=%s gen=%d spawn-cost=%s", jobID, gen, cost)})
-
-	select {
-	case r := <-ready:
-		return r.node, r.err
-	case <-time.After(s.cfg.SpawnTimeout):
-		_ = box.info.Box.Kill(jobID)
-		return nil, fmt.Errorf("fleet: unit %s spawn timed out after %s", u.id, s.cfg.SpawnTimeout)
-	}
+	s.note(u, Event{Kind: EvSpawn, Detail: fmt.Sprintf("job=%s gen=%d spawn-cost=%s", jobID, u.gen, cost)})
+	return a
 }
 
-// runUnit is the supervision loop: spawn, watch, classify the exit, and
-// restart with backoff until stopped, failed, or the supervisor closes.
-func (s *Supervisor) runUnit(u *unit) {
+// run is the unit's owner and the only writer of its lifecycle. Each
+// turn blocks in one select over the events the unit's state can see; a
+// nil channel is an event the state cannot see.
+//
+//	state      | launch result | spawn deadline | job exit | backoff timer | command
+//	-----------+---------------+----------------+----------+---------------+--------
+//	Starting   | ok: Serving   | kill the job   | crash    |               | pend
+//	Serving    |               |                | crash    |               | pend
+//	Restarting |               |                |          | Starting      | act
+//
+// crash: Crashed, then Failed once the restart budget is spent, else
+// Restarting with a full-jitter backoff. A failed launch ends its job, so
+// it is seen as the exit. pend: close the attempt's graceful-stop
+// channel; the command acts once the job has exited, in place of the
+// crash. act: Stopped, or for a cycle gen++ and Starting, then the acks.
+// A stop joining a pending cycle turns it into a stop. Stopped and Failed
+// end run through finish.
+func (s *Supervisor) run(u *unit) {
 	defer s.wg.Done()
-	var crashedAt time.Time
+	var (
+		a         = s.launch(u)
+		backoff   <-chan time.Time
+		delay     time.Duration
+		acks      []chan struct{} // callers of the pending command
+		stop      bool            // the pending command is a full stop
+		crashedAt time.Time
+	)
 	for {
-		// A full stop requested between attempts (e.g. during a restart
-		// backoff, when no job is live to signal) lands here.
-		u.mu.Lock()
-		stopped := u.stopping && !u.cycle
-		if stopped {
-			u.stopping, u.cycle = false, false
-		}
-		u.mu.Unlock()
-		if stopped {
-			s.setState(u, Stopped)
-			s.log.Append(Event{Kind: EvStop, Deployment: u.deployment, Unit: u.id, Box: u.boxName()})
-			s.detachUnit(u)
-			return
-		}
-		d, ok := s.deploymentDesc(u.deployment)
-		if !ok {
-			return
-		}
-		d = d.normalized()
-		spawnStart := time.Now()
-		node, err := s.spawn(u, d)
-		if err == nil {
+		select {
+		case r := <-a.ready:
+			a.ready, a.deadline = nil, nil
+			if r.err != nil || acks != nil {
+				break // the job is exiting on its own, or was asked to
+			}
 			u.mu.Lock()
-			u.node = node
-			u.endpoints = node.Endpoints()
-			u.consecutive = 0
-			u.lastErr = ""
+			u.node, u.endpoints = r.node, r.node.Endpoints()
+			u.consecutive, u.lastErr = 0, ""
 			u.mu.Unlock()
-			s.setState(u, Serving)
-			s.met.spawnNs.ObserveDuration(time.Since(spawnStart))
+			s.enrollDVM(r.node)
+			s.met.spawnNs.ObserveDuration(time.Since(a.start))
 			if !crashedAt.IsZero() {
 				s.met.recoveryNs.ObserveDuration(time.Since(crashedAt))
 				crashedAt = time.Time{}
 			}
-			s.enrollDVM(node)
-			s.log.Append(Event{Kind: EvServing, Deployment: u.deployment, Unit: u.id,
-				Box: u.boxName(), Detail: endpointsDetail(node.Endpoints()),
-				Elapsed: time.Since(spawnStart)})
-
-			// Watch until the job exits, whatever the reason.
-			waitErr := u.box.info.Box.Wait(u.jobID)
+			s.note(u, Event{Kind: EvServing, Detail: endpointsDetail(u.endpoints), Elapsed: time.Since(a.start)})
+			s.setState(u, Serving)
+		case <-a.deadline:
+			a.deadline, a.timedOut = nil, true
+			_ = u.box.info.Box.Kill(u.jobID)
+		case err := <-a.exit:
 			s.withdrawDVM(u.id)
 			u.mu.Lock()
 			u.node = nil
-			u.stopCh = nil
-			stopping, cycle := u.stopping, u.cycle
 			u.mu.Unlock()
-			if stopping {
-				if cycle {
-					// Upgrade/relocate: relaunch without passing through a
-					// terminal state. The state moves to Starting BEFORE the
-					// stop flags are consumed, so a cycle-stop caller never
-					// observes the old attempt's stale Serving; the flags are
-					// re-read at consumption because a concurrent full stop
-					// (Close) may have converted the cycle into a terminal
-					// stop in the meantime.
-					s.setState(u, Starting)
-					u.mu.Lock()
-					cycle = u.cycle
-					u.stopping, u.cycle = false, false
-					u.mu.Unlock()
-					s.mu.Lock()
-					s.serveCond.Broadcast()
-					s.mu.Unlock()
-					if cycle {
-						s.log.Append(Event{Kind: EvStop, Deployment: u.deployment, Unit: u.id,
-							Box: u.boxName(), Detail: "cycling"})
-						continue
-					}
-					s.setState(u, Stopped)
-					s.log.Append(Event{Kind: EvStop, Deployment: u.deployment, Unit: u.id, Box: u.boxName()})
-					s.detachUnit(u)
-					return
-				}
-				u.mu.Lock()
-				u.stopping, u.cycle = false, false
-				u.mu.Unlock()
-				s.setState(u, Stopped)
-				s.log.Append(Event{Kind: EvStop, Deployment: u.deployment, Unit: u.id, Box: u.boxName()})
-				s.detachUnit(u)
-				return
+			if a.timedOut {
+				err = fmt.Errorf("fleet: unit %s spawn timed out after %s", u.id, s.cfg.SpawnTimeout)
 			}
-			// Crash: the unit exited without being asked to.
+			a = attempt{}
+			if acks != nil {
+				break
+			}
+			ev := Event{Kind: EvCrash, Err: errString(err)}
+			if u.state == Starting {
+				ev.Detail = "spawn failed"
+			}
 			crashedAt = time.Now()
 			s.met.crashes.Inc()
-			s.setState(u, Crashed)
-			s.log.Append(Event{Kind: EvCrash, Deployment: u.deployment, Unit: u.id,
-				Box: u.boxName(), Err: errString(waitErr)})
 			u.mu.Lock()
 			u.consecutive++
-			u.lastErr = errString(waitErr)
+			u.lastErr = ev.Err
+			n := u.consecutive
 			u.mu.Unlock()
-		} else {
-			// The spawn itself failed.
-			u.mu.Lock()
-			u.stopCh = nil
-			stopping := u.stopping && !u.cycle
-			u.stopping, u.cycle = false, false
-			if !stopping {
-				u.consecutive++
-				u.lastErr = errString(err)
-			}
-			u.mu.Unlock()
-			if stopping {
-				s.setState(u, Stopped)
-				s.log.Append(Event{Kind: EvStop, Deployment: u.deployment, Unit: u.id, Box: u.boxName()})
-				s.detachUnit(u)
+			s.note(u, ev)
+			s.setState(u, Crashed)
+			d, _ := s.deploymentDesc(u.deployment)
+			if n >= d.Restart.Limit {
+				s.finish(u, Failed, Event{Kind: EvFail, Detail: fmt.Sprintf("restart limit %d hit", d.Restart.Limit)}, nil)
 				return
 			}
-			crashedAt = time.Now()
-			s.met.crashes.Inc()
-			s.setState(u, Crashed)
-			s.log.Append(Event{Kind: EvCrash, Deployment: u.deployment, Unit: u.id,
-				Box: u.boxName(), Err: errString(err), Detail: "spawn failed"})
+			s.mu.Lock()
+			delay = resilience.FullJitter(s.rng, d.Restart.Backoff, d.Restart.Max, n-1)
+			s.mu.Unlock()
+			backoff = time.After(delay)
+			s.setState(u, Restarting)
+		case <-backoff:
+			backoff = nil
+			u.mu.Lock()
+			u.restarts++
+			n := u.consecutive
+			u.mu.Unlock()
+			s.met.restarts.Inc()
+			s.note(u, Event{Kind: EvRestart, Detail: fmt.Sprintf("attempt %d after %s", n, delay)})
+			s.setState(u, Starting)
+			a = s.launch(u)
+		case c := <-u.cmds:
+			acks = append(acks, c.ack)
+			stop = stop || !c.cycle
+			if a.stop != nil {
+				close(a.stop)
+				a.stop = nil
+			}
 		}
-
-		u.mu.Lock()
-		consecutive := u.consecutive
-		u.mu.Unlock()
-		if consecutive >= d.Restart.Limit {
-			s.setState(u, Failed)
-			s.log.Append(Event{Kind: EvFail, Deployment: u.deployment, Unit: u.id,
-				Box: u.boxName(), Detail: fmt.Sprintf("restart limit %d hit", d.Restart.Limit)})
-			s.detachUnit(u)
+		if acks == nil || a.exit != nil {
+			continue
+		}
+		// A command is pending and no job is live: act on it.
+		backoff = nil
+		if stop {
+			s.finish(u, Stopped, Event{Kind: EvStop}, acks)
 			return
 		}
-		delay := s.backoff(d.Restart, consecutive)
-		s.setState(u, Restarting)
-		select {
-		case <-time.After(delay):
-		case <-s.closeCh:
-			s.setState(u, Stopped)
-			s.detachUnit(u)
-			return
-		}
+		s.note(u, Event{Kind: EvStop, Detail: "cycling"})
 		u.mu.Lock()
-		u.restarts++
+		u.gen++
 		u.mu.Unlock()
-		s.met.restarts.Inc()
-		s.log.Append(Event{Kind: EvRestart, Deployment: u.deployment, Unit: u.id,
-			Box: u.boxName(), Detail: fmt.Sprintf("attempt %d after %s", consecutive, delay)})
+		s.setState(u, Starting)
+		a = s.launch(u)
+		for _, ack := range acks {
+			close(ack)
+		}
+		acks = nil
 	}
 }
 
-// backoff draws the full-jitter sleep for the n-th consecutive crash.
-func (s *Supervisor) backoff(p RestartPolicy, n int) time.Duration {
-	ceil := p.Backoff << uint(minInt(n-1, 20))
-	if ceil > p.Max || ceil <= 0 {
-		ceil = p.Max
-	}
+// finish is the one terminal path, in a fixed order: log the event,
+// publish the state, detach the unit from its box's live set (it stays
+// in the deployment history and the unit index), then release everyone
+// waiting on it.
+func (s *Supervisor) finish(u *unit, to UnitState, ev Event, acks []chan struct{}) {
+	s.note(u, ev)
+	s.setState(u, to)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return time.Duration(s.rng.Int63n(int64(ceil) + 1))
+	delete(u.box.units, u.id)
+	s.mu.Unlock()
+	close(u.done)
+	for _, ack := range acks {
+		close(ack)
+	}
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+// note logs an event about a unit.
+func (s *Supervisor) note(u *unit, ev Event) {
+	ev.Deployment, ev.Unit, ev.Box = u.deployment, u.id, u.box.info.Name
+	s.log.Append(ev)
 }
 
 func errString(err error) string {
@@ -640,17 +636,6 @@ func endpointsDetail(eps map[string]string) string {
 	return string(b)
 }
 
-// detachUnit removes a terminal unit from its box's live set (it stays
-// in the deployment history and the unit index for attach/status).
-func (s *Supervisor) detachUnit(u *unit) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if u.box != nil {
-		delete(u.box.units, u.id)
-	}
-	s.serveCond.Broadcast()
-}
-
 // enrollDVM adds a serving unit's container to the DVM.
 func (s *Supervisor) enrollDVM(node UnitNode) {
 	if s.cfg.DVM == nil || node.Container() == nil {
@@ -669,26 +654,35 @@ func (s *Supervisor) withdrawDVM(name string) {
 	_ = s.cfg.DVM.RemoveNode(name)
 }
 
-// WaitServing blocks until n units of the deployment are Serving, the
-// context expires, or no progress is possible (every unit terminal).
-func (s *Supervisor) WaitServing(ctx context.Context, deployment string, n int) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
+// await blocks until pred reports done or fails, or ctx ends. pred runs
+// under s.mu and is re-evaluated after every unit state change.
+func (s *Supervisor) await(ctx context.Context, pred func() (bool, error)) error {
+	stop := context.AfterFunc(ctx, func() {
 		s.mu.Lock()
-		s.serveCond.Broadcast()
+		s.changed.Broadcast()
 		s.mu.Unlock()
-	}()
+	})
+	defer stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
+		if ok, err := pred(); ok || err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.changed.Wait()
+	}
+}
+
+// WaitServing blocks until n units of the deployment are Serving, the
+// context expires, or no progress is possible (every unit terminal).
+func (s *Supervisor) WaitServing(ctx context.Context, deployment string, n int) error {
+	err := s.await(ctx, func() (bool, error) {
 		dep, ok := s.deployments[deployment]
 		if !ok {
-			return fmt.Errorf("fleet: no deployment %q", deployment)
+			return false, fmt.Errorf("fleet: no deployment %q", deployment)
 		}
 		serving, terminal := 0, 0
 		for _, u := range dep.units {
@@ -700,31 +694,37 @@ func (s *Supervisor) WaitServing(ctx context.Context, deployment string, n int) 
 			}
 		}
 		if serving >= n {
-			return nil
+			return true, nil
 		}
 		if terminal == len(dep.units) && len(dep.units) > 0 {
-			return fmt.Errorf("fleet: deployment %q has no restartable units (%d terminal)", deployment, terminal)
+			return false, fmt.Errorf("fleet: deployment %q has no restartable units (%d terminal)", deployment, terminal)
 		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("fleet: waiting for %d/%s serving: %w", n, deployment, err)
-		}
-		s.serveCond.Wait()
+		return false, nil
+	})
+	if err != nil && err == ctx.Err() {
+		return fmt.Errorf("fleet: waiting for %d/%s serving: %w", n, deployment, err)
 	}
+	return err
+}
+
+// waitUnitServing blocks until the unit is Serving; a terminal unit is
+// an error.
+func (s *Supervisor) waitUnitServing(ctx context.Context, u *unit) error {
+	return s.await(ctx, func() (bool, error) {
+		switch st := u.snapshotState(); st {
+		case Serving:
+			return true, nil
+		case Stopped, Failed:
+			return false, fmt.Errorf("unit %s terminal (%s)", u.id, st)
+		}
+		return false, nil
+	})
 }
 
 func (u *unit) snapshotState() UnitState {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.state
-}
-
-func (u *unit) boxName() string {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.box == nil {
-		return ""
-	}
-	return u.box.info.Name
 }
 
 // Kill terminates a unit's job abruptly — crash semantics: no
@@ -740,12 +740,11 @@ func (s *Supervisor) Kill(unitID string) error {
 	}
 	u.mu.Lock()
 	jobID := u.jobID
-	box := u.box
 	u.mu.Unlock()
-	if jobID == "" || box == nil {
+	if jobID == "" {
 		return fmt.Errorf("fleet: unit %q has no live job", unitID)
 	}
-	return box.info.Box.Kill(jobID)
+	return u.box.info.Box.Kill(jobID)
 }
 
 // StopUnit shuts a unit down gracefully: the node deregisters from every
@@ -758,122 +757,48 @@ func (s *Supervisor) StopUnit(ctx context.Context, unitID string) error {
 	if !ok {
 		return fmt.Errorf("fleet: no unit %q", unitID)
 	}
-	return s.stopUnit(ctx, u, false)
+	return s.command(ctx, u, false)
 }
 
-// errStopRequested aborts a spawn whose unit was full-stopped in the
-// window between attempts (no live job, no stopCh to signal).
-var errStopRequested = errors.New("fleet: stop requested")
-
-func (s *Supervisor) stopUnit(ctx context.Context, u *unit, cycle bool) error {
-	u.mu.Lock()
-	switch u.state {
-	case Stopped, Failed:
-		u.mu.Unlock()
+// command sends the unit's owner a stop (with cycle, a relaunch) and
+// waits for the owner to act; a terminal unit has nothing to do. If ctx
+// ends first the job is killed so that it cannot linger.
+func (s *Supervisor) command(ctx context.Context, u *unit, cycle bool) error {
+	c := unitCmd{cycle: cycle, ack: make(chan struct{})}
+	select {
+	case u.cmds <- c:
+	case <-u.done:
 		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	if u.stopping {
-		// A stop is already in flight. A full stop converts a pending
-		// cycle (upgrade/relocate relaunch) into a terminal stop — the
-		// supervision loop re-reads the flags at consumption — and then
-		// waits for the in-flight stop like any other.
-		if !cycle {
-			u.cycle = false
-		}
-		u.mu.Unlock()
-	} else {
-		u.stopping = true
-		u.cycle = cycle
-		stopCh := u.stopCh
-		u.stopCh = nil
-		u.mu.Unlock()
-		if stopCh != nil {
-			close(stopCh)
-		}
-	}
-	// Wait for the supervision loop to process the stop: past the stale
-	// Serving of the stopped attempt for a cycle (the caller then waits
-	// for the relaunch to serve), or all the way to a terminal state plus
-	// bookkeeping (DVM withdrawal) for a full stop.
-	var err error
-	if cycle {
-		err = s.waitCycleHandled(ctx, u)
-	} else {
-		err = s.waitUnitTerminal(ctx, u)
-	}
-	if err != nil {
-		// Give up waiting; escalate to a kill so the job cannot linger.
+	select {
+	case <-c.ack:
+		return nil
+	case <-ctx.Done():
 		u.mu.Lock()
-		jobID, box := u.jobID, u.box
+		jobID := u.jobID
 		u.mu.Unlock()
-		if box != nil && jobID != "" {
-			_ = box.info.Box.Kill(jobID)
-		}
-	}
-	return err
-}
-
-// waitCycleHandled blocks until the supervision loop has consumed a
-// cycle stop — the relaunch is under way (state already Starting) or the
-// unit went terminal — so a cycle-stop caller can never observe the
-// stopped attempt's stale Serving state.
-func (s *Supervisor) waitCycleHandled(ctx context.Context, u *unit) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
-		s.mu.Lock()
-		s.serveCond.Broadcast()
-		s.mu.Unlock()
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		u.mu.Lock()
-		stopping := u.stopping
-		state := u.state
-		u.mu.Unlock()
-		if !stopping {
-			return nil
-		}
-		switch state {
-		case Stopped, Failed:
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.serveCond.Wait()
+		_ = u.box.info.Box.Kill(jobID)
+		return ctx.Err()
 	}
 }
 
-func (s *Supervisor) waitUnitTerminal(ctx context.Context, u *unit) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
-		s.mu.Lock()
-		s.serveCond.Broadcast()
-		s.mu.Unlock()
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		switch u.snapshotState() {
-		case Stopped, Failed:
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.serveCond.Wait()
+// stopAll stops units concurrently and joins their errors.
+func (s *Supervisor) stopAll(ctx context.Context, units []*unit) error {
+	errs := make([]error, len(units))
+	var wg sync.WaitGroup
+	for i, u := range units {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := s.command(ctx, u, false); err != nil {
+				errs[i] = fmt.Errorf("%s: %w", u.id, err)
+			}
+		}()
 	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // StopDeployment gracefully stops every unit of a deployment.
@@ -886,13 +811,7 @@ func (s *Supervisor) StopDeployment(ctx context.Context, name string) error {
 	}
 	units := append([]*unit(nil), dep.units...)
 	s.mu.Unlock()
-	var errs []error
-	for _, u := range units {
-		if err := s.stopUnit(ctx, u, false); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", u.id, err))
-		}
-	}
-	return errors.Join(errs...)
+	return s.stopAll(ctx, units)
 }
 
 // Upgrade performs a rolling upgrade of a deployment to the new
@@ -922,18 +841,14 @@ func (s *Supervisor) Upgrade(ctx context.Context, d Descriptor) error {
 		if u.snapshotState() != Serving {
 			continue
 		}
-		u.mu.Lock()
-		u.gen++
-		gen := u.gen
-		u.mu.Unlock()
-		if err := s.stopUnit(ctx, u, true); err != nil {
+		err := s.command(ctx, u, true)
+		if err == nil {
+			err = s.waitUnitServing(ctx, u)
+		}
+		if err != nil {
 			return fmt.Errorf("fleet: upgrade %s: %w", u.id, err)
 		}
-		if err := s.waitUnitServing(ctx, u); err != nil {
-			return fmt.Errorf("fleet: upgrade %s: %w", u.id, err)
-		}
-		s.log.Append(Event{Kind: EvUpgrade, Deployment: d.Name, Unit: u.id,
-			Detail: fmt.Sprintf("gen=%d serving", gen)})
+		s.note(u, Event{Kind: EvUpgrade, Detail: fmt.Sprintf("gen=%d serving", u.status().Generation)})
 	}
 	return s.reconcileReplicas(ctx, dep, d)
 }
@@ -944,86 +859,38 @@ func (s *Supervisor) Upgrade(ctx context.Context, d Descriptor) error {
 // raise or lower it; either way the descriptor wins.
 func (s *Supervisor) reconcileReplicas(ctx context.Context, dep *deployment, d Descriptor) error {
 	s.mu.Lock()
-	live := make([]*unit, 0, len(dep.units))
+	var live, added []*unit
 	for _, u := range dep.units {
-		switch u.snapshotState() {
-		case Stopped, Failed:
-		default:
+		if st := u.snapshotState(); st != Stopped && st != Failed {
 			live = append(live, u)
 		}
 	}
-	var surplus, added []*unit
-	if n := len(live) - d.Replicas; n > 0 {
-		surplus = live[len(live)-n:]
-	} else if n < 0 {
-		if len(s.matchBoxesLocked(d.Constraints)) == 0 {
+	surplus := live[min(len(live), d.Replicas):]
+	for i := len(live); i < d.Replicas; i++ {
+		u := s.placeLocked(dep)
+		if u == nil {
 			s.mu.Unlock()
 			return fmt.Errorf("fleet: upgrade %s: no enrolled box satisfies %v", d.Name, d.Constraints)
 		}
-		for i := n; i < 0; i++ {
-			boxes := s.matchBoxesLocked(d.Constraints)
-			box := boxes[0]
-			s.seq++
-			u := &unit{
-				id:         fmt.Sprintf("%s-%d", d.Name, s.seq),
-				deployment: d.Name,
-				box:        box,
-				state:      Starting,
-				since:      time.Now(),
-			}
-			box.units[u.id] = u
-			s.units[u.id] = u
-			dep.units = append(dep.units, u)
-			added = append(added, u)
-		}
+		added = append(added, u)
 	}
 	s.mu.Unlock()
 	for _, u := range surplus {
-		s.log.Append(Event{Kind: EvUpgrade, Deployment: d.Name, Unit: u.id,
-			Box: u.boxName(), Detail: "scale-down"})
-		if err := s.stopUnit(ctx, u, false); err != nil {
-			return fmt.Errorf("fleet: upgrade scale-down %s: %w", u.id, err)
-		}
+		s.note(u, Event{Kind: EvUpgrade, Detail: "scale-down"})
+	}
+	if err := s.stopAll(ctx, surplus); err != nil {
+		return fmt.Errorf("fleet: upgrade scale-down: %w", err)
 	}
 	for _, u := range added {
-		s.log.Append(Event{Kind: EvUpgrade, Deployment: d.Name, Unit: u.id,
-			Box: u.boxName(), Detail: "scale-up"})
-		s.met.units.With(Starting.String()).Inc()
-		s.wg.Add(1)
-		go s.runUnit(u)
+		s.note(u, Event{Kind: EvUpgrade, Detail: "scale-up"})
+		s.start(u)
+	}
+	for _, u := range added {
 		if err := s.waitUnitServing(ctx, u); err != nil {
 			return fmt.Errorf("fleet: upgrade scale-up %s: %w", u.id, err)
 		}
 	}
 	return nil
-}
-
-func (s *Supervisor) waitUnitServing(ctx context.Context, u *unit) error {
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-done:
-		}
-		s.mu.Lock()
-		s.serveCond.Broadcast()
-		s.mu.Unlock()
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		switch u.snapshotState() {
-		case Serving:
-			return nil
-		case Stopped, Failed:
-			return fmt.Errorf("unit %s terminal (%s)", u.id, u.snapshotState())
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.serveCond.Wait()
-	}
 }
 
 // Drain evacuates a box: it stops accepting placements, then relocates
@@ -1062,34 +929,13 @@ func (s *Supervisor) Drain(ctx context.Context, boxName string) error {
 
 // relocate moves one unit off its (draining) box.
 func (s *Supervisor) relocate(ctx context.Context, old *unit) error {
-	d, ok := s.deploymentDesc(old.deployment)
-	if !ok {
-		return fmt.Errorf("deployment %q gone", old.deployment)
-	}
-	d = d.normalized()
 	s.mu.Lock()
-	dep := s.deployments[old.deployment]
-	boxes := s.matchBoxesLocked(d.Constraints)
-	if len(boxes) == 0 {
-		s.mu.Unlock()
+	repl := s.placeLocked(s.deployments[old.deployment])
+	s.mu.Unlock()
+	if repl == nil {
 		return fmt.Errorf("no eligible box to relocate to")
 	}
-	box := boxes[0]
-	s.seq++
-	repl := &unit{
-		id:         fmt.Sprintf("%s-%d", d.Name, s.seq),
-		deployment: d.Name,
-		box:        box,
-		state:      Starting,
-		since:      time.Now(),
-	}
-	box.units[repl.id] = repl
-	s.units[repl.id] = repl
-	dep.units = append(dep.units, repl)
-	s.mu.Unlock()
-	s.met.units.With(Starting.String()).Inc()
-	s.wg.Add(1)
-	go s.runUnit(repl)
+	s.start(repl)
 	if err := s.waitUnitServing(ctx, repl); err != nil {
 		return fmt.Errorf("replacement %s: %w", repl.id, err)
 	}
@@ -1112,19 +958,19 @@ func (s *Supervisor) relocate(ctx context.Context, old *unit) error {
 			case err == nil:
 				s.met.migrations.Inc()
 				s.log.Append(Event{Kind: EvMigrate, Deployment: old.deployment,
-					Unit: old.id, Box: old.boxName(),
+					Unit: old.id, Box: old.box.info.Name,
 					Detail: fmt.Sprintf("%s -> %s", inst.ID, repl.id)})
 			case errors.Is(err, container.ErrMigrateCollision):
 				// Baseline components exist on every replica; skip.
 				s.log.Append(Event{Kind: EvMigrate, Deployment: old.deployment,
-					Unit: old.id, Box: old.boxName(),
+					Unit: old.id, Box: old.box.info.Name,
 					Detail: fmt.Sprintf("%s skipped (exists at %s)", inst.ID, repl.id)})
 			default:
 				return fmt.Errorf("migrate %s: %w", inst.ID, err)
 			}
 		}
 	}
-	return s.stopUnit(ctx, old, false)
+	return s.command(ctx, old, false)
 }
 
 // UnitStatus is the control-plane view of one unit.
@@ -1174,15 +1020,13 @@ func (u *unit) status() UnitStatus {
 	st := UnitStatus{
 		ID:          u.id,
 		Deployment:  u.deployment,
+		Box:         u.box.info.Name,
 		State:       u.state.String(),
 		Generation:  u.gen,
 		Restarts:    u.restarts,
 		Consecutive: u.consecutive,
 		LastErr:     u.lastErr,
 		Since:       u.since,
-	}
-	if u.box != nil {
-		st.Box = u.box.info.Name
 	}
 	if len(u.endpoints) > 0 && u.state == Serving {
 		st.Endpoints = make(map[string]string, len(u.endpoints))
@@ -1262,8 +1106,7 @@ func (s *Supervisor) Attach(unitID string, since int64) (UnitStatus, []Event, er
 	return u.status(), evs, nil
 }
 
-// Close stops every unit gracefully and waits for the supervision loops
-// to exit.
+// Close stops every unit gracefully and waits for the owners to exit.
 func (s *Supervisor) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1271,7 +1114,6 @@ func (s *Supervisor) Close() error {
 		return nil
 	}
 	s.closed = true
-	close(s.closeCh)
 	units := make([]*unit, 0, len(s.units))
 	for _, u := range s.units {
 		units = append(units, u)
@@ -1279,15 +1121,7 @@ func (s *Supervisor) Close() error {
 	s.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	var wg sync.WaitGroup
-	for _, u := range units {
-		wg.Add(1)
-		go func(u *unit) {
-			defer wg.Done()
-			_ = s.stopUnit(ctx, u, false)
-		}(u)
-	}
-	wg.Wait()
+	_ = s.stopAll(ctx, units)
 	s.wg.Wait()
 	return nil
 }

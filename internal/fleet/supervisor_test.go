@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"harness2/internal/clock"
 	"harness2/internal/dvm"
 	"harness2/internal/events"
 	"harness2/internal/registry"
@@ -538,5 +540,187 @@ func TestDVMAutoEnroll(t *testing.T) {
 	}
 	if _, ok := vm.Node(unit); ok {
 		t.Fatal("stopped unit still enrolled in DVM")
+	}
+}
+
+// unitEvents counts the logged events of each kind about one unit.
+func unitEvents(sup *Supervisor, id string) map[string]int {
+	evs, _ := sup.Log().Since(0)
+	n := map[string]int{}
+	for _, ev := range evs {
+		if ev.Unit == id {
+			n[ev.Kind]++
+		}
+	}
+	return n
+}
+
+// deployOne deploys a one-replica MatMul deployment under a sim
+// launcher and returns its unit.
+func deployOne(t *testing.T, sim *SimLauncherConfig, cfg Config, restart string) (*Supervisor, string) {
+	t.Helper()
+	cfg.Launcher = NewSimLauncher(sim)
+	sup := newTestSup(t, cfg, testBox("a", nil))
+	d, err := ParseDescriptor("deploy web\ncomponent MatMul\n" + restart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := sup.Deploy(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sup, ids[0]
+}
+
+// TestStopDuringRestartBackoff: a stop that lands while the unit waits
+// out a restart backoff acts at once instead of after the backoff.
+func TestStopDuringRestartBackoff(t *testing.T) {
+	sup, id := deployOne(t, &SimLauncherConfig{Registry: registry.New(), FailFirst: 1 << 30},
+		Config{Seed: 7}, "restart backoff=1h max=1h limit=8\n")
+	pollUnit(t, sup, id, "restarting", func(st UnitStatus) bool { return st.State == "restarting" })
+	start := time.Now()
+	if err := sup.StopUnit(ctxT(t, 2*time.Second), id); err != nil {
+		t.Fatalf("StopUnit during backoff: %v", err)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("StopUnit took %s, want under 1s", el)
+	}
+	if st, _, _ := sup.Attach(id, 0); st.State != "stopped" {
+		t.Fatalf("state %s after stop, want stopped", st.State)
+	}
+	if n := unitEvents(sup, id); n[EvSpawn] != 1 || n[EvStop] != 1 {
+		t.Fatalf("events %v, want one spawn and one stop", n)
+	}
+}
+
+// TestStopDuringStarting: a stop that lands while the launcher is still
+// running lets the launch finish, then shuts the node down gracefully,
+// so its registrations are released, and logs one stop before StopUnit
+// returns.
+func TestStopDuringStarting(t *testing.T) {
+	for i := 0; i < 10; i++ {
+		reg := registry.New()
+		sup, id := deployOne(t, &SimLauncherConfig{Registry: reg, SpawnDelay: 20 * time.Millisecond},
+			Config{}, fastRestart)
+		if err := sup.StopUnit(ctxT(t, 5*time.Second), id); err != nil {
+			t.Fatalf("iter %d: %v", i, err)
+		}
+		if st, _, _ := sup.Attach(id, 0); st.State != "stopped" {
+			t.Fatalf("iter %d: state %s, want stopped", i, st.State)
+		}
+		if reg.Len() != 0 {
+			t.Fatalf("iter %d: registry holds %d entries after a graceful stop", i, reg.Len())
+		}
+		if n := unitEvents(sup, id)[EvStop]; n != 1 {
+			t.Fatalf("iter %d: %d stop events, want 1", i, n)
+		}
+		sup.Close()
+	}
+}
+
+// TestUnitTransitions covers the owner's remaining stop and deadline
+// paths, one row per path.
+func TestUnitTransitions(t *testing.T) {
+	serving := func(t *testing.T, sup *Supervisor) {
+		t.Helper()
+		if err := sup.WaitServing(ctxT(t, 5*time.Second), "web", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		iters        int
+		spawnDelay   time.Duration
+		spawnTimeout time.Duration
+		restart      string
+		drive        func(t *testing.T, sup *Supervisor, id string)
+	}{{
+		name: "spawn deadline is a crash", iters: 1,
+		spawnDelay: time.Hour, spawnTimeout: 20 * time.Millisecond,
+		restart: "restart backoff=1ms max=2ms limit=2\n",
+		drive: func(t *testing.T, sup *Supervisor, id string) {
+			st := pollUnit(t, sup, id, "failed", func(st UnitStatus) bool { return st.State == "failed" })
+			if st.Consecutive != 2 {
+				t.Fatalf("consecutive = %d, want 2", st.Consecutive)
+			}
+			if n := unitEvents(sup, id); n[EvCrash] != 2 || n[EvFail] != 1 {
+				t.Fatalf("events %v, want two crashes and one fail", n)
+			}
+		},
+	}, {
+		name: "stop on a terminal unit", iters: 1, restart: fastRestart,
+		drive: func(t *testing.T, sup *Supervisor, id string) {
+			serving(t, sup)
+			for i := 0; i < 3; i++ {
+				if err := sup.StopUnit(ctxT(t, 5*time.Second), id); err != nil {
+					t.Fatalf("stop %d: %v", i, err)
+				}
+			}
+			if n := unitEvents(sup, id)[EvStop]; n != 1 {
+				t.Fatalf("%d stop events, want 1", n)
+			}
+		},
+	}, {
+		name: "kill racing stop", iters: 20, restart: fastRestart,
+		drive: func(t *testing.T, sup *Supervisor, id string) {
+			serving(t, sup)
+			killed := make(chan struct{})
+			go func() {
+				defer close(killed)
+				_ = sup.Kill(id)
+			}()
+			if err := sup.StopUnit(ctxT(t, 5*time.Second), id); err != nil {
+				t.Fatal(err)
+			}
+			<-killed
+			if st, _, _ := sup.Attach(id, 0); st.State != "stopped" {
+				t.Fatalf("state %s, want stopped", st.State)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < tc.iters; i++ {
+				sup, id := deployOne(t, &SimLauncherConfig{Registry: registry.New(), SpawnDelay: tc.spawnDelay},
+					Config{SpawnTimeout: tc.spawnTimeout}, tc.restart)
+				tc.drive(t, sup, id)
+				sup.Close()
+			}
+		})
+	}
+}
+
+// TestCloseLeavesNoGoroutines: after Close, nothing the supervisor
+// started is left running — no owner, no per-attempt exit waiter, no
+// await wake-up.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	clock.Coarse() // the process-global ticker is not the fleet's
+	reg := registry.New()
+	base := runtime.NumGoroutine()
+	sup := newTestSup(t, Config{Launcher: NewSimLauncher(&SimLauncherConfig{Registry: reg})}, testBox("a", nil))
+	d, _ := ParseDescriptor("deploy web\nreplicas 2\ncomponent MatMul\n" + fastRestart)
+	ids, err := sup.Deploy(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.WaitServing(ctxT(t, 5*time.Second), "web", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.Kill(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	pollUnit(t, sup, ids[0], "recovery", func(st UnitStatus) bool { return st.State == "serving" && st.Restarts >= 1 })
+	d2, _ := ParseDescriptor("deploy web\nreplicas 2\ncomponent MatMul,WSTime\n" + fastRestart)
+	if err := sup.Upgrade(ctxT(t, 5*time.Second), d2); err != nil {
+		t.Fatal(err)
+	}
+	sup.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, baseline %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -8,21 +8,17 @@ import (
 	"harness2/internal/registry"
 )
 
-// TestUpgradeCycleNoStaleServing is the regression stress for two races
-// in the cycle-stop path that only a scheduler wedge exposed:
+// TestUpgradeCycleNoStaleServing guards the cycle command's contract:
 //
-//  1. stopUnit(cycle) used to return as soon as the old job exited,
-//     while the unit's state still read Serving from the STOPPED
-//     attempt — Upgrade's wait-for-serving sampled that stale state and
-//     declared victory before the relaunch even started, so the
-//     registry was momentarily missing the new components.
-//  2. A concurrent full stop (Close during an in-flight cycle) returned
-//     early on the stopping flag without converting the pending
-//     relaunch, orphaning the relaunched job and deadlocking Close.
+//  1. A cycle caller never sees the stopped attempt's Serving. The
+//     owner moves the unit to Starting before it acks the cycle, so
+//     Upgrade's wait for Serving can only be met by the relaunch, and
+//     the registry holds the new components the moment Upgrade returns.
+//  2. Close right after a cycle terminates: its stops reach every owner
+//     as commands and end in Stopped, whatever the cycle left behind.
 //
 // Each iteration performs a full deploy → rolling upgrade → verify →
-// close cycle; the registry must hold exactly the new generation's
-// registrations the moment Upgrade returns.
+// close cycle.
 func TestUpgradeCycleNoStaleServing(t *testing.T) {
 	for i := 0; i < 15; i++ {
 		func() {

@@ -1,19 +1,27 @@
 package resilience
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// FuzzPolicyOptions asserts the option-validator contract (satellite of
-// ISSUE 3): New never panics on arbitrary numeric option inputs, and any
-// policy it builds has internally consistent knobs.
+// FuzzPolicyOptions asserts the option-validator contract: New never
+// panics on arbitrary numeric option inputs, and any policy it builds has
+// internally consistent knobs. It also drives FullJitter directly with
+// the raw (base, max, n), accepted or not: the draw stays in [0, max].
 func FuzzPolicyOptions(f *testing.F) {
-	f.Add(3, int64(1), int64(250), int64(0), int64(0), 2, int64(1000), 3, int64(0))
-	f.Add(0, int64(-1), int64(-1), int64(-1), int64(-1), 0, int64(-1), 0, int64(-5))
-	f.Add(101, int64(1<<40), int64(1), int64(1<<50), int64(1<<62), 100, int64(1), 1, int64(1))
+	f.Add(3, int64(1), int64(250), int64(0), int64(0), 2, int64(1000), 3, int64(0), 4)
+	f.Add(0, int64(-1), int64(-1), int64(-1), int64(-1), 0, int64(-1), 0, int64(-5), -1)
+	f.Add(101, int64(1<<40), int64(1), int64(1<<50), int64(1<<62), 100, int64(1), 1, int64(1), 63)
 	f.Fuzz(func(t *testing.T, attempts int, base, max, attemptTO, budget int64,
-		hedgeMax int, hedgeDelay int64, brkThreshold int, brkCooldown int64) {
+		hedgeMax int, hedgeDelay int64, brkThreshold int, brkCooldown int64, n int) {
+		if max >= 0 {
+			rng := rand.New(rand.NewSource(1))
+			if d := FullJitter(rng, time.Duration(base), time.Duration(max), n); d < 0 || d > time.Duration(max) {
+				t.Fatalf("FullJitter(%d, %d, %d) = %d outside [0,%d]", base, max, n, d, max)
+			}
+		}
 		p, err := New(
 			WithMaxAttempts(attempts),
 			WithBackoff(time.Duration(base), time.Duration(max)),

@@ -3,6 +3,7 @@ package resilience
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -263,17 +264,29 @@ func (p *Policy) BreakerFor(endpoint string) *Breaker {
 	return p.breakers[endpoint]
 }
 
-// backoff returns the attempt-i sleep: full jitter over the exponential
-// envelope.
+// backoff returns the attempt-i sleep.
 func (p *Policy) backoff(attempt int) time.Duration {
-	ceil := p.backoffBase << uint(attempt)
-	if ceil > p.backoffMax || ceil <= 0 {
-		ceil = p.backoffMax
-	}
 	p.mu.Lock()
-	d := time.Duration(p.rng.Int63n(int64(ceil) + 1))
-	p.mu.Unlock()
-	return d
+	defer p.mu.Unlock()
+	return FullJitter(p.rng, p.backoffBase, p.backoffMax, attempt)
+}
+
+// FullJitter draws the n-th exponential-backoff sleep uniformly from
+// [0, min(max, base·2ⁿ)]: "full jitter". The ceiling is max when the
+// shift overflows, and the sleep is 0 when base or max is not positive.
+// The caller serialises rng.
+func FullJitter(rng *rand.Rand, base, max time.Duration, n int) time.Duration {
+	if base <= 0 || max <= 0 {
+		return 0
+	}
+	ceil := max
+	if n >= 0 && n < 63 && base <= max>>uint(n) {
+		ceil = base << uint(n)
+	}
+	if ceil == math.MaxInt64 {
+		return time.Duration(rng.Int63())
+	}
+	return time.Duration(rng.Int63n(int64(ceil) + 1))
 }
 
 // attemptCtx derives the per-attempt context.
