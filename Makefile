@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint loc test test-poison race race-shm cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
+.PHONY: all build vet fmt-check lint loc test test-poison race race-shm cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
 
 all: build
 
@@ -12,6 +12,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails listing the files gofmt would change.
+fmt-check:
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Static analysis beyond vet. Fetched on demand (needs network); CI runs
 # the same pinned version.
@@ -113,7 +117,7 @@ hbench:
 # Short fuzz pass over the frame header/flags decoder, the
 # compress-then-decompress frame identity, the array decoders, the
 # zero-copy-vs-portable codec differential, the SOAP
-# fast-vs-DOM differential, the WSDL scan-vs-DOM differential, the shm
+# fast-vs-DOM differential, the wire lexical-form round trip, the WSDL scan-vs-DOM differential, the shm
 # ring record framing, the chaos spec
 # parser, the resilience policy validators, the cluster gossip digest
 # codec, and the ring rebalance planner, and the fleet
@@ -124,6 +128,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecoderArrays -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzXDRZeroCopyDifferential -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzFastDecodeDifferential -fuzztime 30s ./internal/soap/
+	$(GO) test -run xxx -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzWSDLParseDifferential -fuzztime 30s ./internal/wsdl/
 	$(GO) test -run xxx -fuzz FuzzShmRingRecord -fuzztime 30s ./internal/shmring/
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 30s ./internal/resilience/chaos/
@@ -180,7 +185,7 @@ N ?= 10
 benchmark-pairs:
 	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
-ci: vet build race race-shm race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
+ci: fmt-check vet build race race-shm race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

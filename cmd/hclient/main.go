@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
 	"strings"
 	"time"
 
@@ -140,41 +139,34 @@ func parseArgs(raw []string) ([]wire.Arg, error) {
 	return out, nil
 }
 
+// parseValue reads one -arg value. The CLI spellings bool, int, long,
+// double and string name wire kinds whose lexical forms the text
+// bindings share; a comma makes a double array, and an untyped value is a
+// double when it parses as one and a string otherwise.
 func parseValue(typ, value string) (any, error) {
-	switch typ {
-	case "string":
+	k, ok := map[string]wire.Kind{
+		"string": wire.KindString, "bool": wire.KindBool, "int": wire.KindInt32,
+		"long": wire.KindInt64, "double": wire.KindFloat64, "": wire.KindFloat64,
+	}[typ]
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("unknown type %q", typ)
+	case k == wire.KindFloat64 && strings.Contains(value, ","):
+		parts := strings.Split(value, ",")
+		b, _ := wire.NewArrayBuilder[string](k, len(parts))
+		for _, p := range parts {
+			if err := b.Add(strings.TrimSpace(p)); err != nil {
+				return nil, err
+			}
+		}
+		return b.Value(), nil
+	case typ == "":
+		if v, err := wire.ParseText(k, value); err == nil {
+			return v, nil
+		}
 		return value, nil
-	case "bool":
-		return strconv.ParseBool(value)
-	case "int":
-		v, err := strconv.ParseInt(value, 10, 32)
-		return int32(v), err
-	case "long":
-		return strconv.ParseInt(value, 10, 64)
-	case "double", "":
-		if strings.Contains(value, ",") {
-			parts := strings.Split(value, ",")
-			arr := make([]float64, len(parts))
-			for i, p := range parts {
-				v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-				if err != nil {
-					return nil, err
-				}
-				arr[i] = v
-			}
-			return arr, nil
-		}
-		if typ == "" {
-			// Untyped scalars default to double, matching the numeric
-			// bias of the XDR binding.
-			if v, err := strconv.ParseFloat(value, 64); err == nil {
-				return v, nil
-			}
-			return value, nil // fall back to string
-		}
-		return strconv.ParseFloat(value, 64)
 	}
-	return nil, fmt.Errorf("unknown type %q", typ)
+	return wire.ParseText(k, value)
 }
 
 func truncate(s string, n int) string {

@@ -3,7 +3,6 @@ package invoke
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"net/http"
@@ -27,19 +26,24 @@ import (
 //
 //	GET <base>/<instance>/<operation>?param=value&arrayparam=v1&arrayparam=v2
 //
-// with scalar parameters URL-encoded as text, array parameters repeated,
-// and opaque bytes BASE64-encoded. Responses are a minimal XML document:
+// with array parameters repeated. Responses are a minimal XML document:
 //
 //	<response op="getTime">
 //	  <out name="time" type="string">Mon, 15 Apr 2002 ...</out>
-//	  <out name="vals" type="ArrayOfDouble"><item>1</item><item>2</item></out>
+//	  <out name="vals" type="ArrayOfDouble">
+//	    <item>1</item>
+//	    <item>2</item>
+//	  </out>
 //	</response>
 //
-// The server coerces incoming text to the operation's declared input
-// kinds (from the instance's service spec); the client recovers output
-// kinds from the type attributes. Struct-typed parameters are not
-// representable, which is why WSDL generation refuses HTTP endpoints for
-// struct-bearing services.
+// Every value, in the query and in the response, is in the lexical form
+// of its wire kind (wire.AppendText / wire.ParseText) — the form the SOAP
+// binding writes, so the two text bindings read the same values back.
+// The server parses incoming text as the operation's declared input kinds
+// (from the instance's service spec); the client recovers output kinds
+// from the type attributes with the one xmlq DOM parser. Struct-typed
+// parameters are not representable, which is why WSDL generation refuses
+// HTTP endpoints for struct-bearing services.
 
 // HTTPGetHandler serves the HTTP GET binding for a container's instances.
 type HTTPGetHandler struct {
@@ -47,10 +51,6 @@ type HTTPGetHandler struct {
 	// Telemetry selects the metrics registry; nil falls back to the
 	// process default, telemetry.Disabled() switches instrumentation off.
 	Telemetry *telemetry.Registry
-	// Limiter, when non-nil, applies admission control: shed requests are
-	// answered 503 with the Overloaded token so clients classify them as
-	// retryable-elsewhere.
-	Limiter *resilience.Limiter
 
 	minit sync.Once
 	m     bindingMetrics
@@ -88,18 +88,18 @@ func (h *HTTPGetHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	release, err := h.Limiter.Acquire(r.Context())
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
 	m := h.metrics()
 	hist, start := m.begin(op)
 	out, err := h.Container.Invoke(r.Context(), instance, op, args)
-	release()
 	m.done(op, hist, start, err)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		// A shed from the container's admission limiter is answered 503
+		// and carries the Overloaded token for the client to classify.
+		status := http.StatusInternalServerError
+		if errors.Is(err, resilience.ErrOverloaded) {
+			status = http.StatusServiceUnavailable
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	buf := soap.AcquireBuffer()
@@ -134,7 +134,7 @@ func argsFromQuery(params []wsdl.ParamSpec, q url.Values) ([]wire.Arg, error) {
 		if !ok {
 			continue
 		}
-		v, err := coerce(p.Type, vals)
+		v, err := parseValue(p.Type, vals)
 		if err != nil {
 			return nil, fmt.Errorf("invoke: parameter %q: %w", p.Name, err)
 		}
@@ -143,301 +143,54 @@ func argsFromQuery(params []wsdl.ParamSpec, q url.Values) ([]wire.Arg, error) {
 	return out, nil
 }
 
-func coerce(k wire.Kind, vals []string) (any, error) {
-	if k.IsArray() {
-		return coerceArray(k, vals)
+// parseValue reads the texts of one query parameter or response output
+// as a value of kind k: one text for a scalar, one per element for an
+// array.
+func parseValue(k wire.Kind, texts []string) (any, error) {
+	if !k.IsArray() {
+		if len(texts) != 1 {
+			return nil, fmt.Errorf("scalar given %d values", len(texts))
+		}
+		return wire.ParseText(k, texts[0])
 	}
-	if len(vals) != 1 {
-		return nil, fmt.Errorf("scalar given %d values", len(vals))
+	b, _ := wire.NewArrayBuilder[string](k.Elem(), len(texts))
+	for _, t := range texts {
+		if err := b.Add(t); err != nil {
+			return nil, err
+		}
 	}
-	return parseScalar(k, vals[0])
-}
-
-func coerceArray(k wire.Kind, vals []string) (any, error) {
-	elem := k.Elem()
-	switch k {
-	case wire.KindBoolArray:
-		out := make([]bool, len(vals))
-		for i, s := range vals {
-			v, err := parseScalar(elem, s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(bool)
-		}
-		return out, nil
-	case wire.KindInt32Array:
-		out := make([]int32, len(vals))
-		for i, s := range vals {
-			v, err := parseScalar(elem, s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(int32)
-		}
-		return out, nil
-	case wire.KindInt64Array:
-		out := make([]int64, len(vals))
-		for i, s := range vals {
-			v, err := parseScalar(elem, s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(int64)
-		}
-		return out, nil
-	case wire.KindFloat32Array:
-		out := make([]float32, len(vals))
-		for i, s := range vals {
-			v, err := parseScalar(elem, s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(float32)
-		}
-		return out, nil
-	case wire.KindFloat64Array:
-		out := make([]float64, len(vals))
-		for i, s := range vals {
-			v, err := parseScalar(elem, s)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v.(float64)
-		}
-		return out, nil
-	case wire.KindStringArray:
-		return append([]string(nil), vals...), nil
-	}
-	return nil, fmt.Errorf("unsupported array kind %v", k)
-}
-
-func parseScalar(k wire.Kind, s string) (any, error) {
-	switch k {
-	case wire.KindBool:
-		return strconv.ParseBool(s)
-	case wire.KindInt32:
-		v, err := strconv.ParseInt(s, 10, 32)
-		return int32(v), err
-	case wire.KindInt64:
-		return strconv.ParseInt(s, 10, 64)
-	case wire.KindFloat32:
-		v, err := strconv.ParseFloat(s, 32)
-		return float32(v), err
-	case wire.KindFloat64:
-		return strconv.ParseFloat(s, 64)
-	case wire.KindString:
-		return s, nil
-	case wire.KindBytes:
-		return base64.StdEncoding.DecodeString(s)
-	}
-	return nil, fmt.Errorf("unsupported scalar kind %v", k)
+	return b.Value(), nil
 }
 
 // appendResponseDoc renders output args as the binding's XML response,
-// appending into dst. The output is byte-identical to the historical
-// xmlq.Node renderer (two-space indentation, self-closed empty elements,
-// %q-quoted attributes) but allocation-free for scalar payloads: values
-// are formatted with strconv.Append* and opaque bytes BASE64-encoded in
-// place with AppendEncode instead of EncodeToString.
+// appending into dst: values in their wire lexical form, element text
+// escaped as SOAP escapes it, arrays as SOAP's <item> lines.
 func appendResponseDoc(dst []byte, op string, out []wire.Arg) ([]byte, error) {
-	dst = append(dst, "<response"...)
-	dst = appendDocAttr(dst, "op", op)
-	if len(out) == 0 {
-		return append(dst, "/>\n"...), nil
-	}
-	dst = append(dst, ">\n"...)
+	dst = append(dst, `<response op="`...)
+	dst = xmlq.AppendAttrEscaped(dst, op)
+	dst = append(dst, "\">\n"...)
 	for _, a := range out {
 		k := wire.KindOf(a.Value)
 		if k == wire.KindInvalid || k == wire.KindStruct {
 			return nil, fmt.Errorf("invoke: http binding cannot encode %q (%T)", a.Name, a.Value)
 		}
-		dst = append(dst, "  <out"...)
-		dst = appendDocAttr(dst, "name", a.Name)
-		dst = appendDocAttr(dst, "type", k.String())
+		dst = append(dst, `  <out name="`...)
+		dst = xmlq.AppendAttrEscaped(dst, a.Name)
+		dst = append(dst, `" type="`...)
+		dst = append(dst, k.String()...)
+		dst = append(dst, `">`...)
 		if k.IsArray() {
-			dst = appendDocItems(dst, a.Value)
-			continue
-		}
-		mark := len(dst)
-		dst = append(dst, '>')
-		dst = appendDocScalar(dst, a.Value)
-		if len(dst) == mark+1 {
-			// Empty text renders as a self-closed element, as the DOM did.
-			dst = append(dst[:mark], "/>\n"...)
+			dst = append(dst, '\n')
+			dst = soap.AppendItems(dst, a.Value, 4)
+			dst = append(dst, "  "...)
+		} else if s, ok := a.Value.(string); ok {
+			dst = soap.AppendEscaped(dst, s)
 		} else {
-			dst = append(dst, "</out>\n"...)
+			dst = wire.AppendText(dst, a.Value)
 		}
+		dst = append(dst, "</out>\n"...)
 	}
 	return append(dst, "</response>\n"...), nil
-}
-
-// docAttrEsc mirrors xmlq's attribute escaping (&, <, and the quote).
-var docAttrEsc = strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-
-func appendDocAttr(dst []byte, name, val string) []byte {
-	dst = append(dst, ' ')
-	dst = append(dst, name...)
-	dst = append(dst, '=')
-	if strings.ContainsAny(val, `&<"`) {
-		val = docAttrEsc.Replace(val)
-	}
-	return strconv.AppendQuote(dst, val)
-}
-
-func appendDocEscaped(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-func appendDocScalar(dst []byte, v any) []byte {
-	switch x := v.(type) {
-	case bool:
-		return strconv.AppendBool(dst, x)
-	case int32:
-		return strconv.AppendInt(dst, int64(x), 10)
-	case int64:
-		return strconv.AppendInt(dst, x, 10)
-	case float32:
-		return strconv.AppendFloat(dst, float64(x), 'g', -1, 32)
-	case float64:
-		return strconv.AppendFloat(dst, x, 'g', -1, 64)
-	case string:
-		return appendDocEscaped(dst, x)
-	case []byte:
-		return base64.StdEncoding.AppendEncode(dst, x)
-	}
-	return fmt.Appendf(dst, "%v", v)
-}
-
-func appendDocItems(dst []byte, v any) []byte {
-	n := 0
-	switch a := v.(type) {
-	case []bool:
-		n = len(a)
-	case []int32:
-		n = len(a)
-	case []int64:
-		n = len(a)
-	case []float32:
-		n = len(a)
-	case []float64:
-		n = len(a)
-	case []string:
-		n = len(a)
-	}
-	if n == 0 {
-		return append(dst, "/>\n"...)
-	}
-	dst = append(dst, ">\n"...)
-	appendItem := func(dst []byte, f func([]byte) []byte) []byte {
-		mark := len(dst)
-		dst = append(dst, "    <item>"...)
-		body := len(dst)
-		dst = f(dst)
-		if len(dst) == body {
-			dst = append(dst[:mark], "    <item/>\n"...)
-		} else {
-			dst = append(dst, "</item>\n"...)
-		}
-		return dst
-	}
-	switch a := v.(type) {
-	case []bool:
-		for _, x := range a {
-			dst = appendItem(dst, func(d []byte) []byte { return strconv.AppendBool(d, x) })
-		}
-	case []int32:
-		for _, x := range a {
-			dst = appendItem(dst, func(d []byte) []byte { return strconv.AppendInt(d, int64(x), 10) })
-		}
-	case []int64:
-		for _, x := range a {
-			dst = appendItem(dst, func(d []byte) []byte { return strconv.AppendInt(d, x, 10) })
-		}
-	case []float32:
-		for _, x := range a {
-			dst = appendItem(dst, func(d []byte) []byte { return strconv.AppendFloat(d, float64(x), 'g', -1, 32) })
-		}
-	case []float64:
-		for _, x := range a {
-			dst = appendItem(dst, func(d []byte) []byte { return strconv.AppendFloat(d, x, 'g', -1, 64) })
-		}
-	case []string:
-		for _, x := range a {
-			dst = appendItem(dst, func(d []byte) []byte { return appendDocEscaped(d, x) })
-		}
-	}
-	return append(dst, "  </out>\n"...)
-}
-
-func scalarText(v any) string {
-	switch x := v.(type) {
-	case bool:
-		return strconv.FormatBool(x)
-	case int32:
-		return strconv.FormatInt(int64(x), 10)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float32:
-		return strconv.FormatFloat(float64(x), 'g', -1, 32)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case string:
-		return x
-	case []byte:
-		return base64.StdEncoding.EncodeToString(x)
-	}
-	return fmt.Sprintf("%v", v)
-}
-
-func textItems(v any) []string {
-	switch a := v.(type) {
-	case []bool:
-		out := make([]string, len(a))
-		for i, x := range a {
-			out[i] = strconv.FormatBool(x)
-		}
-		return out
-	case []int32:
-		out := make([]string, len(a))
-		for i, x := range a {
-			out[i] = strconv.FormatInt(int64(x), 10)
-		}
-		return out
-	case []int64:
-		out := make([]string, len(a))
-		for i, x := range a {
-			out[i] = strconv.FormatInt(x, 10)
-		}
-		return out
-	case []float32:
-		out := make([]string, len(a))
-		for i, x := range a {
-			out[i] = strconv.FormatFloat(float64(x), 'g', -1, 32)
-		}
-		return out
-	case []float64:
-		out := make([]string, len(a))
-		for i, x := range a {
-			out[i] = strconv.FormatFloat(x, 'g', -1, 64)
-		}
-		return out
-	case []string:
-		return a
-	}
-	return nil
 }
 
 // HTTPPort is the client side of the HTTP GET binding.
@@ -492,11 +245,11 @@ func (p *HTTPPort) invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 		case k == wire.KindInvalid || k == wire.KindStruct:
 			return nil, fmt.Errorf("invoke: http binding cannot carry %q (%T)", a.Name, a.Value)
 		case k.IsArray():
-			for _, item := range textItems(a.Value) {
-				q.Add(a.Name, item)
+			for i, n := 0, wire.Len(a.Value); i < n; i++ {
+				q.Add(a.Name, string(wire.AppendItem(nil, a.Value, i)))
 			}
 		default:
-			q.Set(a.Name, scalarText(a.Value))
+			q.Set(a.Name, string(wire.AppendText(nil, a.Value)))
 		}
 	}
 	u := strings.TrimSuffix(p.URL, "/") + "/" + op
@@ -531,24 +284,8 @@ func (p *HTTPPort) invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 	return parseResponseDoc(body)
 }
 
-// errDocComplex reports a response outside the streaming parser's subset;
-// the caller retries on the DOM path, which is authoritative for both
-// unusual-but-valid documents and error reporting.
-var errDocComplex = errors.New("invoke: response outside fast-parse subset")
-
-// parseResponseDoc decodes the binding's XML response, preferring the
-// allocation-light streaming parser and falling back to the DOM for
-// anything surprising (comments, foreign children, rich entities, or any
-// malformed document, so errors keep their historical text).
+// parseResponseDoc decodes the binding's XML response.
 func parseResponseDoc(body []byte) ([]wire.Arg, error) {
-	out, err := fastParseResponseDoc(body)
-	if !errors.Is(err, errDocComplex) {
-		return out, err
-	}
-	return domParseResponseDoc(body)
-}
-
-func domParseResponseDoc(body []byte) ([]wire.Arg, error) {
 	root, err := xmlq.Parse(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("invoke: http binding response: %w", err)
@@ -558,26 +295,24 @@ func domParseResponseDoc(body []byte) ([]wire.Arg, error) {
 	}
 	var out []wire.Arg
 	for _, n := range root.ChildrenNamed("out") {
-		k := wire.KindByName(n.AttrOr("type", ""))
+		name, typ := n.AttrOr("name", ""), n.AttrOr("type", "")
+		k := wire.KindByName(typ)
 		if k == wire.KindInvalid {
-			return nil, fmt.Errorf("invoke: http binding output %q has unknown type %q",
-				n.AttrOr("name", ""), n.AttrOr("type", ""))
+			return nil, fmt.Errorf("invoke: http binding output %q has unknown type %q", name, typ)
 		}
-		var v any
+		texts := []string{n.Text}
 		if k.IsArray() {
 			items := n.ChildrenNamed("item")
-			texts := make([]string, len(items))
+			texts = make([]string, len(items))
 			for i, it := range items {
 				texts[i] = it.Text
 			}
-			v, err = coerceArray(k, texts)
-		} else {
-			v, err = parseScalar(k, n.Text)
 		}
+		v, err := parseValue(k, texts)
 		if err != nil {
-			return nil, fmt.Errorf("invoke: http binding output %q: %w", n.AttrOr("name", ""), err)
+			return nil, fmt.Errorf("invoke: http binding output %q: %w", name, err)
 		}
-		out = append(out, wire.Arg{Name: n.AttrOr("name", ""), Value: v})
+		out = append(out, wire.Arg{Name: name, Value: v})
 	}
 	return out, nil
 }
@@ -590,285 +325,3 @@ func (p *HTTPPort) Endpoint() string { return p.URL }
 
 // Close implements Port.
 func (p *HTTPPort) Close() error { return nil }
-
-// docParser is the pooled state behind fastParseResponseDoc: a streaming
-// scanner plus a text-accumulation scratch buffer.
-type docParser struct {
-	sc   xmlq.Scanner
-	text []byte
-}
-
-var docParsers = sync.Pool{New: func() any { return new(docParser) }}
-
-// fastParseResponseDoc is the streaming counterpart of
-// domParseResponseDoc. It handles exactly the documents the server's
-// appendResponseDoc emits (plus whitespace/PI noise) and reports
-// errDocComplex for everything else, including malformed input — the DOM
-// retry then reproduces the historical behaviour and error text, so the
-// two paths can never disagree on a decoded result.
-func fastParseResponseDoc(body []byte) ([]wire.Arg, error) {
-	d := docParsers.Get().(*docParser)
-	out, err := d.parse(body)
-	d.sc.Reset(nil)
-	if cap(d.text) > 1<<16 {
-		d.text = nil
-	}
-	clear(d.text[:cap(d.text)])
-	d.text = d.text[:0]
-	docParsers.Put(d)
-	return out, err
-}
-
-func (d *docParser) parse(body []byte) ([]wire.Arg, error) {
-	d.sc.Reset(body)
-	root, err := d.nextContent(false)
-	if err != nil {
-		return nil, err
-	}
-	if root.Kind != xmlq.TokStart || string(root.Name) != "response" {
-		return nil, errDocComplex
-	}
-	var out []wire.Arg
-	if !root.SelfClose {
-		for {
-			t, err := d.sc.Next()
-			if err != nil {
-				return nil, errDocComplex
-			}
-			if t.Kind == xmlq.TokText {
-				// The DOM ignores free text at this level, but would
-				// validate any entities in it; fall back when they appear.
-				if xmlq.HasAmp(t.Text) {
-					return nil, errDocComplex
-				}
-				continue
-			}
-			if t.Kind == xmlq.TokEnd {
-				if string(t.Name) != "response" {
-					return nil, errDocComplex
-				}
-				break
-			}
-			if t.Kind != xmlq.TokStart || string(t.Name) != "out" {
-				return nil, errDocComplex
-			}
-			arg, err := d.outElem(t)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, arg)
-		}
-	}
-	// Only whitespace (and skipped PIs) may trail the document.
-	if _, err := d.nextContent(true); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// nextContent skips whitespace-only text. With wantEOF it insists the
-// stream is exhausted; otherwise it returns the first structural token.
-func (d *docParser) nextContent(wantEOF bool) (xmlq.RawToken, error) {
-	for {
-		t, err := d.sc.Next()
-		if err != nil {
-			return t, errDocComplex
-		}
-		switch t.Kind {
-		case xmlq.TokText:
-			if xmlq.HasAmp(t.Text) || len(xmlq.TrimSpaceBytes(t.Text)) != 0 {
-				return t, errDocComplex
-			}
-		case xmlq.TokEOF:
-			if wantEOF {
-				return t, nil
-			}
-			return t, errDocComplex
-		default:
-			if wantEOF {
-				return t, errDocComplex
-			}
-			return t, nil
-		}
-	}
-}
-
-// outElem decodes one <out> element from its start tag through its end tag.
-func (d *docParser) outElem(open xmlq.RawToken) (wire.Arg, error) {
-	var nameAttr, typAttr []byte
-	haveName, haveType := false, false
-	for _, a := range open.Attrs {
-		switch string(xmlq.LocalName(a.Name)) {
-		case "name":
-			if !haveName {
-				nameAttr, haveName = a.Value, true
-			}
-		case "type":
-			if !haveType {
-				typAttr, haveType = a.Value, true
-			}
-		}
-	}
-	// Entity-bearing attribute values are legal but rare; let the DOM
-	// handle their unescaping.
-	if xmlq.HasAmp(nameAttr) || xmlq.HasAmp(typAttr) {
-		return wire.Arg{}, errDocComplex
-	}
-	k := wire.KindByName(string(typAttr))
-	if k == wire.KindInvalid {
-		return wire.Arg{}, errDocComplex // DOM reports the unknown type
-	}
-	var v any
-	var err error
-	switch {
-	case open.SelfClose && k.IsArray():
-		v, err = coerceArray(k, nil)
-	case open.SelfClose:
-		v, err = parseScalar(k, "")
-	case k.IsArray():
-		v, err = d.itemValues(k)
-	default:
-		var txt []byte
-		txt, err = d.leafText("out")
-		if err == nil {
-			v, err = parseScalar(k, string(txt))
-		}
-	}
-	if err != nil {
-		// Either a surprise in the markup or a value parse error; the DOM
-		// pass reproduces the historical wrapped error for the latter.
-		return wire.Arg{}, errDocComplex
-	}
-	return wire.Arg{Name: string(nameAttr), Value: v}, nil
-}
-
-// leafText accumulates the per-run-trimmed text of a leaf element and
-// consumes its end tag, mirroring the DOM's text semantics (each raw run
-// is unescaped then trimmed, runs concatenate). Child elements, non-ASCII
-// expansions, and bad entities defer to the DOM.
-func (d *docParser) leafText(want string) ([]byte, error) {
-	d.text = d.text[:0]
-	for {
-		t, err := d.sc.Next()
-		if err != nil {
-			return nil, errDocComplex
-		}
-		switch t.Kind {
-		case xmlq.TokText:
-			start := len(d.text)
-			if xmlq.HasAmp(t.Text) {
-				d.text, err = xmlq.AppendUnescaped(d.text, t.Text)
-				if err != nil {
-					return nil, errDocComplex
-				}
-				for _, c := range d.text[start:] {
-					if c >= 0x80 {
-						// Unicode-aware trimming could diverge; punt.
-						return nil, errDocComplex
-					}
-				}
-			} else {
-				d.text = append(d.text, t.Text...)
-			}
-			trimmed := xmlq.TrimSpaceBytes(d.text[start:])
-			n := copy(d.text[start:], trimmed)
-			d.text = d.text[:start+n]
-		case xmlq.TokEnd:
-			if string(t.Name) != want {
-				return nil, errDocComplex
-			}
-			return d.text, nil
-		default:
-			return nil, errDocComplex
-		}
-	}
-}
-
-// itemValues decodes the <item> children of an array-typed <out> into the
-// same typed slice coerceArray would build.
-func (d *docParser) itemValues(k wire.Kind) (any, error) {
-	elem := k.Elem()
-	var (
-		bools   []bool
-		ints    []int32
-		longs   []int64
-		floats  []float32
-		doubles []float64
-		strs    []string
-	)
-	switch k {
-	case wire.KindBoolArray:
-		bools = make([]bool, 0)
-	case wire.KindInt32Array:
-		ints = make([]int32, 0)
-	case wire.KindInt64Array:
-		longs = make([]int64, 0)
-	case wire.KindFloat32Array:
-		floats = make([]float32, 0)
-	case wire.KindFloat64Array:
-		doubles = make([]float64, 0)
-	case wire.KindStringArray:
-		// coerceArray leaves an item-less string array nil; match it.
-	default:
-		return nil, errDocComplex
-	}
-	for {
-		t, err := d.sc.Next()
-		if err != nil {
-			return nil, errDocComplex
-		}
-		switch t.Kind {
-		case xmlq.TokText:
-			if xmlq.HasAmp(t.Text) {
-				return nil, errDocComplex
-			}
-		case xmlq.TokStart:
-			if string(t.Name) != "item" {
-				return nil, errDocComplex
-			}
-			var txt []byte
-			if !t.SelfClose {
-				if txt, err = d.leafText("item"); err != nil {
-					return nil, err
-				}
-			}
-			v, err := parseScalar(elem, string(txt))
-			if err != nil {
-				return nil, errDocComplex // DOM reports the parse error
-			}
-			switch x := v.(type) {
-			case bool:
-				bools = append(bools, x)
-			case int32:
-				ints = append(ints, x)
-			case int64:
-				longs = append(longs, x)
-			case float32:
-				floats = append(floats, x)
-			case float64:
-				doubles = append(doubles, x)
-			case string:
-				strs = append(strs, x)
-			}
-		case xmlq.TokEnd:
-			if string(t.Name) != "out" {
-				return nil, errDocComplex
-			}
-			switch k {
-			case wire.KindBoolArray:
-				return bools, nil
-			case wire.KindInt32Array:
-				return ints, nil
-			case wire.KindInt64Array:
-				return longs, nil
-			case wire.KindFloat32Array:
-				return floats, nil
-			case wire.KindFloat64Array:
-				return doubles, nil
-			}
-			return strs, nil
-		default:
-			return nil, errDocComplex
-		}
-	}
-}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -238,7 +240,7 @@ func blockerImpl(started chan<- struct{}, release <-chan struct{}) container.Fac
 // TestXDRServerShedsWhenOverloaded: a container whose one admission point
 // is a one-slot, no-queue limiter sheds the second concurrent call with a
 // fault that classifies as Overloaded on the client side of the wire —
-// the socket's and the ring's alike.
+// the socket's, the ring's and both text bindings' alike.
 func TestXDRServerShedsWhenOverloaded(t *testing.T) {
 	opts := ServerOptions{Telemetry: telemetry.Disabled()}
 	for name, open := range map[string]func(t *testing.T, c *container.Container) func() Port{
@@ -253,6 +255,16 @@ func TestXDRServerShedsWhenOverloaded(t *testing.T) {
 				p.SetTelemetry(telemetry.Disabled())
 				return p
 			}
+		},
+		"soap": func(t *testing.T, c *container.Container) func() Port {
+			hs := httptest.NewServer(&SOAPHandler{Container: c, Telemetry: telemetry.Disabled()})
+			t.Cleanup(hs.Close)
+			return func() Port { return &SOAPPort{URL: hs.URL + "/b1", Telemetry: telemetry.Disabled()} }
+		},
+		"http": func(t *testing.T, c *container.Container) func() Port {
+			hs := httptest.NewServer(&HTTPGetHandler{Container: c, Telemetry: telemetry.Disabled()})
+			t.Cleanup(hs.Close)
+			return func() Port { return &HTTPPort{URL: hs.URL + "/b1", Telemetry: telemetry.Disabled()} }
 		},
 		"shm": func(t *testing.T, c *container.Container) func() Port {
 			if !shmring.Supported() {
@@ -299,6 +311,9 @@ func TestXDRServerShedsWhenOverloaded(t *testing.T) {
 			}
 			if kind := resilience.Classify(err); kind != resilience.KindOverloaded {
 				t.Fatalf("shed classified %v (err %v), want Overloaded", kind, err)
+			}
+			if name == "http" && !strings.Contains(err.Error(), "503") {
+				t.Fatalf("http shed answered %v, want status 503", err)
 			}
 			close(release)
 			if err := <-errc; err != nil {

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"harness2/internal/container"
-	"harness2/internal/resilience"
 	"harness2/internal/soap"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
@@ -27,10 +26,6 @@ type SOAPHandler struct {
 	// Telemetry selects the metrics registry; nil falls back to the
 	// process default, telemetry.Disabled() switches instrumentation off.
 	Telemetry *telemetry.Registry
-	// Limiter, when non-nil, applies admission control: shed requests are
-	// refused with a Server fault carrying the Overloaded token, which
-	// clients classify as retryable-elsewhere across the wire.
-	Limiter *resilience.Limiter
 
 	minit sync.Once
 	m     bindingMetrics
@@ -103,17 +98,11 @@ func (h *SOAPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for j, p := range call.Params {
 		args[j] = wire.Arg{Name: p.Name, Value: p.Value}
 	}
-	release, err := h.Limiter.Acquire(r.Context())
-	if err != nil {
-		h.fault(w, &soap.Fault{Code: "Server", String: err.Error()})
-		return
-	}
 	m := h.metrics()
 	hist, start := m.begin(call.Method)
 	ctx := traceContext(r.Context(), call.Headers)
 	ctx, sp := telemetry.Or(h.Telemetry).ChildSpan(ctx, "soap.server")
 	out, err := h.Container.Invoke(ctx, instance, call.Method, args)
-	release()
 	sp.SetError(err)
 	sp.End()
 	m.done(call.Method, hist, start, err)

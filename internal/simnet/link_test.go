@@ -38,7 +38,7 @@ func TestPacerHandComputed(t *testing.T) {
 
 	// Zero bandwidth means no serialisation delay, latency only.
 	free := pacer{cfg: LinkConfig{Latency: 5 * time.Millisecond}}
-	if d := free.deliverAt(t0, 1 << 30); !d.Equal(t0.Add(5 * time.Millisecond)) {
+	if d := free.deliverAt(t0, 1<<30); !d.Equal(t0.Add(5 * time.Millisecond)) {
 		t.Fatalf("infinite-bandwidth delivery at %v", d.Sub(t0))
 	}
 

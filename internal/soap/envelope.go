@@ -185,9 +185,9 @@ func (c Codec) AppendCall(dst []byte, call *Call) ([]byte, error) {
 	}
 	dst = append(dst, "    <m:"...)
 	dst = append(dst, call.Method...)
-	dst = append(dst, " xmlns:m="...)
-	dst = strconv.AppendQuote(dst, ns)
-	dst = append(dst, ">\n"...)
+	dst = append(dst, ` xmlns:m="`...)
+	dst = xmlq.AppendAttrEscaped(dst, ns)
+	dst = append(dst, "\">\n"...)
 	var err error
 	for _, p := range call.Params {
 		if dst, err = c.appendValue(dst, p.Name, p.Value, 6); err != nil {
@@ -233,13 +233,13 @@ func (c Codec) EncodeFault(f *Fault) []byte {
 func (c Codec) AppendFault(dst []byte, f *Fault) []byte {
 	dst = c.appendProlog(dst)
 	dst = append(dst, "    <SOAP-ENV:Fault>\n      <faultcode>SOAP-ENV:"...)
-	dst = appendEscaped(dst, f.Code)
+	dst = AppendEscaped(dst, f.Code)
 	dst = append(dst, "</faultcode>\n      <faultstring>"...)
-	dst = appendEscaped(dst, f.String)
+	dst = AppendEscaped(dst, f.String)
 	dst = append(dst, "</faultstring>\n"...)
 	if f.Detail != "" {
 		dst = append(dst, "      <detail>"...)
-		dst = appendEscaped(dst, f.Detail)
+		dst = AppendEscaped(dst, f.Detail)
 		dst = append(dst, "</detail>\n"...)
 	}
 	dst = append(dst, "    </SOAP-ENV:Fault>\n"...)
@@ -314,7 +314,7 @@ func (c Codec) appendPrologWithHeaders(dst []byte, headers []Header) []byte {
 			attrs += ` SOAP-ENV:mustUnderstand="1"`
 		}
 		if h.Actor != "" {
-			attrs += " SOAP-ENV:actor=" + strconv.Quote(escape(h.Actor))
+			attrs += ` SOAP-ENV:actor="` + string(xmlq.AppendAttrEscaped(nil, h.Actor)) + `"`
 		}
 		if s, ok := h.Value.(string); ok {
 			dst = append(dst, "    <"...)
@@ -322,7 +322,7 @@ func (c Codec) appendPrologWithHeaders(dst []byte, headers []Header) []byte {
 			dst = append(dst, ` xsi:type="xsd:string"`...)
 			dst = append(dst, attrs...)
 			dst = append(dst, '>')
-			dst = appendEscaped(dst, s)
+			dst = AppendEscaped(dst, s)
 			dst = append(dst, "</"...)
 			dst = append(dst, h.Name...)
 			dst = append(dst, ">\n"...)
@@ -348,43 +348,26 @@ func (c Codec) appendEpilog(dst []byte) []byte {
 	return append(dst, "  </SOAP-ENV:Body>\n</SOAP-ENV:Envelope>\n"...)
 }
 
-// scalarType maps scalar kinds to xsi:type names.
-func scalarType(k wire.Kind) string {
-	switch k {
-	case wire.KindBool:
-		return "xsd:boolean"
-	case wire.KindInt32:
-		return "xsd:int"
-	case wire.KindInt64:
-		return "xsd:long"
-	case wire.KindFloat32:
-		return "xsd:float"
-	case wire.KindFloat64:
-		return "xsd:double"
-	case wire.KindString:
-		return "xsd:string"
-	case wire.KindBytes:
-		return "xsd:base64Binary"
+// xsdKind resolves the xsi:type name of a scalar, "xsd:"+Kind.String(),
+// back to its kind; any other name is KindInvalid.
+func xsdKind[T string | []byte](name T) wire.Kind {
+	switch string(name) {
+	case "xsd:boolean":
+		return wire.KindBool
+	case "xsd:int":
+		return wire.KindInt32
+	case "xsd:long":
+		return wire.KindInt64
+	case "xsd:float":
+		return wire.KindFloat32
+	case "xsd:double":
+		return wire.KindFloat64
+	case "xsd:string":
+		return wire.KindString
+	case "xsd:base64Binary":
+		return wire.KindBytes
 	}
-	return ""
-}
-
-func arrayTypeName(elem wire.Kind) string {
-	switch elem {
-	case wire.KindBool:
-		return "xsd:boolean"
-	case wire.KindInt32:
-		return "xsd:int"
-	case wire.KindInt64:
-		return "xsd:long"
-	case wire.KindFloat32:
-		return "xsd:float"
-	case wire.KindFloat64:
-		return "xsd:double"
-	case wire.KindString:
-		return "xsd:string"
-	}
-	return ""
+	return wire.KindInvalid
 }
 
 const padSpaces = "                                                                "
@@ -398,13 +381,13 @@ func appendPad(dst []byte, n int) []byte {
 	return append(dst, padSpaces[:n]...)
 }
 
-// appendScalarOpen writes `<name xsi:type="typ">` at the given indent.
-func appendScalarOpen(dst []byte, name, typ string, indent int) []byte {
+// appendScalarOpen writes `<name xsi:type="xsd:kind">` at the given indent.
+func appendScalarOpen(dst []byte, name string, k wire.Kind, indent int) []byte {
 	dst = appendPad(dst, indent)
 	dst = append(dst, '<')
 	dst = append(dst, name...)
-	dst = append(dst, ` xsi:type="`...)
-	dst = append(dst, typ...)
+	dst = append(dst, ` xsi:type="xsd:`...)
+	dst = append(dst, k.String()...)
 	dst = append(dst, `">`...)
 	return dst
 }
@@ -422,55 +405,18 @@ func (c Codec) appendValue(dst []byte, name string, v any, indent int) ([]byte, 
 	}
 	k := wire.KindOf(v)
 	switch k {
-	case wire.KindBool:
-		dst = appendScalarOpen(dst, name, "xsd:boolean", indent)
-		dst = strconv.AppendBool(dst, v.(bool))
-		return appendClose(dst, name), nil
-	case wire.KindInt32:
-		dst = appendScalarOpen(dst, name, "xsd:int", indent)
-		dst = strconv.AppendInt(dst, int64(v.(int32)), 10)
-		return appendClose(dst, name), nil
-	case wire.KindInt64:
-		dst = appendScalarOpen(dst, name, "xsd:long", indent)
-		dst = strconv.AppendInt(dst, v.(int64), 10)
-		return appendClose(dst, name), nil
-	case wire.KindFloat32:
-		dst = appendScalarOpen(dst, name, "xsd:float", indent)
-		dst = strconv.AppendFloat(dst, float64(v.(float32)), 'g', -1, 32)
-		return appendClose(dst, name), nil
-	case wire.KindFloat64:
-		dst = appendScalarOpen(dst, name, "xsd:double", indent)
-		dst = strconv.AppendFloat(dst, v.(float64), 'g', -1, 64)
-		return appendClose(dst, name), nil
-	case wire.KindString:
-		dst = appendScalarOpen(dst, name, "xsd:string", indent)
-		dst = appendEscaped(dst, v.(string))
-		return appendClose(dst, name), nil
-	case wire.KindBytes:
-		dst = appendScalarOpen(dst, name, "xsd:base64Binary", indent)
-		dst = base64.StdEncoding.AppendEncode(dst, v.([]byte))
-		return appendClose(dst, name), nil
-	case wire.KindStringArray:
-		// String arrays are always element-wise; packing is meaningless.
-		a := v.([]string)
-		dst = appendPad(dst, indent)
-		dst = append(dst, '<')
-		dst = append(dst, name...)
-		dst = append(dst, ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:string[`...)
-		dst = strconv.AppendInt(dst, int64(len(a)), 10)
-		dst = append(dst, `]">`...)
-		dst = append(dst, '\n')
-		for _, s := range a {
-			dst = appendPad(dst, indent+2)
-			dst = append(dst, "<item>"...)
-			dst = appendEscaped(dst, s)
-			dst = append(dst, "</item>\n"...)
+	case wire.KindBool, wire.KindInt32, wire.KindInt64, wire.KindFloat32,
+		wire.KindFloat64, wire.KindString, wire.KindBytes:
+		dst = appendScalarOpen(dst, name, k, indent)
+		if s, ok := v.(string); ok {
+			dst = AppendEscaped(dst, s)
+		} else {
+			dst = wire.AppendText(dst, v)
 		}
-		dst = appendPad(dst, indent)
 		return appendClose(dst, name), nil
 	case wire.KindBoolArray, wire.KindInt32Array, wire.KindInt64Array,
-		wire.KindFloat32Array, wire.KindFloat64Array:
-		return c.appendNumericArray(dst, name, v, k, indent), nil
+		wire.KindFloat32Array, wire.KindFloat64Array, wire.KindStringArray:
+		return c.appendArray(dst, name, v, k, indent), nil
 	case wire.KindStruct:
 		s := v.(*wire.Struct)
 		dst = appendPad(dst, indent)
@@ -492,19 +438,21 @@ func (c Codec) appendValue(dst []byte, name string, v any, indent int) ([]byte, 
 	return dst, fmt.Errorf("soap: cannot encode kind %v", k)
 }
 
-func (c Codec) appendNumericArray(dst []byte, name string, v any, k wire.Kind, indent int) []byte {
-	n := arrayLen(v)
-	if c.Arrays == EncodeElementwise {
+// appendArray writes an array element-wise (always, for strings, whose
+// packing is meaningless) or packed, as the codec's encoding selects.
+func (c Codec) appendArray(dst []byte, name string, v any, k wire.Kind, indent int) []byte {
+	n := wire.Len(v)
+	if c.Arrays == EncodeElementwise || k == wire.KindStringArray {
 		dst = appendPad(dst, indent)
 		dst = append(dst, '<')
 		dst = append(dst, name...)
-		dst = append(dst, ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="`...)
-		dst = append(dst, arrayTypeName(k.Elem())...)
+		dst = append(dst, ` xsi:type="SOAP-ENC:Array" SOAP-ENC:arrayType="xsd:`...)
+		dst = append(dst, k.Elem().String()...)
 		dst = append(dst, '[')
 		dst = strconv.AppendInt(dst, int64(n), 10)
 		dst = append(dst, `]">`...)
 		dst = append(dst, '\n')
-		dst = appendItems(dst, v, indent)
+		dst = AppendItems(dst, v, indent+2)
 		dst = appendPad(dst, indent)
 		return appendClose(dst, name)
 	}
@@ -538,64 +486,21 @@ func (c Codec) appendNumericArray(dst []byte, name string, v any, k wire.Kind, i
 	return appendClose(dst, name)
 }
 
-func appendItems(dst []byte, v any, indent int) []byte {
-	const open, close = "<item>", "</item>\n"
-	switch a := v.(type) {
-	case []bool:
-		for _, x := range a {
-			dst = appendPad(dst, indent+2)
-			dst = append(dst, open...)
-			dst = strconv.AppendBool(dst, x)
-			dst = append(dst, close...)
+// AppendItems appends the elements of array v as `<item>` lines at the
+// given indent, strings markup-escaped.
+func AppendItems(dst []byte, v any, indent int) []byte {
+	ss, _ := v.([]string)
+	for i, n := 0, wire.Len(v); i < n; i++ {
+		dst = appendPad(dst, indent)
+		dst = append(dst, "<item>"...)
+		if ss != nil {
+			dst = AppendEscaped(dst, ss[i])
+		} else {
+			dst = wire.AppendItem(dst, v, i)
 		}
-	case []int32:
-		for _, x := range a {
-			dst = appendPad(dst, indent+2)
-			dst = append(dst, open...)
-			dst = strconv.AppendInt(dst, int64(x), 10)
-			dst = append(dst, close...)
-		}
-	case []int64:
-		for _, x := range a {
-			dst = appendPad(dst, indent+2)
-			dst = append(dst, open...)
-			dst = strconv.AppendInt(dst, x, 10)
-			dst = append(dst, close...)
-		}
-	case []float32:
-		for _, x := range a {
-			dst = appendPad(dst, indent+2)
-			dst = append(dst, open...)
-			dst = strconv.AppendFloat(dst, float64(x), 'g', -1, 32)
-			dst = append(dst, close...)
-		}
-	case []float64:
-		for _, x := range a {
-			dst = appendPad(dst, indent+2)
-			dst = append(dst, open...)
-			dst = strconv.AppendFloat(dst, x, 'g', -1, 64)
-			dst = append(dst, close...)
-		}
+		dst = append(dst, "</item>\n"...)
 	}
 	return dst
-}
-
-func arrayLen(v any) int {
-	switch a := v.(type) {
-	case []bool:
-		return len(a)
-	case []int32:
-		return len(a)
-	case []int64:
-		return len(a)
-	case []float32:
-		return len(a)
-	case []float64:
-		return len(a)
-	case []string:
-		return len(a)
-	}
-	return 0
 }
 
 // unpackArray decodes packed big-endian element bytes through the shared
@@ -608,9 +513,9 @@ func unpackArray(kind wire.Kind, raw []byte, n int) (any, error) {
 	return v, nil
 }
 
-// appendEscaped appends s with the markup-significant characters
-// escaped, matching the historical escape() exactly.
-func appendEscaped(dst []byte, s string) []byte {
+// AppendEscaped appends s to dst with the markup-significant characters
+// &, < and > escaped, for element text.
+func AppendEscaped(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "&<>") {
 		return append(dst, s...)
 	}
@@ -627,13 +532,6 @@ func appendEscaped(dst []byte, s string) []byte {
 		}
 	}
 	return dst
-}
-
-func escape(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	return string(appendEscaped(nil, s))
 }
 
 // DecodeCall parses a request envelope into a Call, including any header
@@ -778,23 +676,13 @@ func (c Codec) decodeParams(parent *xmlq.Node) ([]Param, error) {
 
 func (c Codec) decodeValue(n *xmlq.Node) (any, error) {
 	xsiType := n.AttrOr("type", "")
+	k := xsdKind(xsiType)
+	if xsiType == "" && len(n.Children) == 0 {
+		k = wire.KindString
+	}
 	switch {
-	case xsiType == "xsd:boolean":
-		return strconv.ParseBool(n.Text)
-	case xsiType == "xsd:int":
-		v, err := strconv.ParseInt(n.Text, 10, 32)
-		return int32(v), err
-	case xsiType == "xsd:long":
-		return strconv.ParseInt(n.Text, 10, 64)
-	case xsiType == "xsd:float":
-		v, err := strconv.ParseFloat(n.Text, 32)
-		return float32(v), err
-	case xsiType == "xsd:double":
-		return strconv.ParseFloat(n.Text, 64)
-	case xsiType == "xsd:string" || (xsiType == "" && len(n.Children) == 0):
-		return n.Text, nil
-	case xsiType == "xsd:base64Binary":
-		return base64.StdEncoding.DecodeString(n.Text)
+	case k != wire.KindInvalid:
+		return wire.ParseText(k, n.Text)
 	case strings.HasSuffix(xsiType, ":Array") || xsiType == "Array":
 		return c.decodeElementwiseArray(n)
 	case strings.HasPrefix(xsiType, "hns:ArrayOf"):
@@ -828,67 +716,17 @@ func (c Codec) decodeElementwiseArray(n *xmlq.Node) (any, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("soap: array %s missing arrayType", n.Local)
 	}
-	elemName := at[:i]
 	items := n.ChildrenNamed("item")
-	switch elemName {
-	case "xsd:string":
-		out := make([]string, len(items))
-		for j, it := range items {
-			out[j] = it.Text
-		}
-		return out, nil
-	case "xsd:boolean":
-		out := make([]bool, len(items))
-		for j, it := range items {
-			v, err := strconv.ParseBool(it.Text)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = v
-		}
-		return out, nil
-	case "xsd:int":
-		out := make([]int32, len(items))
-		for j, it := range items {
-			v, err := strconv.ParseInt(it.Text, 10, 32)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = int32(v)
-		}
-		return out, nil
-	case "xsd:long":
-		out := make([]int64, len(items))
-		for j, it := range items {
-			v, err := strconv.ParseInt(it.Text, 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = v
-		}
-		return out, nil
-	case "xsd:float":
-		out := make([]float32, len(items))
-		for j, it := range items {
-			v, err := strconv.ParseFloat(it.Text, 32)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = float32(v)
-		}
-		return out, nil
-	case "xsd:double":
-		out := make([]float64, len(items))
-		for j, it := range items {
-			v, err := strconv.ParseFloat(it.Text, 64)
-			if err != nil {
-				return nil, err
-			}
-			out[j] = v
-		}
-		return out, nil
+	b, ok := wire.NewArrayBuilder[string](xsdKind(at[:i]), len(items))
+	if !ok {
+		return nil, fmt.Errorf("soap: unsupported arrayType %q", at)
 	}
-	return nil, fmt.Errorf("soap: unsupported arrayType %q", at)
+	for _, it := range items {
+		if err := b.Add(it.Text); err != nil {
+			return nil, err
+		}
+	}
+	return b.Value(), nil
 }
 
 func (c Codec) decodePackedArray(n *xmlq.Node, xsiType string) (any, error) {

@@ -448,61 +448,20 @@ func (d *fastDecoder) value(tok xmlq.RawToken) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case string(typ) == "xsd:boolean":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		return strconv.ParseBool(string(t))
-	case string(typ) == "xsd:int":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		v, perr := strconv.ParseInt(string(t), 10, 32)
-		return int32(v), perr
-	case string(typ) == "xsd:long":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		return strconv.ParseInt(string(t), 10, 64)
-	case string(typ) == "xsd:float":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		v, perr := strconv.ParseFloat(string(t), 32)
-		return float32(v), perr
-	case string(typ) == "xsd:double":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		return strconv.ParseFloat(string(t), 64)
-	case string(typ) == "xsd:string":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		return string(t), nil
-	case len(typ) == 0:
+	switch k := xsdKind(typ); {
+	case k != wire.KindInvalid || len(typ) == 0:
 		t, children, err := d.leafText(name, tok.SelfClose)
 		if err != nil {
 			return nil, err
 		}
-		if children > 0 {
-			return nil, fmt.Errorf("soap: cannot decode element %s with type %q",
-				string(xmlq.LocalName(name)), "")
+		if len(typ) == 0 {
+			if children > 0 {
+				return nil, fmt.Errorf("soap: cannot decode element %s with type %q",
+					string(xmlq.LocalName(name)), "")
+			}
+			k = wire.KindString
 		}
-		return string(t), nil
-	case string(typ) == "xsd:base64Binary":
-		t, _, err := d.leafText(name, tok.SelfClose)
-		if err != nil {
-			return nil, err
-		}
-		return base64.StdEncoding.AppendDecode(nil, t)
+		return wire.ParseText(k, t)
 	case bytes.HasSuffix(typ, []byte(":Array")) || string(typ) == "Array":
 		return d.elementwise(name, atR, tok.SelfClose)
 	case bytes.HasPrefix(typ, []byte("hns:ArrayOf")):
@@ -563,124 +522,46 @@ func (d *fastDecoder) elementwise(parent, atR []byte, selfClose bool) (any, erro
 	if i < 0 {
 		return nil, fmt.Errorf("soap: array %s missing arrayType", string(xmlq.LocalName(parent)))
 	}
-	elem := string(at[:i])
-	switch elem {
-	case "xsd:string", "xsd:boolean", "xsd:int", "xsd:long", "xsd:float", "xsd:double":
-	default:
+	b, ok := wire.NewArrayBuilder[[]byte](xsdKind(at[:i]), 0)
+	if !ok {
 		return nil, fmt.Errorf("soap: unsupported arrayType %q", string(at))
 	}
-	var (
-		ss []string
-		bs []bool
-		is []int32
-		ls []int64
-		fs []float32
-		ds []float64
-	)
-	addItem := func(t []byte) error {
-		switch elem {
-		case "xsd:string":
-			ss = append(ss, string(t))
-		case "xsd:boolean":
-			v, err := strconv.ParseBool(string(t))
-			if err != nil {
-				return err
-			}
-			bs = append(bs, v)
-		case "xsd:int":
-			v, err := strconv.ParseInt(string(t), 10, 32)
-			if err != nil {
-				return err
-			}
-			is = append(is, int32(v))
-		case "xsd:long":
-			v, err := strconv.ParseInt(string(t), 10, 64)
-			if err != nil {
-				return err
-			}
-			ls = append(ls, v)
-		case "xsd:float":
-			v, err := strconv.ParseFloat(string(t), 32)
-			if err != nil {
-				return err
-			}
-			fs = append(fs, float32(v))
-		case "xsd:double":
-			v, err := strconv.ParseFloat(string(t), 64)
-			if err != nil {
-				return err
-			}
-			ds = append(ds, v)
-		}
-		return nil
+	if selfClose {
+		return b.Value(), nil
 	}
-	if !selfClose {
-	loop:
-		for {
-			tok, err := d.sc.Next()
-			if err != nil {
+	for {
+		tok, err := d.sc.Next()
+		if err != nil {
+			return nil, errFallback
+		}
+		switch tok.Kind {
+		case xmlq.TokEOF:
+			return nil, errFallback
+		case xmlq.TokText:
+			if xmlq.HasAmp(tok.Text) {
 				return nil, errFallback
 			}
-			switch tok.Kind {
-			case xmlq.TokEOF:
+		case xmlq.TokEnd:
+			if !bytes.Equal(tok.Name, parent) {
 				return nil, errFallback
-			case xmlq.TokText:
-				if xmlq.HasAmp(tok.Text) {
-					return nil, errFallback
-				}
-			case xmlq.TokEnd:
-				if !bytes.Equal(tok.Name, parent) {
-					return nil, errFallback
-				}
-				break loop
-			case xmlq.TokStart:
-				if string(xmlq.LocalName(tok.Name)) != "item" {
-					if err := d.skipFrom(tok); err != nil {
-						return nil, err
-					}
-					continue
-				}
-				t, _, err := d.leafText(tok.Name, tok.SelfClose)
-				if err != nil {
+			}
+			return b.Value(), nil
+		case xmlq.TokStart:
+			if string(xmlq.LocalName(tok.Name)) != "item" {
+				if err := d.skipFrom(tok); err != nil {
 					return nil, err
 				}
-				if err := addItem(t); err != nil {
-					return nil, err
-				}
+				continue
+			}
+			t, _, err := d.leafText(tok.Name, tok.SelfClose)
+			if err != nil {
+				return nil, err
+			}
+			if err := b.Add(t); err != nil {
+				return nil, err
 			}
 		}
 	}
-	switch elem {
-	case "xsd:string":
-		if ss == nil {
-			ss = []string{}
-		}
-		return ss, nil
-	case "xsd:boolean":
-		if bs == nil {
-			bs = []bool{}
-		}
-		return bs, nil
-	case "xsd:int":
-		if is == nil {
-			is = []int32{}
-		}
-		return is, nil
-	case "xsd:long":
-		if ls == nil {
-			ls = []int64{}
-		}
-		return ls, nil
-	case "xsd:float":
-		if fs == nil {
-			fs = []float32{}
-		}
-		return fs, nil
-	}
-	if ds == nil {
-		ds = []float64{}
-	}
-	return ds, nil
 }
 
 // packed mirrors decodePackedArray: BASE64/hex text decoded straight

@@ -13,7 +13,6 @@ package wire
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Kind enumerates the wire-level type of a value.
@@ -38,7 +37,7 @@ const (
 	KindStruct       // *Struct: named, ordered fields
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	KindInvalid:      "invalid",
 	KindBool:         "boolean",
 	KindInt32:        "int",
@@ -59,8 +58,8 @@ var kindNames = map[Kind]string{
 // String returns the XSD-flavoured name of the kind, matching the type
 // names the paper's WSDL listings use (xsd:string, xsd:double, ...).
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -111,7 +110,7 @@ func (k Kind) Elem() Kind {
 func KindByName(name string) Kind {
 	for k, n := range kindNames {
 		if n == name {
-			return k
+			return Kind(k)
 		}
 	}
 	return KindInvalid
@@ -405,12 +404,9 @@ func f64eq(a, b float64) bool {
 // Kinds returns every valid kind in a stable order, for exhaustive tests.
 func Kinds() []Kind {
 	out := make([]Kind, 0, len(kindNames)-1)
-	for k := range kindNames {
-		if k != KindInvalid {
-			out = append(out, k)
-		}
+	for k := KindInvalid + 1; int(k) < len(kindNames); k++ {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

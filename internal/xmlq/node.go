@@ -268,7 +268,7 @@ func (n *Node) Encode(w io.Writer) error {
 
 func (n *Node) write(w io.Writer, depth int) error {
 	indent := strings.Repeat("  ", depth)
-	attrs := &strings.Builder{}
+	var attrs []byte
 	for _, a := range n.Attrs {
 		name := a.Local
 		if a.Space != "" {
@@ -279,7 +279,11 @@ func (n *Node) write(w io.Writer, depth int) error {
 				name = a.Space + ":" + a.Local
 			}
 		}
-		fmt.Fprintf(attrs, " %s=%q", name, escapeAttr(a.Value))
+		attrs = append(attrs, ' ')
+		attrs = append(attrs, name...)
+		attrs = append(attrs, `="`...)
+		attrs = AppendAttrEscaped(attrs, a.Value)
+		attrs = append(attrs, '"')
 	}
 	if len(n.Children) == 0 && n.Text == "" {
 		_, err := fmt.Fprintf(w, "%s<%s%s/>\n", indent, n.Name(), attrs)
@@ -318,9 +322,30 @@ func escapeText(s string) string {
 	return r.Replace(s)
 }
 
-func escapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", `"`, "&quot;")
-	return r.Replace(s)
+// AppendAttrEscaped appends s escaped for a double-quoted attribute
+// value: &, < and " as entities, and tab, LF and CR as character
+// references, which attribute-value normalisation would otherwise turn
+// into spaces.
+func AppendAttrEscaped(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		case '"':
+			dst = append(dst, "&quot;"...)
+		case '\t':
+			dst = append(dst, "&#9;"...)
+		case '\n':
+			dst = append(dst, "&#10;"...)
+		case '\r':
+			dst = append(dst, "&#13;"...)
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 // SortChildren orders the direct children of n by (Local, name attribute),

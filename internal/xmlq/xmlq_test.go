@@ -406,3 +406,20 @@ func TestScannerResetString(t *testing.T) {
 		t.Errorf("Substring(nil) = %q", got)
 	}
 }
+
+// TestAttrEscapeRoundTrip: attribute values come back from String and
+// ParseString exactly, including the characters Go quoting would have
+// escaped with backslashes and the whitespace attribute-value
+// normalisation would have turned into spaces.
+func TestAttrEscapeRoundTrip(t *testing.T) {
+	for _, v := range []string{`a\b`, "tab\there", "line\nbreak", "cr\rlf", `say "hi"`, "<&>", "é", ""} {
+		doc := NewNode("e").SetAttr("v", v).String()
+		back, err := ParseString(doc)
+		if err != nil {
+			t.Fatalf("%q: %v\n%s", v, err, doc)
+		}
+		if got, _ := back.Attr("v"); got != v {
+			t.Errorf("attribute %q came back as %q\n%s", v, got, doc)
+		}
+	}
+}
