@@ -2,6 +2,8 @@ package invoke
 
 import (
 	"net"
+	"runtime"
+	"sync"
 
 	"harness2/internal/telemetry"
 )
@@ -12,25 +14,29 @@ import (
 // already buffered.
 const largeFrameMin = 8 << 10
 
-// frameWriter is a connection's write side: small frames coalesce in a buffer
-// that a flusher commits in one write syscall (see muxConn.flushLoop),
-// while frames of largeFrameMin bytes or more skip the copy and leave
-// immediately as a single writev of [buffered frames, large frame] via
-// net.Buffers. bufio.Writer would instead memcpy the large frame's
-// prefix into its buffer and split the rest across extra write calls —
-// for bulk numeric payloads the copy is the dominant cost the zero-copy
-// encoder just removed, so the writer must not reintroduce it.
+// frameWriter is a connection's write side, shared by every caller (client)
+// or worker (server) on it. Small frames coalesce in a buffer that leaves
+// in one write syscall per batch; the writer that starts a batch leads it
+// (see Queue and FlushBatch), so no goroutine exists only to flush. Frames
+// of largeFrameMin bytes or more skip the copy and leave immediately as a
+// single writev of [buffered frames, large frame] via net.Buffers.
+// bufio.Writer would instead memcpy the large frame's prefix into its
+// buffer and split the rest across extra write calls — for bulk numeric
+// payloads the copy is the dominant cost the zero-copy encoder just
+// removed, so the writer must not reintroduce it.
 //
 // Byte accounting is preserved for the retry logic: every byte that
 // reaches the socket — buffered, direct, or vectored — is counted by the
 // shared countingWriter, so "nothing of this request hit the wire"
-// remains decidable (see countingWriter). frameWriter is not safe for
-// concurrent use; callers hold the connection's write mutex.
+// remains decidable (see countingWriter). Concurrent writers hold mu
+// around Write, Flush and Queue; FlushBatch takes it itself.
 type frameWriter struct {
-	conn net.Conn
-	cw   *countingWriter
-	fb   *telemetry.Histogram // bytes committed per flush/writev
-	buf  []byte
+	mu       sync.Mutex
+	conn     net.Conn
+	cw       *countingWriter
+	fb       *telemetry.Histogram // bytes committed per flush/writev
+	buf      []byte
+	flushing bool // a batch leader has queued and not yet flushed
 }
 
 func newFrameWriter(conn net.Conn, wm xdrWireMetrics) *frameWriter {
@@ -42,14 +48,11 @@ func newFrameWriter(conn net.Conn, wm xdrWireMetrics) *frameWriter {
 	}
 }
 
-// Buffered returns the bytes awaiting a Flush.
-func (fw *frameWriter) Buffered() int { return len(fw.buf) }
-
 // Write queues one frame (callers pass whole frames, never fragments).
 // Small frames are copied into the coalescing buffer — flushing first if
-// they would not fit — and wait for the flusher; large frames go out
-// vectored right away, since batching exists to amortize syscalls over
-// small frames and a large frame amortizes its own.
+// they would not fit — and wait for a flush; large frames go out vectored
+// right away, since batching exists to amortize syscalls over small frames
+// and a large frame amortizes its own.
 func (fw *frameWriter) Write(p []byte) (int, error) {
 	if len(p) >= largeFrameMin {
 		if err := fw.writeVectored(p); err != nil {
@@ -64,6 +67,36 @@ func (fw *frameWriter) Write(p []byte) (int, error) {
 	}
 	fw.buf = append(fw.buf, p...)
 	return len(p), nil
+}
+
+// Queue writes one frame like Write and reports whether the caller now
+// leads a batch: its frame is buffered and no leader is pending, so the
+// caller must call FlushBatch once it has released mu.
+func (fw *frameWriter) Queue(p []byte) (lead bool, err error) {
+	if _, err := fw.Write(p); err != nil {
+		return false, err
+	}
+	if fw.flushing || len(fw.buf) == 0 {
+		return false, nil
+	}
+	fw.flushing = true
+	return true, nil
+}
+
+// FlushBatch is a batch leader's flush. It yields once first, so every
+// caller or worker that is already runnable queues its frame behind the
+// leader's, then commits the whole burst in one write syscall — the
+// dominant per-call cost on a fast network, and where the multiplexed
+// transport's aggregate throughput comes from. A lone writer pays one
+// scheduler yield with an empty run queue. Frames queued after the flush
+// find no leader pending and start the next batch.
+func (fw *frameWriter) FlushBatch() error {
+	runtime.Gosched()
+	fw.mu.Lock()
+	err := fw.Flush()
+	fw.flushing = false
+	fw.mu.Unlock()
+	return err
 }
 
 // writeVectored commits the pending buffered frames and one large frame

@@ -90,6 +90,71 @@ func TestFrameWriterByteStream(t *testing.T) {
 	}
 }
 
+// TestFrameWriterBatchLeaders races writers that queue one small frame
+// each and flush when they lead a batch: every frame reaches the socket,
+// no frame is left buffered without a leader, and frames queued behind a
+// leader share its write.
+func TestFrameWriterBatchLeaders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			got <- nil
+			return
+		}
+		data, _ := io.ReadAll(c)
+		got <- data
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.New()
+	fw := newFrameWriter(conn, newXDRWireMetrics(reg, "test"))
+	const writers, frameLen = 64, 16
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fw.mu.Lock()
+			lead, err := fw.Queue(bytes.Repeat([]byte{byte(i)}, frameLen))
+			fw.mu.Unlock()
+			if err == nil && lead {
+				err = fw.FlushBatch()
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if len(fw.buf) != 0 || fw.flushing {
+		t.Fatalf("%d bytes left buffered (leader pending %v) after every writer returned", len(fw.buf), fw.flushing)
+	}
+	_ = conn.Close()
+
+	data := <-got
+	var count [writers]int
+	for _, b := range data {
+		count[b]++
+	}
+	for i, n := range count {
+		if n != frameLen {
+			t.Fatalf("writer %d: %d bytes on the wire, want %d (stream %d bytes)", i, n, frameLen, len(data))
+		}
+	}
+	if n := reg.Histogram("harness_xdr_mux_flush_batch_bytes", "role", "test").Count(); n < 1 || n > writers {
+		t.Fatalf("%d writes for %d frames", n, writers)
+	}
+}
+
 // TestXDRMuxLargeFrames drives payloads far beyond largeFrameMin through
 // the multiplexed binding in both directions — the end-to-end check on
 // the vectored write path (client request and server response), with

@@ -12,7 +12,7 @@ import (
 // family trio — call count, error count, latency histogram, keyed by
 // operation — plus the XDR binding's wire-level extras: bytes on the
 // wire in each direction, the multiplexed in-flight depth, and the
-// flusher's batch size. All handles are nil-safe, so a port configured
+// bytes each flush or vectored write commits. All handles are nil-safe, so a port configured
 // with telemetry.Disabled() pays one branch per operation and nothing
 // else (proven by E12 / BenchmarkE12_Disabled).
 

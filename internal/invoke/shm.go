@@ -244,8 +244,8 @@ func (s *ShmServer) serveConn(conn net.Conn) {
 // call itself and returns the response on ring B, tagged with its
 // request id. Passing the turn before executing means a slow call never
 // blocks the segment, and when every worker is busy nobody reads, which
-// is the back-pressure. XDRServer.serveMux keeps a dedicated reader
-// instead: a socket read blocks in netpoll, not on a shared counter.
+// is the back-pressure. XDRServer.serveMux has the same shape over its
+// socket.
 func (s *ShmServer) serveSegment(seg *shmring.Segment) {
 	var wmu sync.Mutex // serializes producers on the SPSC response ring
 	turn := make(chan struct{}, 1)

@@ -180,28 +180,27 @@ func (s *XDRServer) serveConn(conn net.Conn) {
 	s.serveMux(conn, br, binary.BigEndian.Uint32(pre[4:]))
 }
 
-// muxTask is one request frame awaiting a worker.
-type muxTask struct {
-	id    uint64
-	flags byte // codec flags; 0 on raw frames
-	frame []byte
-}
-
-// serveMux serves one connection: request frames are handed to a pool of persistent per-connection workers
-// (bounded globally by s.sem) and responses are written back — tagged
-// with the request ID they answer — as they complete, in any order.
-// Persistent workers, rather than a goroutine per frame, keep their grown
-// stacks across requests; per-call goroutine spawn and stack-copy churn
-// would otherwise dominate the profile at high request rates.
+// serveMux serves one connection with cap(s.sem) persistent workers
+// (bounded globally by s.sem) that share one read turn: the holder reads
+// one request frame, passes the turn on, then executes the call itself and
+// queues its response — tagged with the request ID it answers — on the
+// shared frameWriter, so responses leave in any order. Passing the turn
+// before executing means a slow call never blocks the connection, and
+// when every worker is busy nobody reads, which is the back-pressure. A
+// worker takes its s.sem slot only after its read, so an idle connection
+// holds none. Persistent workers, rather than a goroutine per frame, keep
+// their grown stacks across requests.
 //
-// Workers buffer their response frames and a dedicated flusher goroutine
-// commits them: after each wakeup it yields once so every worker that is
-// already runnable appends its frame first, then the whole burst leaves
-// in one write syscall (the dominant per-call cost on a fast network).
-// An isolated response still flushes with only a scheduler yield of
-// extra latency, and a bulk response skips the coalescing copy entirely
-// — frameWriter sends it vectored with whatever is already buffered.
-// See muxConn.flushLoop for the client-side twin.
+// The worker that starts a response batch flushes it (frameWriter.
+// FlushBatch): workers that are runnable meanwhile queue behind it and
+// their responses leave in the same write syscall. A bulk response skips
+// the coalescing copy entirely — frameWriter sends it vectored with
+// whatever is already buffered.
+//
+// A read error ends the connection's reading for good, but requests
+// already read still execute and their responses are flushed before
+// serveConn closes the socket, so a client that half-closes its side
+// still hears every answer.
 //
 // The server first answers the client's offer word with the chosen codec
 // — flushed before any request frame is touched, so a client that never
@@ -210,7 +209,6 @@ type muxTask struct {
 // eligible response frames per cpol.
 func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, offer uint32) {
 	fw := newFrameWriter(conn, s.wm)
-	var wmu sync.Mutex // serializes response frames on the shared writer
 
 	var comp *xdr.Compressor // response compression; nil = raw
 	chosen := xdr.ChooseCodec(offer, s.cpol.acceptWord(true))
@@ -230,112 +228,72 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, offer uint32) {
 		defer s.wm.codecs.With(chosen.Name()).Dec()
 	}
 
-	flushKick := make(chan struct{}, 1)
-	flushDone := make(chan struct{})
-	kick := func() {
-		select {
-		case flushKick <- struct{}{}:
-		default:
-		}
-	}
-	go func() { // flusher
-		for {
-			select {
-			case <-flushDone:
-				return
-			case <-flushKick:
-			}
-			runtime.Gosched() // let runnable workers append their frames
-			select {
-			case <-flushKick: // collapse kicks that arrived while yielding
-			default:
-			}
-			wmu.Lock()
-			var err error
-			if fw.Buffered() > 0 {
-				err = fw.Flush()
-			}
-			wmu.Unlock()
-			if err != nil {
-				_ = conn.Close() // unblocks the read loop below
-				return
-			}
-		}
-	}()
-
-	nw := cap(s.sem)
-	tasks := make(chan muxTask, nw)
+	turn := make(chan struct{}, 1) // the right to read br; closed once a read fails
+	turn <- struct{}{}
 	var workers sync.WaitGroup
-	for i := 0; i < nw; i++ {
+	for i := 0; i < cap(s.sem); i++ {
 		workers.Add(1)
 		go func() {
 			defer workers.Done()
 			var arena xdr.Arena // this worker's request arrays, reused across requests
-			for t := range tasks {
+			for range turn {
+				id, flags, frame, err := xdr.ReadFrameV3(br)
+				if err != nil {
+					close(turn)
+					return
+				}
+				turn <- struct{}{}
+				if len(frame) >= largeFrameMin {
+					// The worker just handed the turn waits in this P's
+					// runnext slot, behind a bulk decode of tens of
+					// microseconds; yield so it reaches the socket first.
+					runtime.Gosched()
+				}
 				s.sem <- struct{}{} // global bound across connections
-				if t.flags != 0 {
-					s.wm.compressedIn(len(t.frame))
-					dec, derr := xdr.DecompressFrameV3(t.flags, t.frame)
-					xdr.PutFrameBuf(t.frame)
+				if flags != 0 {
+					s.wm.compressedIn(len(frame))
+					dec, derr := xdr.DecompressFrameV3(flags, frame)
+					xdr.PutFrameBuf(frame)
 					if derr != nil {
 						<-s.sem
 						_ = conn.Close() // protocol error: desynced stream
 						continue
 					}
-					t.frame = dec
+					frame = dec
 				}
-				resp := s.handle(t.frame, true, &arena)
-				xdr.PutFrameBuf(t.frame)
-				var frame []byte
+				resp := s.handle(frame, true, &arena)
+				xdr.PutFrameBuf(frame)
 				var ce *xdr.Encoder
-				var err error
 				if comp != nil {
 					payload := resp.FramePayloadV3()
-					if frame, ce = comp.CompressFrameV3(t.id, payload); ce != nil {
+					if frame, ce = comp.CompressFrameV3(id, payload); ce != nil {
 						s.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
 					}
 				}
 				if ce == nil {
-					frame, err = resp.FrameBytesV3(t.id, 0)
+					frame, err = resp.FrameBytesV3(id, 0)
 				}
+				lead := false
 				if err == nil {
-					wmu.Lock()
-					_, err = fw.Write(frame)
-					wmu.Unlock()
+					fw.mu.Lock()
+					lead, err = fw.Queue(frame)
+					fw.mu.Unlock()
 				}
 				xdr.PutEncoder(resp)
 				if ce != nil {
 					xdr.PutEncoder(ce)
 				}
 				<-s.sem
-				if err != nil {
-					_ = conn.Close() // unblocks the read loop below
-					continue         // keep draining queued tasks
+				if lead {
+					err = fw.FlushBatch()
 				}
-				kick()
+				if err != nil {
+					_ = conn.Close() // ends the turn holder's read; queued requests still run
+				}
 			}
 		}()
 	}
-
-	for {
-		var t muxTask
-		var err error
-		if t.id, t.flags, t.frame, err = xdr.ReadFrameV3(br); err != nil {
-			break
-		}
-		tasks <- t // blocks when workers saturate
-	}
-	close(tasks)
 	workers.Wait()
-	// Stop the flusher and commit anything it had not flushed yet (the
-	// last worker's kick may still be sitting in the channel). The
-	// deferred conn.Close in serveConn runs after this.
-	close(flushDone)
-	wmu.Lock()
-	if fw.Buffered() > 0 {
-		_ = fw.Flush()
-	}
-	wmu.Unlock()
 }
 
 // dispatcher is the half of a server that does not know which transport

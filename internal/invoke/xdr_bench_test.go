@@ -8,10 +8,11 @@ import (
 	"testing"
 
 	"harness2/internal/container"
+	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 )
 
-func benchXDRHost(b *testing.B) *XDRServer {
+func benchXDRHost(b *testing.B, opts ServerOptions) *XDRServer {
 	b.Helper()
 	c := container.New(container.Config{Name: "bench"})
 	c.RegisterFactory("MatMul", matmulImpl())
@@ -22,7 +23,7 @@ func benchXDRHost(b *testing.B) *XDRServer {
 	if _, _, err := c.Deploy("Counter", "c1"); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
+	srv, err := NewXDRServer(c, "127.0.0.1:0", opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func benchXDRHost(b *testing.B) *XDRServer {
 // BenchmarkXDRInvokeSmall measures one small (two-int64) call on a
 // single connection — the per-call frame/encode floor of the binding.
 func BenchmarkXDRInvokeSmall(b *testing.B) {
-	srv := benchXDRHost(b)
+	srv := benchXDRHost(b, ServerOptions{})
 	p := NewXDRPort(srv.Addr(), "c1")
 	defer p.Close()
 	args := wire.Args("by", int64(1))
@@ -51,7 +52,7 @@ func BenchmarkXDRInvokeSmall(b *testing.B) {
 // full client+server path: the numeric-array bulk encode/decode fast
 // path plus frame-buffer pooling.
 func BenchmarkXDRInvokeArray1MB(b *testing.B) {
-	srv := benchXDRHost(b)
+	srv := benchXDRHost(b, ServerOptions{})
 	p := NewXDRPort(srv.Addr(), "mm")
 	defer p.Close()
 	n := 1 << 17 // 128k doubles = 1 MiB
@@ -101,13 +102,25 @@ func BenchmarkXDRInvokeArray64K(b *testing.B) {
 	}
 }
 
-// benchXDRConcurrent drives `clients` goroutines over one shared port.
+// benchXDRConcurrent drives `clients` goroutines over one shared port and
+// reports writes/op: the flushes and vectored writes both ends made per
+// call, read off the flush-batch histograms of a private registry.
 func benchXDRConcurrent(b *testing.B, clients int) {
-	srv := benchXDRHost(b)
+	reg := telemetry.New()
+	srv := benchXDRHost(b, ServerOptions{Telemetry: reg})
 	p := NewXDRPort(srv.Addr(), "c1")
+	p.SetTelemetry(reg)
 	defer p.Close()
 	args := wire.Args("by", int64(1))
 	ctx := context.Background()
+	if _, err := p.Invoke(ctx, "inc", args); err != nil { // dial outside the timed loop
+		b.Fatal(err)
+	}
+	writes := func() uint64 {
+		return reg.Histogram("harness_xdr_mux_flush_batch_bytes", "role", "client").Count() +
+			reg.Histogram("harness_xdr_mux_flush_batch_bytes", "role", "server").Count()
+	}
+	before := writes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -128,14 +141,17 @@ func benchXDRConcurrent(b *testing.B, clients int) {
 		}()
 	}
 	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(writes()-before)/float64(per*clients), "writes/op")
 }
 
 // BenchmarkXDRInvokeConcurrent is the E11 companion: aggregate
 // throughput of one shared port under concurrent callers. The port
-// pipelines calls and batches frames per syscall, so ns/op falls as
-// concurrency grows.
+// pipelines calls and batches frames per syscall, so ns/op and writes/op
+// fall as concurrency grows. clients=2 is the benchmark's own caller
+// count (numCallers in benchmark/stack.go).
 func BenchmarkXDRInvokeConcurrent(b *testing.B) {
-	for _, clients := range []int{1, 4, 16, 64} {
+	for _, clients := range []int{1, 2, 4, 16, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			benchXDRConcurrent(b, clients)
 		})

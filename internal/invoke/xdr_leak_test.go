@@ -22,7 +22,7 @@ func goroutineCount() int {
 // TestXDRMuxNoLeakOnServerChurn is the leak regression for the client:
 // every path out of the demux machinery (server death with calls in
 // flight, register on a dead pooled connection, port close) must unwind
-// both muxConn goroutines (readLoop, flushLoop) and close the socket.
+// the muxConn goroutine (readLoop) and close the socket.
 // The test churns through server restarts with concurrent callers and
 // asserts the goroutine count returns to baseline.
 func TestXDRMuxNoLeakOnServerChurn(t *testing.T) {
@@ -109,7 +109,7 @@ func TestXDRMuxCancelledCallersDoNotLeak(t *testing.T) {
 	p.SetTelemetry(telemetry.Disabled())
 	defer p.Close()
 
-	// Establish the connection (and its two goroutines) first.
+	// Establish the connection (and its goroutines) first.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	_, _ = p.Invoke(ctx, "block", nil)
 	cancel()

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -545,5 +546,147 @@ func TestXDRServerWorkerPoolBounded(t *testing.T) {
 	// After the gate opens, the pool drains and the port works again.
 	if _, err := p.Invoke(context.Background(), "ping", nil); err != nil {
 		t.Fatalf("call after pool drain: %v", err)
+	}
+}
+
+// napImpl is a component whose "nap" op sleeps for its "ms" argument.
+func napImpl() container.Factory {
+	return container.FuncFactory(func() *container.FuncComponent {
+		return &container.FuncComponent{
+			Spec: wsdl.ServiceSpec{Name: "Nap", Operations: []wsdl.OpSpec{
+				{Name: "nap", Input: []wsdl.ParamSpec{{Name: "ms", Type: wire.KindInt64}},
+					Output: []wsdl.ParamSpec{{Name: "ms", Type: wire.KindInt64}}},
+			}},
+			Handlers: map[string]container.OpFunc{
+				"nap": func(ctx context.Context, args []wire.Arg) ([]wire.Arg, error) {
+					ms, _ := wire.GetArg(args, "ms")
+					time.Sleep(time.Duration(ms.(int64)) * time.Millisecond)
+					return wire.Args("ms", ms), nil
+				},
+			},
+		}
+	})
+}
+
+// TestXDRServerAnswersAfterClientHalfClose pins the server's drain: a
+// client that sends its requests and then closes its sending side still
+// reads every answer before end-of-stream. Requests the server has read
+// run to completion and their responses are flushed before it closes the
+// socket. Each call naps longer than the one before, so the server reads
+// end-of-stream while most of them are still executing.
+func TestXDRServerAnswersAfterClientHalfClose(t *testing.T) {
+	c := container.New(container.Config{Name: "halfclose"})
+	c.RegisterFactory("Nap", napImpl())
+	if _, _, err := c.Deploy("Nap", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xs.Close()
+	conn, err := net.Dial("tcp", xs.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	const calls = 8
+	var out bytes.Buffer
+	_ = xdr.WriteMagicV3(&out, 0)
+	for i := 1; i <= calls; i++ {
+		e := xdr.GetEncoder()
+		e.ReserveFrameHeaderV3()
+		if err := encodeRequest(e, "n1", "nap", wire.Args("ms", int64(10*i))); err != nil {
+			t.Fatal(err)
+		}
+		frame, err := e.FrameBytesV3(uint64(i), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(frame)
+		xdr.PutEncoder(e)
+	}
+	if _, err := conn.Write(out.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var word [4]byte // the server's chosen-codec answer
+	if _, err := io.ReadFull(conn, word[:]); err != nil {
+		t.Fatalf("answer word: %v", err)
+	}
+	seen := make(map[uint64]bool)
+	for len(seen) < calls {
+		id, _, frame, err := xdr.ReadFrameV3(conn)
+		if err != nil {
+			t.Fatalf("after %d of %d responses: %v", len(seen), calls, err)
+		}
+		res, err := decodeResponse(frame)
+		xdr.PutFrameBuf(frame)
+		if err != nil {
+			t.Fatalf("response %d: %v", id, err)
+		}
+		if ms, _ := wire.GetArg(res, "ms"); id < 1 || id > calls || seen[id] || ms != int64(10*id) {
+			t.Fatalf("response id %d (ms %v) is not an unanswered call", id, ms)
+		}
+		seen[id] = true
+	}
+	if _, _, _, err := xdr.ReadFrameV3(conn); err != io.EOF {
+		t.Fatalf("after the last response: %v, want EOF", err)
+	}
+}
+
+// TestXDRIdleConnHoldsOnlyItsWorkers: once a burst of concurrent calls
+// goes idle, a connection holds one client goroutine, readLoop, which
+// routes responses to their callers; flushing is the callers' own work.
+// The server side holds serveConn and the connection's workers, which
+// take turns reading requests and flush their own responses.
+func TestXDRIdleConnHoldsOnlyItsWorkers(t *testing.T) {
+	c := container.New(container.Config{Name: "idle"})
+	c.RegisterFactory("Counter", counterImpl())
+	if _, _, err := c.Deploy("Counter", "c1"); err != nil {
+		t.Fatal(err)
+	}
+	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer xs.Close()
+	p := NewXDRPort(xs.Addr(), "c1")
+	p.SetTelemetry(telemetry.Disabled())
+	defer p.Close()
+	baseline := goroutineCount() // the port has never been called
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	want := baseline + 1 + 1 + serverWorkers() // client readLoop; server serveConn, workers
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		now := goroutineCount()
+		if now == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("idle connection: %d goroutines, want %d (baseline %d)\n%s", now, want, baseline, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

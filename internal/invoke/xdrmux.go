@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -38,8 +37,9 @@ type clientCompress struct {
 }
 
 // muxConn is one multiplexed client connection: a single TCP stream shared
-// by any number of concurrent calls. Writers serialize frame-at-a-time on
-// wmu; a dedicated readLoop goroutine demultiplexes responses to per-call
+// by any number of concurrent calls. Callers queue their frames on the
+// shared frameWriter and the one that starts a batch flushes it; readLoop,
+// the connection's one goroutine, demultiplexes responses to per-call
 // channels by request ID.
 type muxConn struct {
 	conn net.Conn
@@ -57,10 +57,7 @@ type muxConn struct {
 	comp      atomic.Pointer[xdr.Compressor]
 	codecName atomic.Pointer[string] // negotiated codec, for the gauge
 
-	wmu         sync.Mutex    // serializes request frames (and the write deadline)
-	deadlineSet bool          // guarded by wmu: a write deadline is armed
-	flushKick   chan struct{} // cap 1: wakes flushLoop after a frame is buffered
-	done        chan struct{} // closed by shutdown; stops flushLoop
+	deadlineSet bool // guarded by fw.mu: a write deadline is armed
 
 	reused atomic.Bool // at least one call completed on this connection
 
@@ -81,67 +78,20 @@ func dialMux(ctx context.Context, addr string, wm xdrWireMetrics, offer uint32, 
 	}
 	fw := newFrameWriter(conn, wm)
 	mc := &muxConn{
-		conn:      conn,
-		cw:        fw.cw,
-		fw:        fw,
-		wm:        wm,
-		offer:     offer | 1,
-		cc:        cc,
-		pending:   make(map[uint64]chan muxResult),
-		flushKick: make(chan struct{}, 1),
-		done:      make(chan struct{}),
+		conn:    conn,
+		cw:      fw.cw,
+		fw:      fw,
+		wm:      wm,
+		offer:   offer | 1,
+		cc:      cc,
+		pending: make(map[uint64]chan muxResult),
 	}
 	if err := xdr.WriteMagicV3(mc.fw, offer); err != nil {
 		_ = conn.Close()
 		return nil, err
 	}
 	go mc.readLoop()
-	go mc.flushLoop()
 	return mc, nil
-}
-
-// kickFlush schedules a flush of buffered request frames. The kick
-// channel has capacity one, so a burst of callers collapses into a
-// single wakeup.
-func (mc *muxConn) kickFlush() {
-	select {
-	case mc.flushKick <- struct{}{}:
-	default:
-	}
-}
-
-// flushLoop commits buffered request frames to the socket. Flushing in a
-// dedicated goroutine — rather than inline in each writeRequest — is what
-// makes request batching work: after a wakeup the loop yields once, so
-// every caller that is already runnable gets to append its frame to the
-// shared buffer first, and the whole burst leaves in one write syscall.
-// The write syscall is the dominant per-call cost on a fast network, so
-// this is where the multiplexed transport's aggregate throughput comes
-// from. A lone caller still flushes with sub-microsecond extra latency
-// (one scheduler yield with an empty run queue).
-func (mc *muxConn) flushLoop() {
-	for {
-		select {
-		case <-mc.done:
-			return
-		case <-mc.flushKick:
-		}
-		runtime.Gosched() // let runnable callers append their frames
-		select {
-		case <-mc.flushKick: // collapse kicks that arrived while yielding
-		default:
-		}
-		mc.wmu.Lock()
-		var err error
-		if mc.fw.Buffered() > 0 {
-			err = mc.fw.Flush()
-		}
-		mc.wmu.Unlock()
-		if err != nil {
-			mc.shutdown(err)
-			return
-		}
-	}
 }
 
 // readLoop demultiplexes response frames to their waiting calls until
@@ -209,7 +159,6 @@ func (mc *muxConn) shutdown(err error) {
 	mc.mu.Lock()
 	if mc.err == nil {
 		mc.err = err
-		close(mc.done)
 		if errors.Is(err, ErrXDRRefused) {
 			mc.wm.refused.Inc()
 		}
@@ -278,15 +227,17 @@ func (mc *muxConn) markReused() {
 
 func (mc *muxConn) wasReused() bool { return mc.reused.Load() }
 
-// writeRequest seals the request encoder into a frame for id, buffers
-// it, and schedules a flush. It reports whether any byte of the frame
-// reached the socket (a large frame leaves immediately as a vectored
-// write; see frameWriter), which gates the caller's retry decision.
-// Flush errors for fully-buffered frames surface through the per-call
-// response channel when flushLoop shuts the connection down.
+// writeRequest seals the request encoder into a frame for id and queues
+// it, flushing the batch if this call leads it (frameWriter.FlushBatch).
+// It reports whether any byte reached the socket while the frame was
+// queued (a large frame leaves immediately as a vectored write; see
+// frameWriter), which gates the caller's retry decision. A failed batch
+// flush shuts the connection down instead: the frames it carried may be
+// partly on the wire, so the error reaches every waiting call, this one
+// included, through its response channel.
 //
 // With a negotiated codec, the payload may be compressed here — outside
-// wmu, so flate CPU never serializes other writers. The raw path (no
+// fw.mu, so flate CPU never serializes other writers. The raw path (no
 // compressor, frame under the floor, adaptive backoff, or incompressible
 // payload) seals the caller's encoder in place, with zero extra
 // allocations.
@@ -307,7 +258,7 @@ func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) 
 	if ce != nil {
 		defer xdr.PutEncoder(ce) // frameWriter copies or writes synchronously
 	}
-	mc.wmu.Lock()
+	mc.fw.mu.Lock()
 	// Arm the write deadline from this call's context; clearing a
 	// previously-set deadline means no call inherits a stale timeout,
 	// and the deadlineSet flag spares deadline-free traffic the runtime
@@ -322,11 +273,13 @@ func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) 
 		mc.deadlineSet = false
 	}
 	mc.cw.n = 0
-	_, err = mc.fw.Write(frame)
+	lead, err := mc.fw.Queue(frame)
 	wroteAny = mc.cw.n > 0
-	mc.wmu.Unlock()
-	if err == nil {
-		mc.kickFlush()
+	mc.fw.mu.Unlock()
+	if lead {
+		if ferr := mc.fw.FlushBatch(); ferr != nil {
+			mc.shutdown(ferr)
+		}
 	}
 	return wroteAny, err
 }
