@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint loc test test-poison race race-shm race-xdr race-fleet cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
+.PHONY: all build vet fmt-check lint loc test test-poison race race-shm race-xdr race-rungs race-fleet cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
 
 all: build
 
@@ -57,6 +57,12 @@ race-shm:
 # of each write batch between callers (client) and workers (server).
 race-xdr:
 	$(GO) test -race -count=5 -run 'XDR' ./internal/invoke
+
+# The binding ladder's rows under the race detector, repeated: every rung
+# Dial opens runs in the one instrumented wrapper, which refuses a done
+# context, injects chaos, traces and counts before the bare transport.
+race-rungs:
+	$(GO) test -race -count=3 -run 'Rung|TextBindingsAgree|ShedsWhenOverloaded|InvokeMetricsPerBinding' ./internal/invoke
 
 # The fleet supervisor under the race detector, repeated: every unit's
 # lifecycle has one owner goroutine, and stops, cycles and kills race it.
@@ -191,7 +197,7 @@ N ?= 10
 benchmark-pairs:
 	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
-ci: fmt-check vet build race race-shm race-xdr race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
+ci: fmt-check vet build race race-shm race-xdr race-rungs race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

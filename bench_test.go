@@ -176,7 +176,7 @@ func e3Port(b *testing.B, kind wsdl.BindingKind) invoke.Port {
 	case wsdl.BindJavaObject:
 		return &invoke.LocalPort{Container: node.Container(), Instance: "mm"}
 	case wsdl.BindXDR:
-		p := invoke.NewXDRPort(node.XDRAddr(), "mm")
+		p := invoke.NewXDRPort(node.XDRAddr(), "mm", invoke.Options{})
 		b.Cleanup(func() { _ = p.Close() })
 		return p
 	default:
@@ -450,7 +450,7 @@ func benchLinSolveVia(b *testing.B, kind wsdl.BindingKind) {
 	case wsdl.BindJavaObject:
 		p = &invoke.LocalPort{Container: node.Container(), Instance: "lapack"}
 	case wsdl.BindXDR:
-		xp := invoke.NewXDRPort(node.XDRAddr(), "lapack")
+		xp := invoke.NewXDRPort(node.XDRAddr(), "lapack", invoke.Options{})
 		b.Cleanup(func() { _ = xp.Close() })
 		p = xp
 	default:
@@ -596,7 +596,14 @@ func benchE12Invoke(b *testing.B, reg *telemetry.Registry) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := &invoke.LocalPort{Container: c, Instance: inst.ID, Telemetry: reg}
+	defs, err := c.WSDLFor(inst.ID)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := invoke.Dial(defs, invoke.Options{LocalContainers: []*container.Container{c}, Telemetry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -156,7 +156,7 @@ func seedPeers(peersFlag, joinURL string) ([]cluster.PeerState, error) {
 // memberList asks a live peer for the cluster's current membership.
 func memberList(url string) (ids, addrs []string, err error) {
 	var cl soap.Client
-	out, err := cl.CallRemote(url, &soap.Call{Method: cluster.OpMembers})
+	out, err := cl.CallRemote(context.Background(), url, &soap.Call{Method: cluster.OpMembers})
 	if err != nil {
 		return nil, nil, err
 	}

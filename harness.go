@@ -140,6 +140,7 @@ const (
 	BindHTTP       = wsdl.BindHTTP
 	BindXDR        = wsdl.BindXDR
 	BindJavaObject = wsdl.BindJavaObject
+	BindShm        = wsdl.BindShm
 )
 
 // GenerateWSDL produces a complete WSDL document for spec — the

@@ -100,7 +100,7 @@ func E3Bindings(sizes []int) (*Table, error) {
 			}
 		}
 		variants = append(variants,
-			variant{"xdr (reused conn)", invoke.NewXDRPort(h.node.XDRAddr(), "mm")},
+			variant{"xdr (reused conn)", invoke.NewXDRPort(h.node.XDRAddr(), "mm", invoke.Options{})},
 			variant{"xdr (dial/call)", dialPerCallPort{h.node.XDRAddr(), "mm"}},
 		)
 		if soapRefs := defs.PortsByKind(wsdl.BindSOAP); len(soapRefs) == 1 {
@@ -263,7 +263,7 @@ func E9Locality(n, jobs int) (*Table, error) {
 			&invoke.SOAPPort{URL: refs[0].Port.Address}})
 	}
 	placements = append(placements,
-		placement{"same host", "xdr socket", invoke.NewXDRPort(h.node.XDRAddr(), "lapack")},
+		placement{"same host", "xdr socket", invoke.NewXDRPort(h.node.XDRAddr(), "lapack", invoke.Options{})},
 		placement{"same container", "local (JavaObject)",
 			&invoke.LocalPort{Container: h.node.Container(), Instance: "lapack"}},
 	)

@@ -64,7 +64,7 @@ func (p *serialPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]
 type dialPerCallPort struct{ addr, instance string }
 
 func (p dialPerCallPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	port := invoke.NewXDRPort(p.addr, p.instance)
+	port := invoke.NewXDRPort(p.addr, p.instance, invoke.Options{})
 	defer port.Close()
 	return port.Invoke(ctx, op, args)
 }
@@ -80,12 +80,12 @@ var e11Transports = []struct {
 	open func(addr, instance string) invoke.Port
 }{
 	{"serial", func(addr, inst string) invoke.Port {
-		return &serialPort{XDRPort: invoke.NewXDRPort(addr, inst)}
+		return &serialPort{XDRPort: invoke.NewXDRPort(addr, inst, invoke.Options{})}
 	}},
 	{"dial-per-call", func(addr, inst string) invoke.Port {
 		return dialPerCallPort{addr, inst}
 	}},
-	{"mux", func(addr, inst string) invoke.Port { return invoke.NewXDRPort(addr, inst) }},
+	{"mux", func(addr, inst string) invoke.Port { return invoke.NewXDRPort(addr, inst, invoke.Options{}) }},
 }
 
 // E11Concurrency measures aggregate XDR invocation throughput as client

@@ -109,7 +109,7 @@ func E16DataPlane(sizes []int, smallCalls, arrayLen, arrayCalls int) (*Table, er
 		if err != nil {
 			return nil, err
 		}
-		xdrPort := invoke.NewXDRPort(h.node.XDRAddr(), "sink")
+		xdrPort := invoke.NewXDRPort(h.node.XDRAddr(), "sink", invoke.Options{})
 		// Best of three trials per path: latency floors are stable under
 		// scheduler noise where single-trial means are not.
 		measure := func(p invoke.Port) time.Duration {

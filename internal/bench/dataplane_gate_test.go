@@ -74,7 +74,7 @@ func TestE16Gate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shmPort.Close()
-	xdrPort := invoke.NewXDRPort(h.node.XDRAddr(), "sink")
+	xdrPort := invoke.NewXDRPort(h.node.XDRAddr(), "sink", invoke.Options{})
 	defer xdrPort.Close()
 	ctx := context.Background()
 	args := wire.Args("data", []float64{1})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -111,12 +112,12 @@ func E14FastPath(sizes []int) (*Table, error) {
 
 		reps := 300
 		coldPer := timeIt(reps, func() {
-			if _, err := cold.CallRemote(hs.URL, call); err != nil {
+			if _, err := cold.CallRemote(context.Background(), hs.URL, call); err != nil {
 				panic(err)
 			}
 		})
 		warmPer := timeIt(reps, func() {
-			if _, err := warm.CallRemote(hs.URL, call); err != nil {
+			if _, err := warm.CallRemote(context.Background(), hs.URL, call); err != nil {
 				panic(err)
 			}
 		})

@@ -654,9 +654,9 @@ func e15Real(clients, callsPerClient, services int) (*e15RealResult, error) {
 	if _, err := hostB.publish("ArraySink", "sinkB"); err != nil {
 		return nil, err
 	}
-	portA := invoke.NewXDRPort(hostA.node.XDRAddr(), "sinkA")
+	portA := invoke.NewXDRPort(hostA.node.XDRAddr(), "sinkA", invoke.Options{})
 	defer portA.Close()
-	portB := invoke.NewXDRPort(hostB.node.XDRAddr(), "sinkB")
+	portB := invoke.NewXDRPort(hostB.node.XDRAddr(), "sinkB", invoke.Options{})
 	defer portB.Close()
 	ctx := context.Background()
 	args := wire.Args("data", []float64{1})

@@ -98,8 +98,8 @@ func E12TelemetryOverhead(reps, invokeReps int) (*Table, error) {
 	return t, nil
 }
 
-// e12Port builds a one-instance container charged to r and returns a
-// local port through it. The component is a trivial accumulator so the
+// e12Port builds a one-instance container charged to r and dials its
+// local rung, instrumented on r. The component is a trivial accumulator so the
 // measurement isolates dispatch + instrumentation, not compute.
 func e12Port(r *telemetry.Registry) (invoke.Port, error) {
 	c := container.New(container.Config{Name: "e12", Telemetry: r})
@@ -108,7 +108,11 @@ func e12Port(r *telemetry.Registry) (invoke.Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &invoke.LocalPort{Container: c, Instance: inst.ID, Telemetry: r}, nil
+	defs, err := c.WSDLFor(inst.ID)
+	if err != nil {
+		return nil, err
+	}
+	return invoke.Dial(defs, invoke.Options{LocalContainers: []*container.Container{c}, Telemetry: r})
 }
 
 func e12AccumFactory() container.Factory {

@@ -58,9 +58,8 @@ func E19WANPlane(arrayLen, wanCalls int) (*Table, error) {
 	}
 
 	measure := func(addr string, pol invoke.CompressPolicy, data []float64, calls int) (time.Duration, error) {
-		p := invoke.NewXDRPort(addr, "sink")
+		p := invoke.NewXDRPort(addr, "sink", invoke.Options{Compress: pol})
 		defer p.Close()
-		p.SetCompression(pol)
 		args := wire.Args("data", data)
 		call := func() {
 			if _, err := p.Invoke(ctx, "checksum", args); err != nil {

@@ -36,9 +36,8 @@ func TestE19Gate(t *testing.T) {
 	ctx := context.Background()
 
 	measure := func(addr string, pol invoke.CompressPolicy, data []float64, calls int) time.Duration {
-		p := invoke.NewXDRPort(addr, "sink")
+		p := invoke.NewXDRPort(addr, "sink", invoke.Options{Compress: pol})
 		defer p.Close()
-		p.SetCompression(pol)
 		args := wire.Args("data", data)
 		call := func() {
 			if _, err := p.Invoke(ctx, "checksum", args); err != nil {

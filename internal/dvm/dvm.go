@@ -273,8 +273,9 @@ func (d *DVM) Invoke(ctx context.Context, fromNode string, q Query, op string, a
 	return c.Invoke(ctx, e.Instance, op, args)
 }
 
-// Port opens an invocation port to the first match of q, preferring local
-// bindings when the caller's container is the host.
+// Port opens an invocation port to the first match of q: Dial over the
+// host's WSDL with the host co-located, so the port is the host's local
+// rung, instrumented like any other.
 func (d *DVM) Port(fromNode string, q Query) (invoke.Port, error) {
 	entries, err := d.Lookup(fromNode, q)
 	if err != nil {
@@ -288,7 +289,11 @@ func (d *DVM) Port(fromNode string, q Query) (invoke.Port, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownMember, e.Node)
 	}
-	return &invoke.LocalPort{Container: host, Instance: e.Instance, Telemetry: d.tel}, nil
+	defs, err := host.WSDLFor(e.Instance)
+	if err != nil {
+		return nil, err
+	}
+	return invoke.Dial(defs, invoke.Options{LocalContainers: []*container.Container{host}, Telemetry: d.tel})
 }
 
 // Migrate moves a stateful instance between member nodes, updating the

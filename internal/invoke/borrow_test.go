@@ -71,7 +71,7 @@ func borrowPortsOn(t *testing.T, c *container.Container, instance string) map[st
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = xs.Close() })
-	ports := map[string]Port{"xdr": NewXDRPort(xs.Addr(), instance)}
+	ports := map[string]Port{"xdr": NewXDRPort(xs.Addr(), instance, Options{})}
 	if shmring.Supported() {
 		ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
 		if err != nil {
@@ -308,8 +308,7 @@ func TestXDRArrayCallAllocationGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer xs.Close()
-	p := NewXDRPort(xs.Addr(), "s1")
-	p.SetTelemetry(telemetry.Disabled())
+	p := dialXDR(xs.Addr(), "s1", Options{Telemetry: telemetry.Disabled()})
 	defer p.Close()
 
 	data := randDoubles(rand.New(rand.NewSource(1)), n)

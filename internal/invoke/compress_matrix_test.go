@@ -59,8 +59,7 @@ func TestXDRNegotiationMatrix(t *testing.T) {
 			for _, cc := range clients {
 				cc := cc
 				t.Run("client="+cc.name, func(t *testing.T) {
-					p := NewXDRPort(xs.Addr(), "m1")
-					p.SetCompression(cc.pol)
+					p := NewXDRPort(xs.Addr(), "m1", Options{Compress: cc.pol})
 					defer p.Close()
 					ctx := context.Background()
 					// Several calls per pairing: the first negotiates,
@@ -114,8 +113,7 @@ func TestXDRNegotiationConcurrent(t *testing.T) {
 	if _, _, err := c.Deploy("MatMul", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	p := NewXDRPort(xs.Addr(), "m1")
-	p.SetCompression(CompressPolicy{Mode: CompressAdaptive})
+	p := NewXDRPort(xs.Addr(), "m1", Options{Compress: CompressPolicy{Mode: CompressAdaptive}})
 	defer p.Close()
 
 	mata := make([]float64, 2048)
@@ -166,9 +164,7 @@ func TestCompressionMetricsExposed(t *testing.T) {
 	if _, _, err := c.Deploy("MatMul", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	p := NewXDRPort(xs.Addr(), "m1")
-	p.SetTelemetry(reg)
-	p.SetCompression(CompressPolicy{Mode: CompressAdaptive})
+	p := NewXDRPort(xs.Addr(), "m1", Options{Telemetry: reg, Compress: CompressPolicy{Mode: CompressAdaptive}})
 
 	mata := make([]float64, 4096)
 	for i := range mata {

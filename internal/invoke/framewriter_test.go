@@ -178,11 +178,9 @@ func TestXDRMuxLargeFrames(t *testing.T) {
 	}
 	defer xs.Close()
 
-	pm := NewXDRPort(xs.Addr(), "m1")
-	pm.SetTelemetry(telemetry.Disabled())
+	pm := NewXDRPort(xs.Addr(), "m1", Options{Telemetry: telemetry.Disabled()})
 	defer pm.Close()
-	pc := NewXDRPort(xs.Addr(), "c1")
-	pc.SetTelemetry(telemetry.Disabled())
+	pc := NewXDRPort(xs.Addr(), "c1", Options{Telemetry: telemetry.Disabled()})
 	defer pc.Close()
 
 	const n = 64 << 10 // 512 KiB of float64 per matrix: vectored both ways

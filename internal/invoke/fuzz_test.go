@@ -162,7 +162,7 @@ func TestXDRServerSurvivesGarbageConnections(t *testing.T) {
 		_ = conn.Close()
 	}
 	// A correct client still works.
-	p := NewXDRPort(srv.Addr(), "c1")
+	p := NewXDRPort(srv.Addr(), "c1", Options{})
 	defer p.Close()
 	out, err := p.Invoke(t.Context(), "inc", wire.Args("by", int64(5)))
 	if err != nil {

@@ -13,7 +13,6 @@ import (
 
 	"harness2/internal/container"
 	"harness2/internal/resilience"
-	"harness2/internal/resilience/chaos"
 	"harness2/internal/soap"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
@@ -200,15 +199,6 @@ type HTTPPort struct {
 	URL string
 	// HTTP is the underlying client; nil uses a 30 s-timeout default.
 	HTTP *http.Client
-	// Telemetry selects the metrics registry; nil falls back to the
-	// process default, telemetry.Disabled() switches instrumentation off.
-	Telemetry *telemetry.Registry
-	// Chaos, when non-nil, injects deterministic faults before the wire
-	// call (experiment E13). The nil injector costs one branch.
-	Chaos *chaos.Injector
-
-	minit sync.Once
-	m     bindingMetrics
 }
 
 var _ Port = (*HTTPPort)(nil)
@@ -217,27 +207,8 @@ var _ Port = (*HTTPPort)(nil)
 // and SOAP traffic to the same kernel reuse one set of connections.
 var defaultHTTPGet = soap.SharedHTTP
 
-func (p *HTTPPort) metrics() *bindingMetrics {
-	p.minit.Do(func() { p.m = newBindingMetrics(telemetry.Or(p.Telemetry), "http") })
-	return &p.m
-}
-
 // Invoke implements Port.
 func (p *HTTPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	if err := p.Chaos.Apply(ctx, "http", op, p.URL); err != nil {
-		return nil, err
-	}
-	m := p.metrics()
-	h, start := m.begin(op)
-	ctx, sp := telemetry.Or(p.Telemetry).ChildSpan(ctx, "invoke.http")
-	out, err := p.invoke(ctx, op, args)
-	sp.SetError(err)
-	sp.End()
-	m.done(op, h, start, err)
-	return out, err
-}
-
-func (p *HTTPPort) invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
 	q := url.Values{}
 	for _, a := range args {
 		k := wire.KindOf(a.Value)

@@ -239,7 +239,7 @@ func TestXDRConnectionReuse(t *testing.T) {
 	if len(ref) != 1 {
 		t.Fatalf("xdr ports = %d", len(ref))
 	}
-	p := NewXDRPort(ref[0].Port.Address, "c1")
+	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
@@ -266,7 +266,7 @@ func TestXDRReconnectAfterServerRestart(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1")
+	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
 	ctx := context.Background()
 	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
@@ -303,7 +303,7 @@ func TestXDRRejectsNonNumericArgs(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1")
+	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
 	_, err := p.Invoke(context.Background(), "inc", wire.Args("by", "a string"))
 	if err == nil {
@@ -318,13 +318,13 @@ func TestXDRFaults(t *testing.T) {
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	ctx := context.Background()
 
-	ghost := NewXDRPort(ref[0].Port.Address, "ghost")
+	ghost := NewXDRPort(ref[0].Port.Address, "ghost", Options{})
 	defer ghost.Close()
 	if _, err := ghost.Invoke(ctx, "inc", wire.Args("by", int64(1))); err == nil ||
 		!strings.Contains(err.Error(), "no such instance") {
 		t.Fatalf("err = %v", err)
 	}
-	p := NewXDRPort(ref[0].Port.Address, "c2")
+	p := NewXDRPort(ref[0].Port.Address, "c2", Options{})
 	defer p.Close()
 	if _, err := p.Invoke(ctx, "nosuchop", nil); err == nil {
 		t.Fatal("unknown op should fault")
@@ -413,7 +413,7 @@ func TestConcurrentXDRClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p := NewXDRPort(ref[0].Port.Address, "c1")
+			p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 			defer p.Close()
 			for j := 0; j < 25; j++ {
 				if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {

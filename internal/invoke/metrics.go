@@ -1,20 +1,64 @@
 package invoke
 
 import (
+	"context"
 	"io"
 	"time"
 
+	"harness2/internal/resilience/chaos"
 	"harness2/internal/telemetry"
+	"harness2/internal/wire"
 )
 
 // This file holds the invocation framework's instrument sets (telemetry
-// S27). Every port kind and server handler records the same per-binding
-// family trio — call count, error count, latency histogram, keyed by
-// operation — plus the XDR binding's wire-level extras: bytes on the
-// wire in each direction, the multiplexed in-flight depth, and the
-// bytes each flush or vectored write commits. All handles are nil-safe, so a port configured
-// with telemetry.Disabled() pays one branch per operation and nothing
-// else (proven by E12 / BenchmarkE12_Disabled).
+// S27). Every port the binding ladder opens is wrapped in one
+// instrumented Port, which records the per-binding family trio — call
+// count, error count, latency histogram, keyed by operation — and opens
+// the invoke.<label> child span; the server handlers record the same
+// trio. The XDR binding adds its wire-level extras: bytes on the wire in
+// each direction, the multiplexed in-flight depth, and the bytes each
+// flush or vectored write commits. All handles are nil-safe, so a port
+// opened with telemetry.Disabled() pays one branch per instrument and
+// allocates nothing (BenchmarkInstrumentedDisabled, E12).
+
+// instrumented is the one instrumentation layer of the client rungs: it
+// refuses a done context before the wire, applies the chaos injector,
+// opens the rung's child span and records the call trio around the bare
+// transport it wraps. Everything it needs per call — span name, chaos
+// target, metric handles — is fixed when the rung opens the port.
+type instrumented struct {
+	Port
+	rung   *rung
+	target string // chaos endpoint: the wrapped port's Endpoint()
+	tel    *telemetry.Registry
+	chaos  *chaos.Injector
+	m      bindingMetrics
+}
+
+// instrument wraps a port this rung opened in the rung's instruments.
+func (r *rung) instrument(p Port, opts Options) *instrumented {
+	tel := telemetry.Or(opts.Telemetry)
+	return &instrumented{Port: p, rung: r, target: p.Endpoint(), tel: tel,
+		chaos: opts.Chaos, m: newBindingMetrics(tel, r.label)}
+}
+
+// Invoke implements Port. A done context fails here on every rung, so no
+// transport executes an operation its caller has already given up on.
+func (p *instrumented) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := p.chaos.Apply(ctx, p.rung.label, op, p.target); err != nil {
+		return nil, err
+	}
+	h, start := p.m.begin(op)
+	ctx, sp := p.tel.ChildSpan(ctx, p.rung.span)
+	out, err := p.Port.Invoke(ctx, op, args)
+	sp.SetError(err)
+	sp.End()
+	p.m.done(op, h, start, err)
+	return out, err
+}
 
 // bindingMetrics is the per-binding instrument set: calls, errors and
 // latency per operation, with the binding name as a fixed label.

@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"harness2/internal/container"
 	"harness2/internal/resilience"
@@ -41,43 +40,13 @@ type Port interface {
 type LocalPort struct {
 	Container *container.Container
 	Instance  string
-	// Telemetry selects the metrics registry; nil falls back to the
-	// process default, telemetry.Disabled() switches instrumentation off.
-	Telemetry *telemetry.Registry
-	// Chaos, when non-nil, injects deterministic faults before dispatch
-	// (experiment E13). The nil injector costs one branch.
-	Chaos *chaos.Injector
-
-	minit sync.Once
-	m     bindingMetrics
 }
 
 var _ Port = (*LocalPort)(nil)
 
-func (p *LocalPort) metrics() *bindingMetrics {
-	p.minit.Do(func() { p.m = newBindingMetrics(telemetry.Or(p.Telemetry), "local") })
-	return &p.m
-}
-
-// Invoke implements Port. It honours an already-cancelled context before
-// dispatching: the local path has no I/O to fail on, so without this
-// check a cancelled caller would still execute the operation — unlike
-// every network binding, which surfaces ctx errors from the transport.
+// Invoke implements Port.
 func (p *LocalPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := p.Chaos.Apply(ctx, "local", op, p.Instance); err != nil {
-		return nil, err
-	}
-	m := p.metrics()
-	h, start := m.begin(op)
-	ctx, sp := telemetry.Or(p.Telemetry).ChildSpan(ctx, "invoke.local")
-	out, err := p.Container.Invoke(ctx, p.Instance, op, args)
-	sp.SetError(err)
-	sp.End()
-	m.done(op, h, start, err)
-	return out, err
+	return p.Container.Invoke(ctx, p.Instance, op, args)
 }
 
 // Kind implements Port.
@@ -95,37 +64,17 @@ type SOAPPort struct {
 	Client soap.Client
 	// Headers are attached to every outgoing call (context propagation).
 	Headers []soap.Header
-	// Telemetry selects the metrics registry; nil falls back to the
-	// process default, telemetry.Disabled() switches instrumentation off.
-	Telemetry *telemetry.Registry
-	// Chaos, when non-nil, injects deterministic faults before the wire
-	// call (experiment E13). The nil injector costs one branch.
-	Chaos *chaos.Injector
-
-	minit sync.Once
-	m     bindingMetrics
 }
 
 var _ Port = (*SOAPPort)(nil)
 
-func (p *SOAPPort) metrics() *bindingMetrics {
-	p.minit.Do(func() { p.m = newBindingMetrics(telemetry.Or(p.Telemetry), "soap") })
-	return &p.m
-}
-
-// Invoke implements Port. When the caller's context carries a trace, the
-// hop is recorded as a child span and the trace identity crosses the wire
-// in an h2:Trace header entry, so the server's span becomes this span's
-// child — Figure 6's layered call path reconstructed end to end.
+// Invoke implements Port. When ctx carries a trace (the instrumented
+// wrapper's invoke.soap span), its identity crosses the wire in an
+// h2:Trace header entry, so the server's span becomes that span's child —
+// Figure 6's layered call path reconstructed end to end.
 func (p *SOAPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	if err := p.Chaos.Apply(ctx, "soap", op, p.URL); err != nil {
-		return nil, err
-	}
-	m := p.metrics()
-	h, start := m.begin(op)
-	_, sp := telemetry.Or(p.Telemetry).ChildSpan(ctx, "invoke.soap")
 	headers := p.Headers
-	if sc := sp.Context(); sc.Valid() {
+	if sc, ok := telemetry.FromContext(ctx); ok {
 		headers = append(append(make([]soap.Header, 0, len(p.Headers)+1), p.Headers...),
 			soap.Header{Name: telemetry.TraceHeaderName, Value: sc.String()})
 	}
@@ -133,10 +82,7 @@ func (p *SOAPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 	for i, a := range args {
 		params[i] = soap.Param{Name: a.Name, Value: a.Value}
 	}
-	out, err := p.Client.CallRemote(p.URL, &soap.Call{Method: op, Params: params, Headers: headers})
-	sp.SetError(err)
-	sp.End()
-	m.done(op, h, start, err)
+	out, err := p.Client.CallRemote(ctx, p.URL, &soap.Call{Method: op, Params: params, Headers: headers})
 	if err != nil {
 		return nil, err
 	}
@@ -166,20 +112,21 @@ type Options struct {
 	Codec soap.Codec
 	// Forbid excludes binding kinds from selection.
 	Forbid []wsdl.BindingKind
-	// Telemetry selects the metrics registry for opened ports; nil falls
-	// back to the process default, telemetry.Disabled() switches
-	// instrumentation off.
+	// Telemetry selects the metrics registry of opened ports' call trio,
+	// spans and XDR wire counters; nil falls back to the process default,
+	// telemetry.Disabled() switches instrumentation off.
 	Telemetry *telemetry.Registry
-	// Chaos, when non-nil, is attached to every opened port so its rules
-	// can inject deterministic faults at each client transport (E13).
+	// Chaos, when non-nil, is applied before every call on every opened
+	// port, keyed by the rung's label and the port's endpoint (E13).
 	Chaos *chaos.Injector
 	// Policy, when non-nil, is applied by DialResilient: the opened ports
 	// become the failover ladder of a ResilientPort. Plain Dial ignores it.
 	Policy *resilience.Policy
-	// Compress is the XDR wire-compression stance (S33). CompressAuto
-	// enables adaptive compression iff the binding advertises a `compress`
-	// capability whose codec this process implements; explicit modes
-	// override the advertisement.
+	// Compress is the XDR wire-compression stance (S33). Under Dial,
+	// CompressAuto enables adaptive compression iff the binding advertises
+	// a `compress` capability whose codec this process implements and the
+	// endpoint is another host; explicit modes override both. A port made
+	// with NewXDRPort has no advertisement to follow and treats auto as off.
 	Compress CompressPolicy
 }
 
@@ -201,11 +148,62 @@ func (o Options) localContainer(name string) *container.Container {
 	return nil
 }
 
-// preference orders binding kinds cheapest-first for selection: local
-// in-process access, then the same-host shared-memory ring, then the
-// XDR socket, then the XML transports.
-var preference = []wsdl.BindingKind{
-	wsdl.BindJavaObject, wsdl.BindShm, wsdl.BindXDR, wsdl.BindSOAP, wsdl.BindHTTP,
+// rung is one row of the binding ladder: a binding kind, the label its
+// calls are counted, traced and fault-injected under, and the opener that
+// turns one advertised port of that kind into a bare transport. An opener
+// returns (nil, nil) for a port that is advertised but unusable from here
+// — not co-located, on another host, or refusing the shm handshake.
+type rung struct {
+	kind  wsdl.BindingKind
+	label string // metric label and chaos binding
+	span  string // child span of every call: "invoke." + label
+	open  func(wsdl.PortRef, Options) (Port, error)
+}
+
+// ladder orders the rungs cheapest-first: local in-process access, the
+// same-host shared-memory ring, the XDR socket, then the XML transports.
+// Dial, OpenAll and DialResilient all walk it, and every port it opens is
+// instrumented by its row.
+var ladder = [...]rung{
+	{wsdl.BindJavaObject, "local", "invoke.local", openLocal},
+	{wsdl.BindShm, "shm", "invoke.shm", openShm},
+	{wsdl.BindXDR, "xdr", "invoke.xdr", openXDR},
+	{wsdl.BindSOAP, "soap", "invoke.soap", openSOAP},
+	{wsdl.BindHTTP, "http", "invoke.http", openHTTP},
+}
+
+// walk opens the usable ports of defs rung by rung, cheapest first, and
+// hands each, instrumented, to yield until yield returns false. With no
+// usable port it reports why.
+func walk(defs *wsdl.Definitions, opts Options, yield func(Port) bool) error {
+	var firstErr error
+	opened := false
+	for i := range ladder {
+		r := &ladder[i]
+		if opts.forbidden(r.kind) {
+			continue
+		}
+		for _, ref := range defs.PortsByKind(r.kind) {
+			p, err := r.open(ref, opts)
+			if err != nil && firstErr == nil {
+				firstErr = err
+			}
+			if p == nil {
+				continue
+			}
+			opened = true
+			if !yield(r.instrument(p, opts)) {
+				return nil
+			}
+		}
+	}
+	switch {
+	case opened:
+		return nil
+	case firstErr != nil:
+		return fmt.Errorf("invoke: no usable port for %s: %w", defs.Name, firstErr)
+	}
+	return fmt.Errorf("invoke: no usable port for %s", defs.Name)
 }
 
 // Dial selects and opens the cheapest usable port for the service
@@ -214,97 +212,67 @@ var preference = []wsdl.BindingKind{
 // pinned instance — otherwise selection falls through to network bindings,
 // reproducing Figure 5's local-versus-remote dichotomy.
 func Dial(defs *wsdl.Definitions, opts Options) (Port, error) {
-	var firstErr error
-	for _, kind := range preference {
-		if opts.forbidden(kind) {
-			continue
-		}
-		for _, ref := range defs.PortsByKind(kind) {
-			p, err := openPort(ref, opts)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			if p != nil {
-				return p, nil
-			}
-		}
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("invoke: no usable port for %s: %w", defs.Name, firstErr)
-	}
-	return nil, fmt.Errorf("invoke: no usable port for %s", defs.Name)
+	var port Port
+	err := walk(defs, opts, func(p Port) bool { port = p; return false })
+	return port, err
 }
 
 // OpenAll returns one port per advertised binding the options allow,
 // cheapest first — used by experiments that compare bindings side by side.
 func OpenAll(defs *wsdl.Definitions, opts Options) []Port {
 	var out []Port
-	for _, kind := range preference {
-		if opts.forbidden(kind) {
-			continue
-		}
-		for _, ref := range defs.PortsByKind(kind) {
-			if p, err := openPort(ref, opts); err == nil && p != nil {
-				out = append(out, p)
-			}
-		}
-	}
+	_ = walk(defs, opts, func(p Port) bool { out = append(out, p); return true })
 	return out
 }
 
-func openPort(ref wsdl.PortRef, opts Options) (Port, error) {
-	switch ref.Binding.Kind {
-	case wsdl.BindJavaObject:
-		cname, inst, err := ParseLocalAddress(ref.Port.Address)
-		if err != nil {
-			return nil, err
-		}
-		c := opts.localContainer(cname)
-		if c == nil {
-			return nil, nil // not co-located; not an error, just unusable
-		}
-		if _, ok := c.Instance(inst); !ok {
-			return nil, nil
-		}
-		return &LocalPort{Container: c, Instance: inst, Telemetry: opts.Telemetry, Chaos: opts.Chaos}, nil
-	case wsdl.BindShm:
-		host, _, err := ParseShmAddress(ref.Port.Address)
-		if err != nil {
-			return nil, err
-		}
-		if !soap.SameHost(host) {
-			return nil, nil // different machine; not an error, just unusable
-		}
-		p, err := NewShmPort(ref.Port.Address, instanceFromDefs(ref))
-		if err != nil {
-			return nil, err
-		}
-		p.SetTelemetry(opts.Telemetry)
-		p.SetChaos(opts.Chaos)
-		// Negotiate at dial time: if the handshake fails (server gone,
-		// platform without mmap), the binding is unusable and selection
-		// falls through to XDR.
-		if err := p.Connect(context.Background()); err != nil {
-			_ = p.Close()
-			return nil, nil
-		}
-		return p, nil
-	case wsdl.BindXDR:
-		inst := instanceFromDefs(ref)
-		p := NewXDRPort(ref.Port.Address, inst)
-		p.SetTelemetry(opts.Telemetry)
-		p.SetChaos(opts.Chaos)
-		p.SetCompression(resolveCompress(opts.Compress, ref.Binding, ref.Port.Address))
-		return p, nil
-	case wsdl.BindSOAP:
-		return &SOAPPort{URL: ref.Port.Address, Client: soap.Client{Codec: opts.Codec}, Telemetry: opts.Telemetry, Chaos: opts.Chaos}, nil
-	case wsdl.BindHTTP:
-		return &HTTPPort{URL: ref.Port.Address, Telemetry: opts.Telemetry, Chaos: opts.Chaos}, nil
+func openLocal(ref wsdl.PortRef, opts Options) (Port, error) {
+	cname, inst, err := ParseLocalAddress(ref.Port.Address)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("invoke: unknown binding kind %v", ref.Binding.Kind)
+	c := opts.localContainer(cname)
+	if c == nil {
+		return nil, nil // not co-located; not an error, just unusable
+	}
+	if _, ok := c.Instance(inst); !ok {
+		return nil, nil
+	}
+	return &LocalPort{Container: c, Instance: inst}, nil
+}
+
+func openShm(ref wsdl.PortRef, opts Options) (Port, error) {
+	host, _, err := ParseShmAddress(ref.Port.Address)
+	if err != nil {
+		return nil, err
+	}
+	if !soap.SameHost(host) {
+		return nil, nil // different machine; not an error, just unusable
+	}
+	p, err := NewShmPort(ref.Port.Address, instanceFromDefs(ref))
+	if err != nil {
+		return nil, err
+	}
+	// Negotiate at dial time: if the handshake fails (server gone,
+	// platform without mmap), the binding is unusable and selection
+	// falls through to XDR.
+	if err := p.Connect(context.Background()); err != nil {
+		_ = p.Close()
+		return nil, nil
+	}
+	return p, nil
+}
+
+func openXDR(ref wsdl.PortRef, opts Options) (Port, error) {
+	opts.Compress = resolveCompress(opts.Compress, ref.Binding, ref.Port.Address)
+	return NewXDRPort(ref.Port.Address, instanceFromDefs(ref), opts), nil
+}
+
+func openSOAP(ref wsdl.PortRef, opts Options) (Port, error) {
+	return &SOAPPort{URL: ref.Port.Address, Client: soap.Client{Codec: opts.Codec}}, nil
+}
+
+func openHTTP(ref wsdl.PortRef, opts Options) (Port, error) {
+	return &HTTPPort{URL: ref.Port.Address}, nil
 }
 
 // instanceFromDefs derives the target instance for an XDR port: the XDR

@@ -12,8 +12,8 @@ import (
 
 // ResilientPort runs every invocation through a resilience.Policy across a
 // ladder of equivalent ports, cheapest-first: the invocation framework's
-// local > XDR > SOAP > HTTP selection order (Figure 5) doubles as the
-// failover order, so a call that cannot reach the co-located instance
+// local > shm > XDR > SOAP > HTTP selection order (Figure 5) doubles as
+// the failover order, so a call that cannot reach the co-located instance
 // falls back to the sockets binding, then to SOAP — with retries, circuit
 // breakers and (for idempotent operations) hedging applied per the policy.
 //
@@ -115,10 +115,9 @@ func (p *ResilientPort) Close() error {
 // configured it behaves exactly like Dial; with a single usable port the
 // policy still applies retries and breakers to it.
 func DialResilient(defs *wsdl.Definitions, opts Options) (Port, error) {
-	ports := OpenAll(defs, opts)
-	if len(ports) == 0 {
-		// Fall back to Dial for its error reporting.
-		return Dial(defs, opts)
+	var ports []Port
+	if err := walk(defs, opts, func(p Port) bool { ports = append(ports, p); return true }); err != nil {
+		return nil, err
 	}
 	if opts.Policy == nil && len(ports) == 1 {
 		return ports[0], nil

@@ -251,20 +251,19 @@ func TestXDRServerShedsWhenOverloaded(t *testing.T) {
 			}
 			t.Cleanup(func() { _ = xs.Close() })
 			return func() Port {
-				p := NewXDRPort(xs.Addr(), "b1")
-				p.SetTelemetry(telemetry.Disabled())
+				p := NewXDRPort(xs.Addr(), "b1", Options{Telemetry: telemetry.Disabled()})
 				return p
 			}
 		},
 		"soap": func(t *testing.T, c *container.Container) func() Port {
 			hs := httptest.NewServer(&SOAPHandler{Container: c, Telemetry: telemetry.Disabled()})
 			t.Cleanup(hs.Close)
-			return func() Port { return &SOAPPort{URL: hs.URL + "/b1", Telemetry: telemetry.Disabled()} }
+			return func() Port { return &SOAPPort{URL: hs.URL + "/b1"} }
 		},
 		"http": func(t *testing.T, c *container.Container) func() Port {
 			hs := httptest.NewServer(&HTTPGetHandler{Container: c, Telemetry: telemetry.Disabled()})
 			t.Cleanup(hs.Close)
-			return func() Port { return &HTTPPort{URL: hs.URL + "/b1", Telemetry: telemetry.Disabled()} }
+			return func() Port { return &HTTPPort{URL: hs.URL + "/b1"} }
 		},
 		"shm": func(t *testing.T, c *container.Container) func() Port {
 			if !shmring.Supported() {
@@ -280,7 +279,6 @@ func TestXDRServerShedsWhenOverloaded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p.SetTelemetry(telemetry.Disabled())
 				return p
 			}
 		},

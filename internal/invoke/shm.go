@@ -20,7 +20,7 @@ package invoke
 // ErrStaleShmGeneration, which invalidates stale Binder mappings.
 //
 // Dial-time negotiation is soft everywhere: a hostname mismatch, an
-// unsupported platform, or a failed handshake makes openPort report the
+// unsupported platform, or a failed handshake makes openShm report the
 // shm port unusable (not an error), so Dial falls through to XDR.
 
 import (
@@ -38,9 +38,7 @@ import (
 
 	"harness2/internal/container"
 	"harness2/internal/resilience"
-	"harness2/internal/resilience/chaos"
 	"harness2/internal/shmring"
-	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
 	"harness2/internal/xdr"
@@ -422,11 +420,6 @@ type ShmPort struct {
 	sockPath string
 	instance string
 
-	tel   *telemetry.Registry
-	chaos *chaos.Injector
-	minit sync.Once
-	m     bindingMetrics
-
 	nextID atomic.Uint64
 
 	mu         sync.Mutex // connection lifecycle
@@ -449,19 +442,6 @@ func NewShmPort(addr, instance string) (*ShmPort, error) {
 		return nil, err
 	}
 	return &ShmPort{addr: addr, sockPath: sockPath, instance: instance}, nil
-}
-
-// SetTelemetry selects the port's metrics registry; it must be called
-// before the first Invoke (openPort does).
-func (p *ShmPort) SetTelemetry(r *telemetry.Registry) { p.tel = r }
-
-// SetChaos attaches a fault injector evaluated before each call; it must
-// be set before the first Invoke (openPort does).
-func (p *ShmPort) SetChaos(in *chaos.Injector) { p.chaos = in }
-
-func (p *ShmPort) metrics() *bindingMetrics {
-	p.minit.Do(func() { p.m = newBindingMetrics(telemetry.Or(p.tel), "shm") })
-	return &p.m
 }
 
 // Connect performs the handshake eagerly so Dial can fall back to XDR
@@ -551,20 +531,6 @@ func (p *ShmPort) segmentLocked(ctx context.Context) (*shmConn, error) {
 
 // Invoke implements Port; safe for concurrent use.
 func (p *ShmPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	if err := p.chaos.Apply(ctx, "shm", op, p.addr); err != nil {
-		return nil, err
-	}
-	m := p.metrics()
-	h, start := m.begin(op)
-	_, sp := telemetry.Or(p.tel).ChildSpan(ctx, "invoke.shm")
-	out, err := p.invoke(ctx, op, args)
-	sp.SetError(err)
-	sp.End()
-	m.done(op, h, start, err)
-	return out, err
-}
-
-func (p *ShmPort) invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
 	p.mu.Lock()
 	c, err := p.segmentLocked(ctx)
 	p.mu.Unlock()

@@ -154,7 +154,7 @@ func TestShmStaleSegmentCannotFailFreshCalls(t *testing.T) {
 	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
 		t.Fatal(err)
 	}
-	sp := p.(*ShmPort)
+	sp := bare(p).(*ShmPort)
 	sp.mu.Lock()
 	old := sp.cur
 	sp.mu.Unlock()
@@ -313,7 +313,7 @@ func TestShmStaleGenerationInvalidatesBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp, ok := p2.(*ShmPort); !ok || sp.Generation() != ss2.Generation() {
+	if sp, ok := bare(p2).(*ShmPort); !ok || sp.Generation() != ss2.Generation() {
 		t.Fatalf("rebound port not pinned to the new incarnation (ok=%v)", ok)
 	}
 }
@@ -371,7 +371,6 @@ func TestShmNoLeakOnServerChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetTelemetry(telemetry.Disabled())
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -479,7 +478,6 @@ func newGatePort(t *testing.T) (p *ShmPort, started <-chan struct{}, release fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetTelemetry(telemetry.Disabled())
 	t.Cleanup(func() {
 		release()
 		_ = p.Close()
@@ -636,7 +634,6 @@ func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SetTelemetry(telemetry.Disabled())
 	defer p.Close()
 
 	var wg sync.WaitGroup
@@ -719,7 +716,6 @@ func TestShmAbandonedRepliesDoNotStallServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.SetTelemetry(telemetry.Disabled())
 		t.Cleanup(func() { _ = p.Close() })
 		return p
 	}

@@ -7,36 +7,11 @@ import (
 	"testing"
 
 	"harness2/internal/container"
+	"harness2/internal/shmring"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
 )
-
-// TestLocalPortHonoursCancelledContext is the regression test for the
-// ctx-handling bug: the local binding has no transport to surface
-// cancellation, so Invoke itself must refuse an already-cancelled
-// context instead of executing the operation anyway.
-func TestLocalPortHonoursCancelledContext(t *testing.T) {
-	c := container.New(container.Config{Name: "ctx"})
-	c.RegisterFactory("Counter", counterImpl())
-	inst, _, err := c.Deploy("Counter", "c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &LocalPort{Container: c, Instance: "c1", Telemetry: telemetry.New()}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := inst.Invocations(); n != 0 {
-		t.Fatalf("cancelled call still executed: invocations = %d", n)
-	}
-	// A live context must still work.
-	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // TestTraceCrossesSOAPHop proves the h2:Trace header carries trace
 // identity across a real SOAP round trip: the server-side span must be a
@@ -51,7 +26,7 @@ func TestTraceCrossesSOAPHop(t *testing.T) {
 	ts := httptest.NewServer(&SOAPHandler{Container: c, Telemetry: reg})
 	defer ts.Close()
 
-	p := &SOAPPort{URL: ts.URL + "/services/c1", Telemetry: reg}
+	p := instrumentAs(&SOAPPort{URL: ts.URL + "/services/c1"}, Options{Telemetry: reg})
 	ctx, root := reg.StartSpan(context.Background(), "client")
 	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(3))); err != nil {
 		t.Fatal(err)
@@ -92,7 +67,7 @@ func TestUntracedInvokeCreatesNoSpans(t *testing.T) {
 	if _, _, err := c.Deploy("Counter", "c1"); err != nil {
 		t.Fatal(err)
 	}
-	p := &LocalPort{Container: c, Instance: "c1", Telemetry: reg}
+	p := instrumentAs(&LocalPort{Container: c, Instance: "c1"}, Options{Telemetry: reg})
 	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -101,27 +76,38 @@ func TestUntracedInvokeCreatesNoSpans(t *testing.T) {
 	}
 }
 
-// TestInvokeMetricsPerBinding drives one call through each binding and
-// checks the per-binding family trio plus the XDR wire-level counters.
+// TestInvokeMetricsPerBinding drives one traced call through every rung
+// of the ladder and checks the per-binding family trio, one invoke.<label>
+// span per call parented to the caller's span, and the XDR wire-level
+// counters.
 func TestInvokeMetricsPerBinding(t *testing.T) {
 	reg := telemetry.New()
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t, "Counter", counterImpl())
+	defs := h.deploy(t, "Counter", "c1")
 	ports := OpenAll(defs, Options{
 		LocalContainers: []*container.Container{h.c},
 		Telemetry:       reg,
 	})
-	if len(ports) != 4 {
-		t.Fatalf("ports = %d", len(ports))
+	var labels []string
+	for _, r := range ladder {
+		if r.kind == wsdl.BindShm && !shmring.Supported() {
+			t.Log("shm column not run: shmring.Supported() is false on this platform")
+			continue
+		}
+		labels = append(labels, r.label)
 	}
-	ctx := context.Background()
+	if len(ports) != len(labels) {
+		t.Fatalf("ports = %d, want one per rung %v", len(ports), labels)
+	}
+	ctx, root := reg.StartSpan(context.Background(), "caller")
 	for _, p := range ports {
 		if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
 			t.Fatalf("[%v] %v", p.Kind(), err)
 		}
 		_ = p.Close()
 	}
-	for _, binding := range []string{"local", "xdr", "soap", "http"} {
+	root.End()
+	for _, binding := range labels {
 		if got := reg.Counter("harness_invoke_calls_total", "binding", binding, "op", "inc").Value(); got != 1 {
 			t.Errorf("calls{binding=%s} = %d, want 1", binding, got)
 		}
@@ -130,6 +116,17 @@ func TestInvokeMetricsPerBinding(t *testing.T) {
 		}
 		if got := reg.Counter("harness_invoke_errors_total", "binding", binding, "op", "inc").Value(); got != 0 {
 			t.Errorf("errors{binding=%s} = %d, want 0", binding, got)
+		}
+	}
+	spans := map[string]int{}
+	for _, rec := range reg.RecentSpans() {
+		if rec.TraceID == root.Context().TraceID && rec.ParentID == root.Context().SpanID {
+			spans[rec.Name]++
+		}
+	}
+	for _, binding := range labels {
+		if n := spans["invoke."+binding]; n != 1 {
+			t.Errorf("invoke.%s spans under the caller = %d, want 1 (all: %v)", binding, n, spans)
 		}
 	}
 	if tx := reg.Counter("harness_xdr_tx_bytes_total", "role", "client").Value(); tx == 0 {
@@ -147,10 +144,9 @@ func TestInvokeMetricsPerBinding(t *testing.T) {
 	}
 	// Failed calls feed the error counter.
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	ghost := NewXDRPort(ref[0].Port.Address, "ghost")
-	ghost.SetTelemetry(reg)
+	ghost := instrumentAs(NewXDRPort(ref[0].Port.Address, "ghost", Options{Telemetry: reg}), Options{Telemetry: reg})
 	defer ghost.Close()
-	if _, err := ghost.Invoke(ctx, "inc", wire.Args("by", int64(1))); err == nil {
+	if _, err := ghost.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err == nil {
 		t.Fatal("ghost instance should fault")
 	}
 	if got := reg.Counter("harness_invoke_errors_total", "binding", "xdr", "op", "inc").Value(); got != 1 {

@@ -58,8 +58,8 @@ func textPorts(t *testing.T) (*container.Container, *SOAPPort, *HTTPPort) {
 	mux.Handle("/rest/", http.StripPrefix("/rest/", &HTTPGetHandler{Container: c, Telemetry: off}))
 	hs := httptest.NewServer(mux)
 	t.Cleanup(hs.Close)
-	return c, &SOAPPort{URL: hs.URL + "/services/e", Telemetry: off},
-		&HTTPPort{URL: hs.URL + "/rest/e", Telemetry: off}
+	return c, &SOAPPort{URL: hs.URL + "/services/e"},
+		&HTTPPort{URL: hs.URL + "/rest/e"}
 }
 
 // same is reflect.DeepEqual with NaN equal to NaN and -0 told from 0:
@@ -172,7 +172,7 @@ func TestHTTPGetOutputNamesRoundTrip(t *testing.T) {
 	}
 	hs := httptest.NewServer(&HTTPGetHandler{Container: c, Telemetry: telemetry.Disabled()})
 	t.Cleanup(hs.Close)
-	out, err := (&HTTPPort{URL: hs.URL + "/n", Telemetry: telemetry.Disabled()}).Invoke(context.Background(), "names", nil)
+	out, err := (&HTTPPort{URL: hs.URL + "/n"}).Invoke(context.Background(), "names", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 
 	"harness2/internal/container"
-	"harness2/internal/resilience/chaos"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
@@ -496,12 +495,7 @@ type XDRPort struct {
 	addr     string
 	instance string
 
-	tel   *telemetry.Registry
-	chaos *chaos.Injector
-	minit sync.Once
-	m     bindingMetrics
-	wm    xdrWireMetrics
-
+	wm   xdrWireMetrics
 	cpol CompressPolicy // outbound compression stance
 
 	mu sync.Mutex
@@ -511,50 +505,14 @@ type XDRPort struct {
 var _ Port = (*XDRPort)(nil)
 
 // NewXDRPort returns a port bound to the XDR endpoint at addr targeting
-// the given instance.
-func NewXDRPort(addr, instance string) *XDRPort {
-	return &XDRPort{addr: addr, instance: instance}
-}
-
-// SetTelemetry selects the port's metrics registry; it must be called
-// before the first Invoke (openPort does). Nil falls back to the process
-// default, telemetry.Disabled() switches instrumentation off.
-func (p *XDRPort) SetTelemetry(r *telemetry.Registry) { p.tel = r }
-
-// SetChaos attaches a fault injector evaluated before each wire call; it
-// must be set before the first Invoke (openPort does). Nil disables
-// injection at the cost of one branch.
-func (p *XDRPort) SetChaos(in *chaos.Injector) { p.chaos = in }
-
-// SetCompression sets the port's outbound compression policy; it must
-// be called before the first Invoke. The zero policy (auto) behaves as
-// off on a direct port — openPort resolves a WSDL-advertised `compress`
-// capability into an explicit adaptive policy here.
-func (p *XDRPort) SetCompression(pol CompressPolicy) { p.cpol = pol }
-
-func (p *XDRPort) metrics() *bindingMetrics {
-	p.minit.Do(func() {
-		r := telemetry.Or(p.tel)
-		p.m = newBindingMetrics(r, "xdr")
-		p.wm = newXDRWireMetrics(r, "client")
-	})
-	return &p.m
-}
-
-// Invoke implements Port. It is safe for concurrent use; concurrent calls
-// share one connection without serializing on each other's round trips.
-func (p *XDRPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	if err := p.chaos.Apply(ctx, "xdr", op, p.addr); err != nil {
-		return nil, err
-	}
-	m := p.metrics()
-	h, start := m.begin(op)
-	ctx, sp := telemetry.Or(p.tel).ChildSpan(ctx, "invoke.xdr")
-	out, err := p.invokeMux(ctx, op, args)
-	sp.SetError(err)
-	sp.End()
-	m.done(op, h, start, err)
-	return out, err
+// the given instance. Of opts it reads Telemetry, for the wire counters,
+// and Compress, the outbound compression stance; with no WSDL to follow,
+// CompressAuto is off (Dial resolves an advertised `compress` capability
+// into an explicit policy before it calls here). The port records no call
+// trio or spans of its own: Dial wraps it in the rung's instruments.
+func NewXDRPort(addr, instance string, opts Options) *XDRPort {
+	return &XDRPort{addr: addr, instance: instance, cpol: opts.Compress,
+		wm: newXDRWireMetrics(telemetry.Or(opts.Telemetry), "client")}
 }
 
 // Kind implements Port.

@@ -35,7 +35,7 @@ func benchXDRHost(b *testing.B, opts ServerOptions) *XDRServer {
 // single connection — the per-call frame/encode floor of the binding.
 func BenchmarkXDRInvokeSmall(b *testing.B) {
 	srv := benchXDRHost(b, ServerOptions{})
-	p := NewXDRPort(srv.Addr(), "c1")
+	p := dialXDR(srv.Addr(), "c1", Options{})
 	defer p.Close()
 	args := wire.Args("by", int64(1))
 	ctx := context.Background()
@@ -53,7 +53,7 @@ func BenchmarkXDRInvokeSmall(b *testing.B) {
 // path plus frame-buffer pooling.
 func BenchmarkXDRInvokeArray1MB(b *testing.B) {
 	srv := benchXDRHost(b, ServerOptions{})
-	p := NewXDRPort(srv.Addr(), "mm")
+	p := dialXDR(srv.Addr(), "mm", Options{})
 	defer p.Close()
 	n := 1 << 17 // 128k doubles = 1 MiB
 	data := make([]float64, n)
@@ -87,7 +87,7 @@ func BenchmarkXDRInvokeArray64K(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "s1")
+	p := dialXDR(srv.Addr(), "s1", Options{})
 	defer p.Close()
 	const n = 8192
 	args := wire.Args("factor", 1.5, "data", randDoubles(rand.New(rand.NewSource(1)), n))
@@ -108,8 +108,7 @@ func BenchmarkXDRInvokeArray64K(b *testing.B) {
 func benchXDRConcurrent(b *testing.B, clients int) {
 	reg := telemetry.New()
 	srv := benchXDRHost(b, ServerOptions{Telemetry: reg})
-	p := NewXDRPort(srv.Addr(), "c1")
-	p.SetTelemetry(reg)
+	p := dialXDR(srv.Addr(), "c1", Options{Telemetry: reg})
 	defer p.Close()
 	args := wire.Args("by", int64(1))
 	ctx := context.Background()

@@ -37,8 +37,7 @@ func TestXDRMuxNoLeakOnServerChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewXDRPort(xs.Addr(), "c1")
-		p.SetTelemetry(telemetry.Disabled())
+		p := NewXDRPort(xs.Addr(), "c1", Options{Telemetry: telemetry.Disabled()})
 		var wg sync.WaitGroup
 		for g := 0; g < 8; g++ {
 			wg.Add(1)
@@ -105,8 +104,7 @@ func TestXDRMuxCancelledCallersDoNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer xs.Close()
-	p := NewXDRPort(xs.Addr(), "b1")
-	p.SetTelemetry(telemetry.Disabled())
+	p := NewXDRPort(xs.Addr(), "b1", Options{Telemetry: telemetry.Disabled()})
 	defer p.Close()
 
 	// Establish the connection (and its goroutines) first.

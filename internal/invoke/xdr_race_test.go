@@ -61,7 +61,7 @@ func TestXDRMuxConcurrentMixedPayloads(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "MatMul", "m1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "m1")
+	p := NewXDRPort(ref[0].Port.Address, "m1", Options{})
 	defer p.Close()
 	ctx := context.Background()
 	sizes := []int{1, 3, 1024, 20000}
@@ -112,7 +112,7 @@ func TestXDRMuxNoHeadOfLineBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1")
+	p := NewXDRPort(srv.Addr(), "g1", Options{})
 	defer p.Close()
 
 	slowDone := make(chan error, 1)
@@ -153,7 +153,7 @@ func TestXDRMuxPerCallCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1")
+	p := NewXDRPort(srv.Addr(), "g1", Options{})
 	defer p.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -185,7 +185,7 @@ func TestXDRMuxServerCloseMidStream(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1")
+	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -215,7 +215,7 @@ func TestXDRDeadlineNotSticky(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1")
+	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
 
 	ctx, cancel := context.WithDeadline(context.Background(),
@@ -323,7 +323,7 @@ func (f *fakeXDRServer) serveConn(conn net.Conn) {
 // request frames across all connections to catch a re-send.
 func TestXDRNoSilentResendAfterDelivery(t *testing.T) {
 	f := newFakeXDRServer(t, 1) // answer call 1; swallow call 2
-	p := NewXDRPort(f.ln.Addr().String(), "c1")
+	p := NewXDRPort(f.ln.Addr().String(), "c1", Options{})
 	defer p.Close()
 	ctx := context.Background()
 	if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
@@ -400,8 +400,7 @@ func TestXDRClientRefusedNoRedial(t *testing.T) {
 	// refusal: neither typed nor counted as one.
 	cut := newFakeXDRServer(t, -2)
 	creg := telemetry.New()
-	cp := NewXDRPort(cut.ln.Addr().String(), "m1")
-	cp.SetTelemetry(creg)
+	cp := NewXDRPort(cut.ln.Addr().String(), "m1", Options{Telemetry: creg})
 	defer cp.Close()
 	if _, err := cp.Invoke(context.Background(), "getResult", args); err == nil || errors.Is(err, ErrXDRRefused) {
 		t.Fatalf("cut answer: err = %v, want a plain transport error", err)
@@ -415,8 +414,7 @@ func TestXDRClientRefusedNoRedial(t *testing.T) {
 
 	f := newFakeXDRServer(t, -1)
 	preg := telemetry.New()
-	p := NewXDRPort(f.ln.Addr().String(), "m1")
-	p.SetTelemetry(preg)
+	p := NewXDRPort(f.ln.Addr().String(), "m1", Options{Telemetry: preg})
 	defer p.Close()
 	_, err := p.Invoke(context.Background(), "getResult", args)
 	if !errors.Is(err, ErrXDRRefused) || resilience.IsUnsent(err) || resilience.Classify(err) != resilience.KindTransient {
@@ -461,7 +459,7 @@ func TestXDRMuxManyConcurrentCallers(t *testing.T) {
 	h := newHost(t)
 	_, defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	p := NewXDRPort(ref[0].Port.Address, "c1")
+	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
 	ctx := context.Background()
 	const goroutines, calls = 64, 10
@@ -504,7 +502,7 @@ func TestXDRServerWorkerPoolBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1")
+	p := NewXDRPort(srv.Addr(), "g1", Options{})
 	defer p.Close()
 
 	workers := cap(srv.sem)
@@ -656,8 +654,7 @@ func TestXDRIdleConnHoldsOnlyItsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer xs.Close()
-	p := NewXDRPort(xs.Addr(), "c1")
-	p.SetTelemetry(telemetry.Disabled())
+	p := NewXDRPort(xs.Addr(), "c1", Options{Telemetry: telemetry.Disabled()})
 	defer p.Close()
 	baseline := goroutineCount() // the port has never been called
 	var wg sync.WaitGroup

@@ -179,7 +179,7 @@ func (mc *muxConn) shutdown(err error) {
 
 // muxChPool recycles per-call response channels. A channel may be
 // returned to the pool only after its single send has been received —
-// i.e. on the receive paths of invokeMux, never on the abandon
+// i.e. on the receive paths of XDRPort.Invoke, never on the abandon
 // (deregister) path, where a late send could still race in.
 var muxChPool = sync.Pool{
 	New: func() any { return make(chan muxResult, 1) },
@@ -263,7 +263,7 @@ func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) 
 	// previously-set deadline means no call inherits a stale timeout,
 	// and the deadlineSet flag spares deadline-free traffic the runtime
 	// call entirely. Reads are unbounded here — per-call read timeouts
-	// are enforced by the ctx select in invokeMux, because a deadline on
+	// are enforced by the ctx select in XDRPort.Invoke, because a deadline on
 	// the shared read side would interrupt other calls' responses.
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = mc.conn.SetWriteDeadline(deadline)
@@ -284,8 +284,9 @@ func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) 
 	return wroteAny, err
 }
 
-// invokeMux is the call path behind Invoke.
-func (p *XDRPort) invokeMux(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
+// Invoke implements Port. It is safe for concurrent use; concurrent calls
+// share one connection without serializing on each other's round trips.
+func (p *XDRPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
 	e := xdr.GetEncoder()
 	defer xdr.PutEncoder(e)
 	e.ReserveFrameHeaderV3()
@@ -373,7 +374,7 @@ func (p *XDRPort) muxConnLocked(ctx context.Context) (*muxConn, error) {
 		return p.mc, nil
 	}
 	// A direct port resolves CompressAuto to off: with no WSDL there is no
-	// advertisement to follow (openPort translates an advertised `compress`
+	// advertisement to follow (openXDR translates an advertised `compress`
 	// capability into an explicit adaptive policy).
 	cc := clientCompress{enabled: p.cpol.enabled(false), adaptive: p.cpol.adaptive()}
 	mc, err := dialMux(ctx, p.addr, p.wm, p.cpol.offerWord(false), cc)

@@ -166,7 +166,7 @@ func (r *Router) learn(adopt bool) error {
 	var addrOf map[string]string
 	var live []string
 	err := r.do("", func(rem *registry.Remote) error {
-		out, err := r.Client.CallRemote(rem.Endpoint, &soap.Call{Method: opMembers})
+		out, err := r.Client.CallRemote(context.Background(), rem.Endpoint, &soap.Call{Method: opMembers})
 		if err != nil {
 			return fmt.Errorf("%w: members %s: %v", registry.ErrUnavailable, rem.Endpoint, err)
 		}

@@ -105,11 +105,11 @@ func (c *HTTPCaller) Call(ctx context.Context, addr, method string, params []soa
 	}
 	call := &soap.Call{Method: method, Params: params}
 	if c.Policy == nil {
-		return c.Client.CallRemote(addr, call)
+		return c.Client.CallRemote(context.Background(), addr, call)
 	}
 	out, err := c.Policy.Do(ctx, addr, "cluster."+method, peerOpIdempotent(method),
 		func(context.Context) (any, error) {
-			return c.Client.CallRemote(addr, call)
+			return c.Client.CallRemote(context.Background(), addr, call)
 		})
 	if err != nil {
 		return nil, err

@@ -582,7 +582,7 @@ func (r *Registry) FindByNameErr(name string) ([]Entry, error) {
 // WellKnownTModels returns the tModels HARNESS II pre-registers: one per
 // binding kind, so clients can discover services by access mechanism.
 func WellKnownTModels() []TModel {
-	kinds := []wsdl.BindingKind{wsdl.BindSOAP, wsdl.BindHTTP, wsdl.BindXDR, wsdl.BindJavaObject}
+	kinds := wsdl.BindingKinds()
 	out := make([]TModel, 0, len(kinds))
 	for _, k := range kinds {
 		out = append(out, TModel{

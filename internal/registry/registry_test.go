@@ -188,6 +188,37 @@ func TestTModelRegistration(t *testing.T) {
 	}
 }
 
+// TestEveryGeneratedBindingHasTModel: a WSDL advertising every endpoint
+// carries every binding kind, and each has a well-known tModel, so a
+// service is discoverable by any access mechanism it offers.
+func TestEveryGeneratedBindingHasTModel(t *testing.T) {
+	d, err := wsdl.Generate(wsdl.MatMulSpec(), wsdl.EndpointSet{
+		SOAPAddress:  "http://host:8080/services/m1",
+		HTTPAddress:  "http://host:8080/rest/m1",
+		XDRAddress:   "host:9010",
+		ShmAddress:   "shm:host:/tmp/h2.sock",
+		LocalAddress: "local:node/m1",
+		Class:        "MatMul",
+		Instance:     "m1",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := TModelsFor(d)
+	if len(keys) != len(wsdl.BindingKinds()) {
+		t.Fatalf("generated WSDL carries %v, want one key per kind %v", keys, wsdl.BindingKinds())
+	}
+	known := map[string]bool{}
+	for _, tm := range WellKnownTModels() {
+		known[tm.Key] = true
+	}
+	for _, k := range keys {
+		if !known[k] {
+			t.Errorf("no well-known tModel for %s", k)
+		}
+	}
+}
+
 func TestListSorted(t *testing.T) {
 	r := New()
 	xml, _ := matmulWSDL(t)

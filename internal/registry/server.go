@@ -419,11 +419,11 @@ func (r *Remote) callEndpoint(endpoint, method string, idempotent bool, params [
 		return nil, err
 	}
 	if r.Policy == nil {
-		return r.Client.CallRemote(endpoint, &soap.Call{Method: method, Params: params})
+		return r.Client.CallRemote(context.Background(), endpoint, &soap.Call{Method: method, Params: params})
 	}
 	out, err := r.Policy.Do(context.Background(), endpoint, "registry."+method, idempotent,
 		func(ctx context.Context) (any, error) {
-			return r.Client.CallRemote(endpoint, &soap.Call{Method: method, Params: params})
+			return r.Client.CallRemote(context.Background(), endpoint, &soap.Call{Method: method, Params: params})
 		})
 	if err != nil {
 		return nil, err

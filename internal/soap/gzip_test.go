@@ -208,7 +208,7 @@ func TestCallRemoteGzipMatchesIdentity(t *testing.T) {
 		// Twice each, so the second gzipped reply inflates through a
 		// pooled, Reset reader.
 		for range 2 {
-			out, err := c.CallRemote(url, &Call{Method: "doc"})
+			out, err := c.CallRemote(context.Background(), url, &Call{Method: "doc"})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,7 +263,7 @@ func TestCallRemoteGzipAllocs(t *testing.T) {
 	c := Client{HTTP: &http.Client{Transport: tr}}
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := c.CallRemote(url, &Call{Method: "doc"}); err != nil {
+			if _, err := c.CallRemote(context.Background(), url, &Call{Method: "doc"}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -70,21 +71,21 @@ func TestServerMustUnderstand(t *testing.T) {
 	c := &Client{}
 
 	// Un-understood mustUnderstand header: MustUnderstand fault.
-	_, err := c.CallRemote(ts.URL, &Call{Method: "op",
+	_, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "op",
 		Headers: []Header{{Name: "exotic", Value: "x", MustUnderstand: true}}})
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != "MustUnderstand" {
 		t.Fatalf("err = %v", err)
 	}
 	// Same header without mustUnderstand: ignored, call succeeds.
-	out, err := c.CallRemote(ts.URL, &Call{Method: "op",
+	out, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "op",
 		Headers: []Header{{Name: "exotic", Value: "x"}}})
 	if err != nil || !out[0].Value.(bool) {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
 	// Declared understood: succeeds.
 	s.Understand("exotic")
-	out, err = c.CallRemote(ts.URL, &Call{Method: "op",
+	out, err = c.CallRemote(context.Background(), ts.URL, &Call{Method: "op",
 		Headers: []Header{{Name: "exotic", Value: "x", MustUnderstand: true}}})
 	if err != nil || !out[0].Value.(bool) {
 		t.Fatalf("out=%v err=%v", out, err)
@@ -102,7 +103,7 @@ func TestHandlerSeesHeaders(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	c := &Client{}
-	if _, err := c.CallRemote(ts.URL, &Call{Method: "op",
+	if _, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "op",
 		Headers: []Header{{Name: "tenant", Value: "acme", MustUnderstand: true}}}); err != nil {
 		t.Fatal(err)
 	}

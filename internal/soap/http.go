@@ -2,6 +2,7 @@ package soap
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -258,8 +259,9 @@ func SameHost(host string) bool {
 }
 
 // CallRemote posts call to the endpoint URL and decodes the response.
-// A SOAP fault is returned as a *Fault error.
-func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
+// The request is bound to ctx: a caller's deadline or cancellation ends
+// it mid-call. A SOAP fault is returned as a *Fault error.
+func (c *Client) CallRemote(ctx context.Context, endpoint string, call *Call) ([]Param, error) {
 	reqBuf := AcquireBuffer()
 	defer ReleaseBuffer(reqBuf)
 	data, err := c.Codec.AppendCall(*reqBuf, call)
@@ -271,7 +273,7 @@ func (c *Client) CallRemote(endpoint string, call *Call) ([]Param, error) {
 	if httpc == nil {
 		httpc = SharedHTTP
 	}
-	req, err := http.NewRequest(http.MethodPost, endpoint, bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(data))
 	if err != nil {
 		return nil, fmt.Errorf("soap: %w", err)
 	}

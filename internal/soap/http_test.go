@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -26,7 +27,7 @@ func TestHTTPInvoke(t *testing.T) {
 		return []Param{{"sum", a + b}}, nil
 	})
 	c := &Client{}
-	out, err := c.CallRemote(ts.URL, &Call{Method: "add", Params: []Param{{"a", 2.0}, {"b", 3.0}}})
+	out, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "add", Params: []Param{{"a", 2.0}, {"b", 3.0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestHTTPArrayPayload(t *testing.T) {
 		return []Param{{"out", out}}, nil
 	})
 	c := &Client{}
-	out, err := c.CallRemote(ts.URL, &Call{Method: "scale",
+	out, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "scale",
 		Params: []Param{{"in", []float64{1, 2, 3}}, {"k", 2.0}}})
 	if err != nil {
 		t.Fatal(err)
@@ -66,12 +67,12 @@ func TestHTTPFaultPropagation(t *testing.T) {
 		return nil, &Fault{Code: "Client", String: "bad arguments"}
 	})
 	c := &Client{}
-	_, err := c.CallRemote(ts.URL, &Call{Method: "boom"})
+	_, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "boom"})
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != "Server" || !strings.Contains(f.String, "kernel exploded") {
 		t.Fatalf("err = %v", err)
 	}
-	_, err = c.CallRemote(ts.URL, &Call{Method: "faulty"})
+	_, err = c.CallRemote(context.Background(), ts.URL, &Call{Method: "faulty"})
 	if !errors.As(err, &f) || f.Code != "Client" || f.String != "bad arguments" {
 		t.Fatalf("err = %v", err)
 	}
@@ -80,7 +81,7 @@ func TestHTTPFaultPropagation(t *testing.T) {
 func TestHTTPUnknownAction(t *testing.T) {
 	_, ts := newTestServer(t)
 	c := &Client{}
-	_, err := c.CallRemote(ts.URL, &Call{Method: "missing"})
+	_, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "missing"})
 	var f *Fault
 	if !errors.As(err, &f) || f.Code != "Client" {
 		t.Fatalf("err = %v", err)
@@ -125,7 +126,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 		go func(n int32) {
 			defer wg.Done()
 			c := &Client{}
-			out, err := c.CallRemote(ts.URL, &Call{Method: "echo", Params: []Param{{"n", n}}})
+			out, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "echo", Params: []Param{{"n", n}}})
 			if err != nil {
 				errs <- err
 				return
@@ -156,7 +157,7 @@ func TestSOAPActionHeaderDispatch(t *testing.T) {
 	}
 	req := httptest.NewRequest("POST", ts.URL, strings.NewReader(string(data)))
 	_ = req
-	out, err := c.CallRemote(ts.URL, &Call{Method: "viaHeader"})
+	out, err := c.CallRemote(context.Background(), ts.URL, &Call{Method: "viaHeader"})
 	if err != nil || out[0].Value.(string) != "header" {
 		t.Fatalf("out=%v err=%v", out, err)
 	}

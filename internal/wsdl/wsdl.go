@@ -47,21 +47,28 @@ const (
 	BindShm                           // XDR records over a same-host shared-memory ring
 )
 
+// kindNames is the one list of binding kinds, indexed by kind: each
+// kind's WSDL extension element prefix.
+var kindNames = [...]string{
+	BindSOAP: "soap", BindHTTP: "http", BindXDR: "xdr", BindJavaObject: "java", BindShm: "shm",
+}
+
 // String returns the binding kind's WSDL extension element prefix.
 func (k BindingKind) String() string {
-	switch k {
-	case BindSOAP:
-		return "soap"
-	case BindHTTP:
-		return "http"
-	case BindXDR:
-		return "xdr"
-	case BindJavaObject:
-		return "java"
-	case BindShm:
-		return "shm"
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
+}
+
+// BindingKinds returns every binding kind — the kinds String names — in
+// declaration order.
+func BindingKinds() []BindingKind {
+	out := make([]BindingKind, len(kindNames))
+	for i := range out {
+		out[i] = BindingKind(i)
+	}
+	return out
 }
 
 // Part is one named, typed piece of a message.
