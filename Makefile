@@ -58,11 +58,13 @@ race-shm:
 race-xdr:
 	$(GO) test -race -count=5 -run 'XDR' ./internal/invoke
 
-# The binding ladder's rows under the race detector, repeated: every rung
-# Dial opens runs in the one instrumented wrapper, which refuses a done
-# context, injects chaos, traces and counts before the bare transport.
+# The binding ladder's rows under the race detector, repeated: the Port
+# conformance table (internal/invoke/conformance_test.go, one row per
+# behaviour, one column per rung Dial opens) and the rows beside it. Every
+# rung runs in the one instrumented wrapper, which refuses a done context,
+# injects chaos, traces and counts before the bare transport.
 race-rungs:
-	$(GO) test -race -count=3 -run 'Rung|TextBindingsAgree|ShedsWhenOverloaded|InvokeMetricsPerBinding' ./internal/invoke
+	$(GO) test -race -count=3 -run 'Rung|StatefulInstanceViaAllBindings|ShedsWhenOverloaded|InvokeMetricsPerBinding' ./internal/invoke
 
 # The fleet supervisor under the race detector, repeated: every unit's
 # lifecycle has one owner goroutine, and stops, cycles and kills race it.
@@ -132,8 +134,10 @@ hbench:
 # fast-vs-DOM differential, the wire lexical-form round trip, the WSDL scan-vs-DOM differential, the shm
 # ring record framing, the chaos spec
 # parser, the resilience policy validators, the cluster gossip digest
-# codec, and the ring rebalance planner, and the fleet
-# deployment-descriptor grammar.
+# codec, and the ring rebalance planner, the fleet
+# deployment-descriptor grammar, the local-address parser, and the
+# cross-binding differential (one value through every rung that carries
+# its kind).
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrameV3 -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzXDRV3Differential -fuzztime 30s ./internal/xdr/
@@ -148,6 +152,8 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzGossipDigest -fuzztime 30s ./internal/registry/cluster/
 	$(GO) test -run xxx -fuzz FuzzRingPlan -fuzztime 30s ./internal/registry/cluster/
 	$(GO) test -run xxx -fuzz FuzzParseDescriptor -fuzztime 30s ./internal/fleet/
+	$(GO) test -run xxx -fuzz FuzzParseLocalAddress -fuzztime 30s ./internal/invoke/
+	$(GO) test -run xxx -fuzz FuzzRungsAgree -fuzztime 30s ./internal/invoke/
 
 # The deterministic chaos sweep at CI smoke size (seconds).
 chaos-smoke:

@@ -533,9 +533,10 @@ func (c *Container) setStatus(id string, s Status) error {
 }
 
 // WSDLFor generates the instance's complete WSDL document, advertising
-// every binding the container can serve: SOAP when SOAPBase is configured,
-// XDR when XDRAddr is configured and the service is numeric-only, and the
-// JavaObject binding pinning this exact instance.
+// every binding the container can serve: each network binding whose
+// address is configured and which carries every parameter of the service
+// (wsdl.ServiceSpec.CarriedBy), and the JavaObject binding pinning this
+// exact instance.
 func (c *Container) WSDLFor(id string) (*wsdl.Definitions, error) {
 	inst, ok := c.Instance(id)
 	if !ok {
@@ -549,14 +550,14 @@ func (c *Container) WSDLFor(id string) (*wsdl.Definitions, error) {
 	if c.cfg.SOAPBase != "" {
 		eps.SOAPAddress = strings.TrimSuffix(c.cfg.SOAPBase, "/") + "/" + inst.ID
 	}
-	if c.cfg.HTTPBase != "" && urlEncodable(inst.spec) {
+	if c.cfg.HTTPBase != "" && inst.spec.CarriedBy(wsdl.BindHTTP) == nil {
 		eps.HTTPAddress = strings.TrimSuffix(c.cfg.HTTPBase, "/") + "/" + inst.ID
 	}
-	if c.cfg.XDRAddr != "" && numericOnly(inst.spec) {
+	if c.cfg.XDRAddr != "" && inst.spec.CarriedBy(wsdl.BindXDR) == nil {
 		eps.XDRAddress = c.cfg.XDRAddr
 		eps.XDRCompress = c.cfg.XDRCompress
 	}
-	if c.cfg.ShmAddr != "" && numericOnly(inst.spec) {
+	if c.cfg.ShmAddr != "" && inst.spec.CarriedBy(wsdl.BindShm) == nil {
 		eps.ShmAddress = c.cfg.ShmAddr
 	}
 	return wsdl.Generate(inst.spec, eps)
@@ -565,33 +566,6 @@ func (c *Container) WSDLFor(id string) (*wsdl.Definitions, error) {
 // LocalAddress returns the JavaObject locator for an instance.
 func (c *Container) LocalAddress(id string) string {
 	return "local:" + c.cfg.Name + "/" + id
-}
-
-func urlEncodable(spec wsdl.ServiceSpec) bool {
-	for _, op := range spec.Operations {
-		for _, p := range append(append([]wsdl.ParamSpec{}, op.Input...), op.Output...) {
-			if p.Type == wire.KindStruct {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func numericOnly(spec wsdl.ServiceSpec) bool {
-	for _, op := range spec.Operations {
-		for _, p := range op.Input {
-			if !p.Type.Numeric() {
-				return false
-			}
-		}
-		for _, p := range op.Output {
-			if !p.Type.Numeric() {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // InspectableServices implements registry.WSDLSource: every deployed

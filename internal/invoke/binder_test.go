@@ -21,20 +21,20 @@ func (c *countingSrc) FindByName(name string) []registry.Entry {
 	return c.Lookup.FindByName(name)
 }
 
-func binderHost(t *testing.T, lease time.Duration) (*testHost, *countingSrc) {
+func binderHost(t *testing.T, lease time.Duration) (*ladderHost, *countingSrc) {
 	t.Helper()
-	h := newHost(t)
-	inst, _ := h.deploy(t, "MatMul", "mm1")
+	h := newLadderHost(t)
+	h.deploy(t, "MatMul", "mm1")
 	reg := registry.New()
 	if lease > 0 {
-		doc, err := h.c.WSDLDocument(inst.ID)
+		doc, err := h.c.WSDLDocument("mm1")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := reg.PublishLeased(registry.Entry{Name: "MatMul", WSDL: doc}, lease); err != nil {
 			t.Fatal(err)
 		}
-	} else if _, err := h.c.Expose(inst.ID, reg); err != nil {
+	} else if _, err := h.c.Expose("mm1", reg); err != nil {
 		t.Fatal(err)
 	}
 	return h, &countingSrc{Lookup: reg}

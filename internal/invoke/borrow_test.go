@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"harness2/internal/container"
-	"harness2/internal/shmring"
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
@@ -47,46 +46,31 @@ func borrowImpl() container.Factory {
 	})
 }
 
-// borrowPorts deploys the test components behind an XDR and (where
-// supported) a shm server; see borrowPortsOn.
+// borrowPorts serves Borrow as b1 beside MatMul as m1 on a ladder host and
+// returns the instance's binaryPorts.
 func borrowPorts(t *testing.T, instance string) map[string]Port {
 	t.Helper()
-	c := container.New(container.Config{Name: "borrow"})
-	c.RegisterFactory("Borrow", borrowImpl())
-	c.RegisterFactory("MatMul", matmulImpl())
-	for class, id := range map[string]string{"Borrow": "b1", "MatMul": "m1"} {
-		if _, _, err := c.Deploy(class, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return borrowPortsOn(t, c, instance)
+	h := newLadderHost(t)
+	h.c.RegisterFactory("Borrow", borrowImpl())
+	h.deploy(t, "Borrow", "b1")
+	h.deploy(t, "MatMul", "m1")
+	return binaryPorts(t, h, instance)
 }
 
-// borrowPortsOn serves c and returns a port per server-side code path: mux
-// workers on the socket, ring workers on shm.
-func borrowPortsOn(t *testing.T, c *container.Container, instance string) map[string]Port {
+// binaryPorts dials instance on h once per server-side code path that
+// lends request arrays: mux workers on the socket, ring workers on shm.
+func binaryPorts(t *testing.T, h *ladderHost, instance string) map[string]Port {
 	t.Helper()
-	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
+	defs, err := h.c.WSDLFor(instance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = xs.Close() })
-	ports := map[string]Port{"xdr": NewXDRPort(xs.Addr(), instance, Options{})}
-	if shmring.Supported() {
-		ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
-		if err != nil {
-			t.Fatal(err)
+	ports := map[string]Port{}
+	for i := range ladder {
+		r := &ladder[i]
+		if r.kind == wsdl.BindXDR || (r.kind == wsdl.BindShm && h.shm != nil) {
+			ports[r.label] = dial(t, defs, r, h.only(r, quiet))
 		}
-		t.Cleanup(func() { _ = ss.Close() })
-		sp, err := NewShmPort(ss.Addr(), instance)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ports["shm"] = sp
-	}
-	for _, p := range ports {
-		p := p
-		t.Cleanup(func() { _ = p.Close() })
 	}
 	return ports
 }

@@ -2,15 +2,12 @@ package invoke
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net"
 	"sync"
 	"testing"
 
-	"harness2/internal/container"
 	"harness2/internal/telemetry"
-	"harness2/internal/wire"
 )
 
 // TestFrameWriterByteStream checks that the mix of coalesced, flushed,
@@ -153,64 +150,4 @@ func TestFrameWriterBatchLeaders(t *testing.T) {
 	if n := reg.Histogram("harness_xdr_mux_flush_batch_bytes", "role", "test").Count(); n < 1 || n > writers {
 		t.Fatalf("%d writes for %d frames", n, writers)
 	}
-}
-
-// TestXDRMuxLargeFrames drives payloads far beyond largeFrameMin through
-// the multiplexed binding in both directions — the end-to-end check on
-// the vectored write path (client request and server response), with
-// concurrent small frames interleaving on the same connection.
-func TestXDRMuxLargeFrames(t *testing.T) {
-	c := container.New(container.Config{Name: "vectored"})
-	c.RegisterFactory("MatMul", matmulImpl())
-	c.RegisterFactory("Counter", counterImpl())
-	for _, id := range []string{"m1", "c1"} {
-		class := "MatMul"
-		if id == "c1" {
-			class = "Counter"
-		}
-		if _, _, err := c.Deploy(class, id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer xs.Close()
-
-	pm := NewXDRPort(xs.Addr(), "m1", Options{Telemetry: telemetry.Disabled()})
-	defer pm.Close()
-	pc := NewXDRPort(xs.Addr(), "c1", Options{Telemetry: telemetry.Disabled()})
-	defer pc.Close()
-
-	const n = 64 << 10 // 512 KiB of float64 per matrix: vectored both ways
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = float64(i%1000) + 0.5
-		b[i] = 2
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // small frames race the large ones on the same stream
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			if _, err := pc.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		out, err := pm.Invoke(context.Background(), "getResult", wire.Args("mata", a, "matb", b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, _ := wire.GetArg(out, "result")
-		res := v.([]float64)
-		if len(res) != n || res[1] != a[1]*2 || res[n-1] != a[n-1]*2 {
-			t.Fatalf("round %d: bad result (len=%d)", i, len(res))
-		}
-	}
-	wg.Wait()
 }

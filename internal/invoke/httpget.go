@@ -170,7 +170,7 @@ func appendResponseDoc(dst []byte, op string, out []wire.Arg) ([]byte, error) {
 	dst = append(dst, "\">\n"...)
 	for _, a := range out {
 		k := wire.KindOf(a.Value)
-		if k == wire.KindInvalid || k == wire.KindStruct {
+		if !wsdl.BindHTTP.Carries(k) {
 			return nil, fmt.Errorf("invoke: http binding cannot encode %q (%T)", a.Name, a.Value)
 		}
 		dst = append(dst, `  <out name="`...)
@@ -213,7 +213,7 @@ func (p *HTTPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 	for _, a := range args {
 		k := wire.KindOf(a.Value)
 		switch {
-		case k == wire.KindInvalid || k == wire.KindStruct:
+		case !wsdl.BindHTTP.Carries(k):
 			return nil, fmt.Errorf("invoke: http binding cannot carry %q (%T)", a.Name, a.Value)
 		case k.IsArray():
 			for i, n := 0, wire.Len(a.Value); i < n; i++ {

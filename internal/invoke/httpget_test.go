@@ -2,7 +2,6 @@ package invoke
 
 import (
 	"context"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -49,59 +48,18 @@ func mixedFactory() container.Factory {
 	})
 }
 
-func newGetHost(t *testing.T) (*container.Container, string) {
+// getHost serves Mixed beside the ladder host's classes and returns the
+// host with its HTTP GET base URL.
+func getHost(t *testing.T) (*ladderHost, string) {
 	t.Helper()
-	c := container.New(container.Config{Name: "gh"})
-	c.RegisterFactory("Mixed", mixedFactory())
-	c.RegisterFactory("Counter", counterImpl())
-	ts := httptest.NewServer(&HTTPGetHandler{Container: c})
-	t.Cleanup(ts.Close)
-	return c, ts.URL
-}
-
-func TestHTTPGetAllKindsRoundTrip(t *testing.T) {
-	c, base := newGetHost(t)
-	if _, _, err := c.Deploy("Mixed", "m"); err != nil {
-		t.Fatal(err)
-	}
-	p := &HTTPPort{URL: base + "/m"}
-	args := wire.Args(
-		"b", true,
-		"i", int32(-7),
-		"l", int64(1<<40),
-		"f", float32(1.5),
-		"d", 2.25,
-		"s", "hello world & <friends>",
-		"raw", []byte{0, 1, 255},
-		"ds", []float64{1.5, -2.5, 0},
-		"ss", []string{"a b", "c&d", ""},
-	)
-	out, err := p.Invoke(context.Background(), "echo", args)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range args {
-		got, ok := wire.GetArg(out, a.Name)
-		if !ok {
-			t.Errorf("missing output %q", a.Name)
-			continue
-		}
-		// Empty strings inside arrays survive as empty items; whitespace
-		// inside strings survives URL encoding.
-		if !wire.Equal(got, a.Value) {
-			t.Errorf("%s: got %#v want %#v", a.Name, got, a.Value)
-		}
-	}
-	if p.Kind() != wsdl.BindHTTP || p.Endpoint() == "" || p.Close() != nil {
-		t.Fatal("port surface broken")
-	}
+	h := newLadderHost(t)
+	h.c.RegisterFactory("Mixed", mixedFactory())
+	return h, h.hs.URL + "/rest"
 }
 
 func TestHTTPGetStatefulInstance(t *testing.T) {
-	c, base := newGetHost(t)
-	if _, _, err := c.Deploy("Counter", "cnt"); err != nil {
-		t.Fatal(err)
-	}
+	h, base := getHost(t)
+	h.deploy(t, "Counter", "cnt")
 	p := &HTTPPort{URL: base + "/cnt"}
 	ctx := context.Background()
 	var total int64
@@ -119,10 +77,8 @@ func TestHTTPGetStatefulInstance(t *testing.T) {
 }
 
 func TestHTTPGetErrors(t *testing.T) {
-	c, base := newGetHost(t)
-	if _, _, err := c.Deploy("Mixed", "m"); err != nil {
-		t.Fatal(err)
-	}
+	h, base := getHost(t)
+	h.deploy(t, "Mixed", "m")
 	ctx := context.Background()
 
 	cases := []struct {
@@ -148,7 +104,7 @@ func TestHTTPGetErrors(t *testing.T) {
 }
 
 func TestHTTPGetMethodNotAllowed(t *testing.T) {
-	_, base := newGetHost(t)
+	_, base := getHost(t)
 	resp, err := defaultHTTPGet.Post(base+"/m/echo", "text/plain", strings.NewReader("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -162,29 +118,20 @@ func TestHTTPGetMethodNotAllowed(t *testing.T) {
 func TestHTTPGetViaDialPreference(t *testing.T) {
 	// With everything but HTTP forbidden, Dial must produce an HTTPPort
 	// from generated WSDL.
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	refs := defs.PortsByKind(wsdl.BindHTTP)
 	if len(refs) == 0 {
 		t.Skip("host fixture has no HTTP base configured")
 	}
-	p, err := Dial(defs, Options{Forbid: []wsdl.BindingKind{
-		wsdl.BindJavaObject, wsdl.BindXDR, wsdl.BindSOAP}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindHTTP {
-		t.Fatalf("kind = %v", p.Kind())
-	}
+	dial(t, defs, rungOf(wsdl.BindHTTP), Options{Forbid: []wsdl.BindingKind{
+		wsdl.BindJavaObject, wsdl.BindShm, wsdl.BindXDR, wsdl.BindSOAP}})
 }
 
 func TestHTTPGetOmittedParams(t *testing.T) {
 	// Absent query params are simply not passed, like HTML forms.
-	c, base := newGetHost(t)
-	if _, _, err := c.Deploy("Mixed", "m"); err != nil {
-		t.Fatal(err)
-	}
+	h, base := getHost(t)
+	h.deploy(t, "Mixed", "m")
 	p := &HTTPPort{URL: base + "/m"}
 	out, err := p.Invoke(context.Background(), "echo", wire.Args("i", int32(5)))
 	if err != nil {

@@ -2,24 +2,16 @@ package invoke
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"harness2/internal/container"
+	"harness2/internal/shmring"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
 )
-
-// testHost stands up a container with MatMul and Counter instances served
-// over SOAP/HTTP and XDR, returning the container and its live WSDL.
-type testHost struct {
-	c    *container.Container
-	http *httptest.Server
-	xdr  *XDRServer
-}
 
 func matmulImpl() container.Factory {
 	return container.FuncFactory(func() *container.FuncComponent {
@@ -66,65 +58,10 @@ func counterImpl() container.Factory {
 	})
 }
 
-func newHost(t *testing.T) *testHost {
-	t.Helper()
-	// Bootstrap: start servers first to learn addresses, then rebuild the
-	// container config with real endpoints.
-	c := container.New(container.Config{Name: "node1"})
-	c.RegisterFactory("MatMul", matmulImpl())
-	c.RegisterFactory("Counter", counterImpl())
-
-	hs := httptest.NewServer(&SOAPHandler{Container: c})
-	t.Cleanup(hs.Close)
-	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = xs.Close() })
-
-	// Rebuild with advertised endpoints; same instances map not needed —
-	// recreate the container wrapper with endpoints and re-register.
-	host := container.New(container.Config{
-		Name:     "node1",
-		SOAPBase: hs.URL + "/services",
-		HTTPBase: hs.URL + "/rest",
-		XDRAddr:  xs.Addr(),
-	})
-	host.RegisterFactory("MatMul", matmulImpl())
-	host.RegisterFactory("Counter", counterImpl())
-	// Point the servers at the endpoint-aware container.
-	mux := http.NewServeMux()
-	mux.Handle("/services/", &SOAPHandler{Container: host})
-	mux.Handle("/rest/", http.StripPrefix("/rest/", &HTTPGetHandler{Container: host}))
-	hs.Config.Handler = mux
-	xs.Retarget(host)
-	return &testHost{c: host, http: hs, xdr: xs}
-}
-
-func (h *testHost) deploy(t *testing.T, class, id string) (*container.Instance, *wsdl.Definitions) {
-	t.Helper()
-	inst, _, err := h.c.Deploy(class, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defs, err := h.c.WSDLFor(inst.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return inst, defs
-}
-
 func TestDialPrefersLocal(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
-	p, err := Dial(defs, Options{LocalContainers: []*container.Container{h.c}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindJavaObject {
-		t.Fatalf("kind = %v, want JavaObject", p.Kind())
-	}
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
+	p := dial(t, defs, rungOf(wsdl.BindJavaObject), Options{LocalContainers: []*container.Container{h.c}})
 	out, err := p.Invoke(context.Background(), "getResult",
 		wire.Args("mata", []float64{1, 2, 3}, "matb", []float64{4, 5, 6}))
 	if err != nil {
@@ -137,16 +74,9 @@ func TestDialPrefersLocal(t *testing.T) {
 }
 
 func TestDialFallsBackToXDRWhenNotColocated(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
-	p, err := Dial(defs, Options{}) // no local containers
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindXDR {
-		t.Fatalf("kind = %v, want XDR", p.Kind())
-	}
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
+	p := dial(t, defs, rungOf(wsdl.BindXDR), Options{Forbid: []wsdl.BindingKind{wsdl.BindShm}}) // no local containers
 	out, err := p.Invoke(context.Background(), "getResult",
 		wire.Args("mata", []float64{2}, "matb", []float64{8}))
 	if err != nil {
@@ -159,16 +89,9 @@ func TestDialFallsBackToXDRWhenNotColocated(t *testing.T) {
 }
 
 func TestDialSOAPWhenXDRForbidden(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
-	p, err := Dial(defs, Options{Forbid: []wsdl.BindingKind{wsdl.BindXDR, wsdl.BindJavaObject}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindSOAP {
-		t.Fatalf("kind = %v, want SOAP", p.Kind())
-	}
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
+	p := dial(t, defs, rungOf(wsdl.BindSOAP), Options{Forbid: []wsdl.BindingKind{wsdl.BindShm, wsdl.BindXDR, wsdl.BindJavaObject}})
 	out, err := p.Invoke(context.Background(), "getResult",
 		wire.Args("mata", []float64{3}, "matb", []float64{3}))
 	if err != nil {
@@ -181,11 +104,17 @@ func TestDialSOAPWhenXDRForbidden(t *testing.T) {
 }
 
 func TestOpenAllReturnsAllBindings(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
 	ports := OpenAll(defs, Options{LocalContainers: []*container.Container{h.c}})
-	if len(ports) != 4 {
-		t.Fatalf("ports = %d", len(ports))
+	want := map[wsdl.BindingKind]bool{}
+	for _, r := range ladder {
+		if r.kind != wsdl.BindShm || shmring.Supported() {
+			want[r.kind] = true
+		}
+	}
+	if len(ports) != len(want) {
+		t.Fatalf("ports = %d, want %d", len(ports), len(want))
 	}
 	kinds := map[wsdl.BindingKind]bool{}
 	ctx := context.Background()
@@ -201,40 +130,14 @@ func TestOpenAllReturnsAllBindings(t *testing.T) {
 		}
 		_ = p.Close()
 	}
-	if !kinds[wsdl.BindJavaObject] || !kinds[wsdl.BindXDR] || !kinds[wsdl.BindSOAP] || !kinds[wsdl.BindHTTP] {
-		t.Fatalf("kinds = %v", kinds)
-	}
-}
-
-func TestStatefulInstanceViaAllBindings(t *testing.T) {
-	// One stateful Counter instance must accumulate across bindings:
-	// the XDR and SOAP paths address the same pinned instance the
-	// JavaObject binding does.
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
-	ports := OpenAll(defs, Options{LocalContainers: []*container.Container{h.c}})
-	if len(ports) != 4 {
-		t.Fatalf("ports = %d (WSDL: %s)", len(ports), defs)
-	}
-	ctx := context.Background()
-	var last int64
-	for _, p := range ports {
-		out, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1)))
-		if err != nil {
-			t.Fatalf("[%v] %v", p.Kind(), err)
-		}
-		total, _ := wire.GetArg(out, "total")
-		last = total.(int64)
-		_ = p.Close()
-	}
-	if last != 4 {
-		t.Fatalf("total after 4 bindings = %d, want 4", last)
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("kinds = %v, want %v", kinds, want)
 	}
 }
 
 func TestXDRConnectionReuse(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	if len(ref) != 1 {
 		t.Fatalf("xdr ports = %d", len(ref))
@@ -263,8 +166,8 @@ func TestXDRReconnectAfterServerRestart(t *testing.T) {
 	// connection is detected before sending (transparent), or the call
 	// surfaces an error and the *next* call succeeds. The counter proves
 	// exactly one server-side increment per successful call.
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
@@ -300,8 +203,8 @@ func TestXDRReconnectAfterServerRestart(t *testing.T) {
 }
 
 func TestXDRRejectsNonNumericArgs(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
@@ -312,9 +215,9 @@ func TestXDRRejectsNonNumericArgs(t *testing.T) {
 }
 
 func TestXDRFaults(t *testing.T) {
-	h := newHost(t)
+	h := newLadderHost(t)
 	h.deploy(t, "Counter", "c1")
-	_, defs := h.deploy(t, "Counter", "c2")
+	defs := h.deploy(t, "Counter", "c2")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	ctx := context.Background()
 
@@ -336,15 +239,15 @@ func TestXDRFaults(t *testing.T) {
 }
 
 func TestSOAPHandlerErrors(t *testing.T) {
-	h := newHost(t)
+	h := newLadderHost(t)
 	h.deploy(t, "Counter", "c1")
 	// Unknown instance via SOAP.
-	p := &SOAPPort{URL: h.http.URL + "/services/ghost"}
+	p := &SOAPPort{URL: h.hs.URL + "/services/ghost"}
 	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err == nil {
 		t.Fatal("unknown instance should fault")
 	}
 	// Bad path (no instance).
-	p2 := &SOAPPort{URL: h.http.URL + "/"}
+	p2 := &SOAPPort{URL: h.hs.URL + "/"}
 	if _, err := p2.Invoke(context.Background(), "inc", nil); err == nil {
 		t.Fatal("missing instance segment should fault")
 	}
@@ -379,17 +282,17 @@ func TestParseLocalAddress(t *testing.T) {
 }
 
 func TestDialNoUsablePort(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
-	_, err := Dial(defs, Options{Forbid: []wsdl.BindingKind{wsdl.BindSOAP, wsdl.BindXDR, wsdl.BindJavaObject, wsdl.BindHTTP}})
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
+	_, err := Dial(defs, Options{Forbid: wsdl.BindingKinds()})
 	if err == nil {
 		t.Fatal("Dial with everything forbidden should fail")
 	}
 }
 
 func TestCallOperation(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	p, err := Dial(defs, Options{LocalContainers: []*container.Container{h.c}})
 	if err != nil {
 		t.Fatal(err)
@@ -404,33 +307,16 @@ func TestCallOperation(t *testing.T) {
 }
 
 func TestConcurrentXDRClients(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
-	var wg sync.WaitGroup
-	ctx := context.Background()
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
-			defer p.Close()
-			for j := 0; j < 25; j++ {
-				if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	incAll(t, 8, 25, func(int) Port {
+		p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
+		t.Cleanup(func() { _ = p.Close() })
+		return p
+	})
 	inst, _ := h.c.Instance("c1")
-	out, err := h.c.Invoke(ctx, "c1", "inc", wire.Args("by", int64(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, _ := wire.GetArg(out, "total")
-	if total.(int64) != 200 {
-		t.Fatalf("total = %v (invocations=%d)", total, inst.Invocations())
+	if total := incBy(t, &LocalPort{Container: h.c, Instance: "c1"}, 0); total != 200 {
+		t.Fatalf("total = %d (invocations=%d)", total, inst.Invocations())
 	}
 }

@@ -58,12 +58,10 @@ func hoarderImpl() container.Factory {
 // component that retains its argument reads nothing but NaNs out of it as
 // soon as its reply is on the way, on every server code path.
 func TestPoisonFindsRetainedArgs(t *testing.T) {
-	c := container.New(container.Config{Name: "hoard"})
-	c.RegisterFactory("Hoarder", hoarderImpl())
-	if _, _, err := c.Deploy("Hoarder", "b1"); err != nil {
-		t.Fatal(err)
-	}
-	for name, p := range borrowPortsOn(t, c, "b1") {
+	h := newLadderHost(t)
+	h.c.RegisterFactory("Hoarder", hoarderImpl())
+	h.deploy(t, "Hoarder", "b1")
+	for name, p := range binaryPorts(t, h, "b1") {
 		const n = 1000
 		data := make([]float64, n)
 		for i := range data {

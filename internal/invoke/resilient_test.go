@@ -147,8 +147,8 @@ func TestIdempotentByName(t *testing.T) {
 // non-idempotent (Counter.inc), so the test also proves chaos error
 // faults are classified unsent — retried without double-applying.
 func TestResilientDialChaosFailover(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 
 	inj, err := chaos.New(1, chaos.MustParse("error:1@xdr")...)
 	if err != nil {
@@ -158,6 +158,7 @@ func TestResilientDialChaosFailover(t *testing.T) {
 		Chaos:     inj,
 		Policy:    testResiliencePolicy(t),
 		Telemetry: telemetry.Disabled(),
+		Forbid:    []wsdl.BindingKind{wsdl.BindShm},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -183,8 +184,8 @@ func TestResilientDialChaosFailover(t *testing.T) {
 // so the policy must retry the XDR port itself until the rule's budget is
 // spent and the call succeeds.
 func TestResilientDialChaosRetry(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
 
 	inj, err := chaos.New(7, chaos.MustParse("error:1@xdr#2")...)
 	if err != nil {
@@ -194,7 +195,7 @@ func TestResilientDialChaosRetry(t *testing.T) {
 		Chaos:     inj,
 		Policy:    testResiliencePolicy(t),
 		Telemetry: telemetry.Disabled(),
-		Forbid:    []wsdl.BindingKind{wsdl.BindSOAP, wsdl.BindHTTP},
+		Forbid:    []wsdl.BindingKind{wsdl.BindShm, wsdl.BindSOAP, wsdl.BindHTTP},
 	})
 	if err != nil {
 		t.Fatal(err)

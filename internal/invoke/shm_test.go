@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -21,73 +20,23 @@ import (
 	"harness2/internal/xdr"
 )
 
-// shmHost stands up a container advertising both the shm and XDR
-// bindings, so tests can assert the preference order as well as the shm
-// data path itself.
-type shmHost struct {
-	c   *container.Container
-	shm *ShmServer
-	xdr *XDRServer
-}
-
-func newShmHost(t *testing.T, sockPath string) *shmHost {
+// newShmHost is a ladderHost on a platform with shared-memory segments:
+// a caller that names no local container lands on its shm rung.
+func newShmHost(t *testing.T) *ladderHost {
 	t.Helper()
 	if !shmring.Supported() {
 		t.Skip("shm binding unsupported on this platform")
 	}
-	c := container.New(container.Config{Name: "shmhost"})
-	c.RegisterFactory("MatMul", matmulImpl())
-	c.RegisterFactory("Counter", counterImpl())
-	ss, err := NewShmServer(c, sockPath, ServerOptions{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ss.Close() })
-	xs, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = xs.Close() })
-
-	host := container.New(container.Config{
-		Name:    "shmhost",
-		XDRAddr: xs.Addr(),
-		ShmAddr: ss.Addr(),
-	})
-	host.RegisterFactory("MatMul", matmulImpl())
-	host.RegisterFactory("Counter", counterImpl())
-	ss.Retarget(host)
-	xs.Retarget(host)
-	return &shmHost{c: host, shm: ss, xdr: xs}
-}
-
-func (h *shmHost) deploy(t *testing.T, class, id string) *wsdl.Definitions {
-	t.Helper()
-	inst, _, err := h.c.Deploy(class, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defs, err := h.c.WSDLFor(inst.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return defs
+	return newLadderHost(t)
 }
 
 // TestDialPrefersShmOverXDR: with both network bindings advertised and
 // no co-located container, Dial must land on the shared-memory rung and
 // calls must round-trip through the rings.
 func TestDialPrefersShmOverXDR(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	defs := h.deploy(t, "MatMul", "m1")
-	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindShm {
-		t.Fatalf("kind = %v, want shm", p.Kind())
-	}
+	p := dial(t, defs, rungOf(wsdl.BindShm), quiet)
 	out, err := p.Invoke(context.Background(), "getResult",
 		wire.Args("mata", []float64{1, 2, 3}, "matb", []float64{4, 5, 6}))
 	if err != nil {
@@ -105,16 +54,9 @@ func TestDialPrefersShmOverXDR(t *testing.T) {
 // chunks, not fail with shmring.ErrTooLarge. Both directions stream
 // here: the request carries two 2MiB arrays and the response one.
 func TestShmLargeArgsExceedRingCapacity(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	defs := h.deploy(t, "MatMul", "m1")
-	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindShm {
-		t.Fatalf("kind = %v, want shm", p.Kind())
-	}
+	p := dial(t, defs, rungOf(wsdl.BindShm), quiet)
 	const n = 1 << 18 // 256Ki float64s = 2MiB per array
 	a := make([]float64, n)
 	b := make([]float64, n)
@@ -144,13 +86,9 @@ func TestShmLargeArgsExceedRingCapacity(t *testing.T) {
 // only fail calls that were in flight on its own segment — never fresh
 // calls registered after the re-handshake.
 func TestShmStaleSegmentCannotFailFreshCalls(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	defs := h.deploy(t, "Counter", "c1")
-	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := dial(t, defs, rungOf(wsdl.BindShm), quiet)
 	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
 		t.Fatal(err)
 	}
@@ -188,16 +126,9 @@ func TestShmStaleSegmentCannotFailFreshCalls(t *testing.T) {
 // TestShmFaultsPropagate: a server-side fault must come back as an error
 // on the caller, not poison the connection for later calls.
 func TestShmFaultsPropagate(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	defs := h.deploy(t, "Counter", "c1")
-	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Kind() != wsdl.BindShm {
-		t.Fatalf("kind = %v, want shm", p.Kind())
-	}
+	p := dial(t, defs, rungOf(wsdl.BindShm), quiet)
 	if _, err := p.Invoke(context.Background(), "nosuch", nil); err == nil {
 		t.Fatal("unknown op should fault")
 	}
@@ -215,35 +146,13 @@ func TestShmFaultsPropagate(t *testing.T) {
 // read turn passing between callers and the SPSC write serialization
 // under load.
 func TestShmConcurrentInvokes(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	defs := h.deploy(t, "Counter", "c1")
-	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	p := dial(t, defs, rungOf(wsdl.BindShm), quiet)
 	const gs, per = 8, 50
-	var wg sync.WaitGroup
-	for g := 0; g < gs; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	out, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := wire.GetArg(out, "total")
-	if v.(int64) != gs*per {
-		t.Fatalf("total = %v, want %d", v, gs*per)
+	incAll(t, gs, per, func(int) Port { return p })
+	if total := incBy(t, p, 0); total != gs*per {
+		t.Fatalf("total = %d, want %d", total, gs*per)
 	}
 }
 
@@ -252,7 +161,7 @@ func TestShmConcurrentInvokes(t *testing.T) {
 // the cached Binder port must fail exactly once with
 // ErrStaleShmGeneration, and the next call must rebind and succeed.
 func TestShmStaleGenerationInvalidatesBinding(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	h.deploy(t, "Counter", "c1")
 	reg := registry.New()
 	if _, err := h.c.Expose("c1", reg); err != nil {
@@ -322,7 +231,7 @@ func TestShmStaleGenerationInvalidatesBinding(t *testing.T) {
 // shutdown and then a port shutdown. The invariant is memory safety (no
 // use-after-munmap — run under -race) and that every call returns.
 func TestShmInvokeRaceWithClose(t *testing.T) {
-	h := newShmHost(t, "")
+	h := newShmHost(t)
 	defs := h.deploy(t, "Counter", "c1")
 	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
 	if err != nil {
@@ -345,74 +254,6 @@ func TestShmInvokeRaceWithClose(t *testing.T) {
 	wg.Wait()
 	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err == nil {
 		t.Fatal("invoke on closed port should fail")
-	}
-}
-
-// TestShmNoLeakOnServerChurn mirrors TestXDRMuxNoLeakOnServerChurn for
-// the shm binding: every exit path (server death with calls in flight,
-// handshake against a dead socket, port close) must unwind the workers
-// and watcher goroutines on both sides and unmap the segments.
-func TestShmNoLeakOnServerChurn(t *testing.T) {
-	if !shmring.Supported() {
-		t.Skip("shm binding unsupported on this platform")
-	}
-	c := container.New(container.Config{Name: "shmleak"})
-	c.RegisterFactory("Counter", counterImpl())
-	if _, _, err := c.Deploy("Counter", "c1"); err != nil {
-		t.Fatal(err)
-	}
-
-	round := func(killMidFlight bool) {
-		ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewShmPort(ss.Addr(), "c1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < 10; i++ {
-					_, _ = p.Invoke(context.Background(), "inc", wire.Args("by", int64(1)))
-				}
-			}()
-		}
-		if killMidFlight {
-			_ = ss.Close()
-		}
-		wg.Wait()
-		if !killMidFlight {
-			_ = ss.Close()
-		}
-		// Handshake against the dead (unlinked) socket: the dial-failure
-		// path must not strand anything either.
-		_, _ = p.Invoke(context.Background(), "inc", wire.Args("by", int64(1)))
-		_ = p.Close()
-	}
-
-	round(false) // warm lazy singletons before taking the baseline
-	baseline := goroutineCount()
-
-	for i := 0; i < 4; i++ {
-		round(i%2 == 0)
-	}
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		now := goroutineCount()
-		if now <= baseline+2 { // scheduler jitter tolerance
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: baseline=%d now=%d\n%s", baseline, now, buf[:n])
-		}
-		time.Sleep(20 * time.Millisecond)
 	}
 }
 
@@ -439,19 +280,8 @@ func TestShmIdlePortHoldsOnlyItsWatcher(t *testing.T) {
 	wg.Wait()
 
 	want := baseline + 1 + 2 + serverWorkers() // client watcher; server serveConn, watcher, workers
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		now := goroutineCount()
-		if now == want {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("idle port: %d goroutines, want %d (baseline %d)\n%s", now, want, baseline, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitGoroutines(t, 2*time.Second, fmt.Sprintf("idle port, want %d (baseline %d)", want, baseline),
+		func(n int) bool { return n == want })
 }
 
 // newGatePort serves one Gate instance over shm and returns a port to
@@ -617,20 +447,10 @@ func TestShmTurnHolderDeadlineHandsTurnOn(t *testing.T) {
 func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
 	started := make(chan struct{}, 64)
 	release := make(chan struct{})
-	if !shmring.Supported() {
-		t.Skip("shm binding unsupported on this platform")
-	}
-	c := container.New(container.Config{Name: "shmleak2"})
-	c.RegisterFactory("Blocker", blockerImpl(started, release))
-	if _, _, err := c.Deploy("Blocker", "b1"); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ss.Close()
-	p, err := NewShmPort(ss.Addr(), "b1")
+	h := newShmHost(t)
+	h.c.RegisterFactory("Blocker", blockerImpl(started, release))
+	h.deploy(t, "Blocker", "b1")
+	p, err := NewShmPort(h.shm.Addr(), "b1")
 	if err != nil {
 		t.Fatal(err)
 	}

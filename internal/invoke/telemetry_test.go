@@ -82,7 +82,7 @@ func TestUntracedInvokeCreatesNoSpans(t *testing.T) {
 // counters.
 func TestInvokeMetricsPerBinding(t *testing.T) {
 	reg := telemetry.New()
-	h := newLadderHost(t, "Counter", counterImpl())
+	h := newLadderHost(t)
 	defs := h.deploy(t, "Counter", "c1")
 	ports := OpenAll(defs, Options{
 		LocalContainers: []*container.Container{h.c},
@@ -157,8 +157,8 @@ func TestInvokeMetricsPerBinding(t *testing.T) {
 // TestDisabledTelemetryRecordsNothing: ports wired to Disabled() must
 // leave the registry view empty and still work.
 func TestDisabledTelemetryRecordsNothing(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ports := OpenAll(defs, Options{
 		LocalContainers: []*container.Container{h.c},
 		Telemetry:       telemetry.Disabled(),

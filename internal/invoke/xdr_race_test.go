@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -58,8 +57,8 @@ func gateImpl(gate chan struct{}, started chan<- struct{}) container.Factory {
 // verifying every response routes back to the call that issued it.
 // (Run with -race: this is the demux correctness test.)
 func TestXDRMuxConcurrentMixedPayloads(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	p := NewXDRPort(ref[0].Port.Address, "m1", Options{})
 	defer p.Close()
@@ -101,19 +100,8 @@ func TestXDRMuxConcurrentMixedPayloads(t *testing.T) {
 // the very same connection complete. Deterministic — the slow call blocks
 // on a gate the test controls, not on a timer.
 func TestXDRMuxNoHeadOfLineBlocking(t *testing.T) {
-	gate := make(chan struct{})
-	c := container.New(container.Config{Name: "gate"})
-	c.RegisterFactory("Gate", gateImpl(gate, nil))
-	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1", Options{})
-	defer p.Close()
+	h, xdrRung := newLadderHost(t), rungOf(wsdl.BindXDR)
+	p, _, release := gatePort(t, h, xdrRung, h.only(xdrRung, quiet), "g1")
 
 	slowDone := make(chan error, 1)
 	go func() {
@@ -132,7 +120,7 @@ func TestXDRMuxNoHeadOfLineBlocking(t *testing.T) {
 		t.Fatalf("slow call finished before the gate opened: %v", err)
 	default:
 	}
-	close(gate)
+	release()
 	if err := <-slowDone; err != nil {
 		t.Fatalf("slow call: %v", err)
 	}
@@ -141,20 +129,8 @@ func TestXDRMuxNoHeadOfLineBlocking(t *testing.T) {
 // TestXDRMuxPerCallCancellation cancels one in-flight call and shows the
 // shared connection — and every other call on it — survives.
 func TestXDRMuxPerCallCancellation(t *testing.T) {
-	gate := make(chan struct{})
-	defer close(gate)
-	c := container.New(container.Config{Name: "gate"})
-	c.RegisterFactory("Gate", gateImpl(gate, nil))
-	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewXDRServer(c, "127.0.0.1:0", ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	p := NewXDRPort(srv.Addr(), "g1", Options{})
-	defer p.Close()
+	h, xdrRung := newLadderHost(t), rungOf(wsdl.BindXDR)
+	p, _, _ := gatePort(t, h, xdrRung, h.only(xdrRung, quiet), "g1")
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
@@ -182,8 +158,8 @@ func TestXDRMuxPerCallCancellation(t *testing.T) {
 // flight from many goroutines: every call must return (error or value),
 // nothing may hang or panic, and -race must stay quiet.
 func TestXDRMuxServerCloseMidStream(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
@@ -212,8 +188,8 @@ func TestXDRMuxServerCloseMidStream(t *testing.T) {
 // stronger assertion — the same connection is reused, not silently
 // replaced — rules out a retry masking the bug.
 func TestXDRDeadlineNotSticky(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
@@ -428,11 +404,12 @@ func TestXDRClientRefusedNoRedial(t *testing.T) {
 		t.Fatalf("peer saw %d connections, want 1 — the client re-dialed", n)
 	}
 
-	h := newHost(t)
-	_, defs := h.deploy(t, "MatMul", "m1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "MatMul", "m1")
 	defs.PortsByKind(wsdl.BindXDR)[0].Port.Address = f.ln.Addr().String()
 	reg := telemetry.New()
-	rp, err := DialResilient(defs, Options{Policy: testResiliencePolicy(t), Telemetry: reg})
+	rp, err := DialResilient(defs, Options{Policy: testResiliencePolicy(t), Telemetry: reg,
+		Forbid: []wsdl.BindingKind{wsdl.BindShm}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,34 +433,15 @@ func TestXDRClientRefusedNoRedial(t *testing.T) {
 // pigeonhole property the E11 bench quantifies: 64 callers over one
 // connection all make progress and account exactly.
 func TestXDRMuxManyConcurrentCallers(t *testing.T) {
-	h := newHost(t)
-	_, defs := h.deploy(t, "Counter", "c1")
+	h := newLadderHost(t)
+	defs := h.deploy(t, "Counter", "c1")
 	ref := defs.PortsByKind(wsdl.BindXDR)
 	p := NewXDRPort(ref[0].Port.Address, "c1", Options{})
 	defer p.Close()
-	ctx := context.Background()
 	const goroutines, calls = 64, 10
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < calls; j++ {
-				if _, err := p.Invoke(ctx, "inc", wire.Args("by", int64(1))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	out, err := h.c.Invoke(ctx, "c1", "inc", wire.Args("by", int64(0)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total, _ := wire.GetArg(out, "total")
-	if total.(int64) != goroutines*calls {
-		t.Fatalf("total = %v, want %d", total, goroutines*calls)
+	incAll(t, goroutines, calls, func(int) Port { return p })
+	if total := incBy(t, &LocalPort{Container: h.c, Instance: "c1"}, 0); total != goroutines*calls {
+		t.Fatalf("total = %d, want %d", total, goroutines*calls)
 	}
 }
 
@@ -673,17 +631,6 @@ func TestXDRIdleConnHoldsOnlyItsWorkers(t *testing.T) {
 	wg.Wait()
 
 	want := baseline + 1 + 1 + serverWorkers() // client readLoop; server serveConn, workers
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		now := goroutineCount()
-		if now == want {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("idle connection: %d goroutines, want %d (baseline %d)\n%s", now, want, baseline, buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	awaitGoroutines(t, 2*time.Second, fmt.Sprintf("idle connection, want %d (baseline %d)", want, baseline),
+		func(n int) bool { return n == want })
 }

@@ -24,22 +24,9 @@ type Backend interface {
 	Renew(key string) error
 }
 
-// RedirectError reports that the receiving peer does not own the key and
-// names the peer that does. The SOAP server maps it to a fault with Code
-// "Redirect" whose Detail carries the owner endpoint; Remote follows it.
-type RedirectError struct {
-	// Owner is the endpoint URL of the owning peer.
-	Owner string
-	// Key is the entry key the redirect is about.
-	Key string
-}
-
-// Error implements the error interface.
-func (e *RedirectError) Error() string {
-	return fmt.Sprintf("registry: not the owner of %q; owner at %s", e.Key, e.Owner)
-}
-
-// FaultCodeRedirect is the SOAP fault code carrying ownership redirects.
+// FaultCodeRedirect is the SOAP fault code carrying ownership redirects:
+// a cluster peer that does not own a key answers with it, naming the
+// owner's endpoint in Detail, and Remote follows it.
 const FaultCodeRedirect = "Redirect"
 
 // Server exposes a registry Backend as a SOAP web service — the registry
@@ -154,15 +141,10 @@ func decodeEntry(call *soap.Call) (Entry, error) {
 	return e, nil
 }
 
-// opFault maps a backend error onto the SOAP fault taxonomy: ownership
-// redirects keep their owner endpoint in Detail, reachability failures
-// become Server faults (the client must not read them as "not there"),
-// everything else is a Client fault.
+// opFault maps a backend error onto the SOAP fault taxonomy:
+// reachability failures become Server faults (the client must not read
+// them as "not there"), everything else is a Client fault.
 func opFault(err error) error {
-	var rd *RedirectError
-	if errors.As(err, &rd) {
-		return &soap.Fault{Code: FaultCodeRedirect, String: err.Error(), Detail: rd.Owner}
-	}
 	if errors.Is(err, ErrUnavailable) {
 		return &soap.Fault{Code: "Server", String: err.Error()}
 	}

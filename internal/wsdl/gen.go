@@ -107,7 +107,7 @@ func Generate(spec ServiceSpec, eps EndpointSet) (*Definitions, error) {
 		})
 	}
 	if eps.HTTPAddress != "" {
-		if err := checkURLEncodable(spec); err != nil {
+		if err := spec.CarriedBy(BindHTTP); err != nil {
 			return nil, err
 		}
 		b := Binding{Name: spec.Name + "HTTPBinding", Type: pt.Name, Kind: BindHTTP}
@@ -119,7 +119,7 @@ func Generate(spec ServiceSpec, eps EndpointSet) (*Definitions, error) {
 		})
 	}
 	if eps.XDRAddress != "" {
-		if err := checkNumericOnly(spec); err != nil {
+		if err := spec.CarriedBy(BindXDR); err != nil {
 			return nil, err
 		}
 		b := Binding{Name: spec.Name + "XDRBinding", Type: pt.Name, Kind: BindXDR}
@@ -134,7 +134,7 @@ func Generate(spec ServiceSpec, eps EndpointSet) (*Definitions, error) {
 		})
 	}
 	if eps.ShmAddress != "" {
-		if err := checkNumericOnly(spec); err != nil {
+		if err := spec.CarriedBy(BindShm); err != nil {
 			return nil, err
 		}
 		b := Binding{Name: spec.Name + "ShmBinding", Type: pt.Name, Kind: BindShm}
@@ -174,24 +174,16 @@ func Generate(spec ServiceSpec, eps EndpointSet) (*Definitions, error) {
 	return d, nil
 }
 
-func checkURLEncodable(spec ServiceSpec) error {
-	for _, op := range spec.Operations {
-		for _, p := range append(append([]ParamSpec{}, op.Input...), op.Output...) {
-			if p.Type == wire.KindStruct {
-				return fmt.Errorf("wsdl: operation %q parameter %q is a struct; cannot expose an HTTP GET endpoint",
-					op.Name, p.Name)
-			}
-		}
-	}
-	return nil
-}
-
-func checkNumericOnly(spec ServiceSpec) error {
-	for _, op := range spec.Operations {
-		for _, p := range append(append([]ParamSpec{}, op.Input...), op.Output...) {
-			if !p.Type.Numeric() {
-				return fmt.Errorf("wsdl: operation %q parameter %q (%v) is not numeric; cannot expose an XDR endpoint",
-					op.Name, p.Name, p.Type)
+// CarriedBy reports the first parameter of s that a binding of kind b
+// cannot carry (BindingKind.Carries), or nil when b can expose s.
+func (s ServiceSpec) CarriedBy(b BindingKind) error {
+	for _, op := range s.Operations {
+		for _, params := range [][]ParamSpec{op.Input, op.Output} {
+			for _, p := range params {
+				if !b.Carries(p.Type) {
+					return fmt.Errorf("wsdl: operation %q parameter %q (%v) cannot be carried by the %v binding",
+						op.Name, p.Name, p.Type, b)
+				}
 			}
 		}
 	}

@@ -71,6 +71,24 @@ func BindingKinds() []BindingKind {
 	return out
 }
 
+// Carries reports whether a binding of kind b can carry values of wire
+// kind k. It is the one statement of which kinds each binding carries:
+// the XDR binding "is designed to be limited to the transfer of numerical
+// data", and the shm binding carries the same XDR records; HTTP GET
+// carries every kind with a text form, which a struct has not; SOAP and
+// the in-process JavaObject binding carry every kind.
+func (b BindingKind) Carries(k wire.Kind) bool {
+	switch {
+	case k == wire.KindInvalid:
+		return false
+	case b == BindXDR || b == BindShm:
+		return k.Numeric()
+	case b == BindHTTP:
+		return k != wire.KindStruct
+	}
+	return true
+}
+
 // Part is one named, typed piece of a message.
 type Part struct {
 	Name string
@@ -241,9 +259,8 @@ type PortRef struct {
 
 // Validate checks referential integrity: every operation references
 // defined messages, every binding a defined port type, every port a
-// defined binding; XDR-bound port types must carry only numeric parts
-// (the binding "is designed to be limited to the transfer of numerical
-// data").
+// defined binding; and every binding can carry every part of its port
+// type's messages (BindingKind.Carries).
 func (d *Definitions) Validate() error {
 	if d.Name == "" {
 		return fmt.Errorf("wsdl: definitions must be named")
@@ -281,19 +298,15 @@ func (d *Definitions) Validate() error {
 		if pt == nil {
 			return fmt.Errorf("wsdl: binding %q references unknown port type %q", b.Name, b.Type)
 		}
-		if b.Kind == BindXDR || b.Kind == BindShm {
-			// The shm binding carries the same XDR-encoded records, so it
-			// inherits the XDR binding's numeric-only restriction.
-			for _, op := range pt.Operations {
-				for _, msgName := range []string{op.Input, op.Output} {
-					if msgName == "" {
-						continue
-					}
-					for _, part := range d.Message(msgName).Parts {
-						if !part.Type.Numeric() {
-							return fmt.Errorf("wsdl: %v binding %q cannot carry non-numeric part %q (%v) of message %q",
-								b.Kind, b.Name, part.Name, part.Type, msgName)
-						}
+		for _, op := range pt.Operations {
+			for _, msgName := range []string{op.Input, op.Output} {
+				if msgName == "" {
+					continue
+				}
+				for _, part := range d.Message(msgName).Parts {
+					if !b.Kind.Carries(part.Type) {
+						return fmt.Errorf("wsdl: %v binding %q cannot carry part %q (%v) of message %q",
+							b.Kind, b.Name, part.Name, part.Type, msgName)
 					}
 				}
 			}

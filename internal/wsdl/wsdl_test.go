@@ -204,6 +204,16 @@ func TestValidateCatchesBrokenRefs(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Error("non-numeric part behind XDR binding should fail validation")
 	}
+
+	// A struct has no text form for an HTTP GET binding to carry.
+	d, err := Generate(MatMulSpec(), EndpointSet{SOAPAddress: "http://h/services/m", HTTPAddress: "http://h/rest/m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Messages[0].Parts[0].Type = wire.KindStruct
+	if err := d.Validate(); err == nil {
+		t.Error("struct part behind HTTP binding should fail validation")
+	}
 }
 
 func TestPortsByKind(t *testing.T) {

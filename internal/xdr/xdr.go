@@ -352,8 +352,9 @@ func (d *Decoder) Int32Array() ([]int32, error) { return d.Int32ArrayInto(nil) }
 // Int32ArrayInto decodes an int32 array into dst, reusing its capacity
 // when it suffices and otherwise taking the destination from the decoder's
 // arena (or the heap, without one); it returns dst resliced to the decoded
-// length. The decode-into variants let steady-state callers (preallocated
-// workspaces) take arrays off the wire with zero allocations.
+// length, and never a nil slice, even for an empty array. The decode-into
+// variants let steady-state callers (preallocated workspaces) take arrays
+// off the wire with zero allocations.
 func (d *Decoder) Int32ArrayInto(dst []int32) ([]int32, error) {
 	n, err := d.declaredLen()
 	if err != nil {
@@ -363,7 +364,7 @@ func (d *Decoder) Int32ArrayInto(dst []int32) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
+	if cap(dst) < n || dst == nil {
 		dst = alloc[int32](d, n)
 	}
 	dst = dst[:n]
@@ -391,7 +392,7 @@ func (d *Decoder) Int64ArrayInto(dst []int64) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
+	if cap(dst) < n || dst == nil {
 		dst = alloc[int64](d, n)
 	}
 	dst = dst[:n]
@@ -419,7 +420,7 @@ func (d *Decoder) Float32ArrayInto(dst []float32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
+	if cap(dst) < n || dst == nil {
 		dst = alloc[float32](d, n)
 	}
 	dst = dst[:n]
@@ -448,7 +449,7 @@ func (d *Decoder) Float64ArrayInto(dst []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cap(dst) < n {
+	if cap(dst) < n || dst == nil {
 		dst = alloc[float64](d, n)
 	}
 	dst = dst[:n]
@@ -502,10 +503,6 @@ func (d *Decoder) StringArray() ([]string, error) {
 	return out, nil
 }
 
-// EncodeValue appends a tagged wire value. A one-word kind discriminant
-// precedes the payload so DecodeValue can reconstruct the dynamic type.
-// Only kinds admitted by the XDR binding (wire.Kind.Numeric, i.e. numeric
-// scalars, numeric arrays, booleans and opaque bytes) are accepted.
 // elemCount returns the element count of a variable-length wire value,
 // or 0 for scalars — the encode-side input to CheckLen.
 func elemCount(v any) int {
@@ -526,6 +523,10 @@ func elemCount(v any) int {
 	return 0
 }
 
+// EncodeValue appends a tagged wire value. A one-word kind discriminant
+// precedes the payload so DecodeValue can reconstruct the dynamic type.
+// Only kinds admitted by the XDR binding (wire.Kind.Numeric, i.e. numeric
+// scalars, numeric arrays, booleans and opaque bytes) are accepted.
 func EncodeValue(e *Encoder, v any) error {
 	k := wire.KindOf(v)
 	if !k.Numeric() {
