@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check lint loc test test-poison race race-shm race-xdr race-rungs race-fleet cover bench bench-xdr bench-e15 bench-e16 bench-e17 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
+.PHONY: all build vet cross fmt-check lint loc test test-poison race race-shm race-xdr race-rungs race-fleet cover bench bench-xdr bench-e15 bench-e18 bench-e19 hbench fuzz chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark benchmark-smoke benchmark-pairs ci clean
 
 all: build
 
@@ -12,6 +12,19 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Vet for the platforms the build host is not: 32-bit (386, arm), a
+# big-endian one (s390x), and two other operating systems. These are the
+# builds that compile the XDR codec's portable swap loops
+# (internal/xdr/zerocopy_portable.go); amd64 and arm64 carry the word
+# kernels instead.
+CROSS_TARGETS ?= linux/386 linux/arm linux/s390x darwin/arm64 windows/amd64
+
+cross:
+	@set -e; for t in $(CROSS_TARGETS); do \
+		echo "go vet $$t"; \
+		GOOS=$${t%/*} GOARCH=$${t#*/} $(GO) vet ./...; \
+	done
 
 # Fails listing the files gofmt would change.
 fmt-check:
@@ -75,12 +88,14 @@ race-fleet:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# The XDR transport microbenchmarks beside EXPERIMENTS.md E11 (E11's own
-# serial and dial-per-call rows are bench-side shims over the one port:
-# internal/bench/concurrency.go).
+# The XDR transport and codec microbenchmarks, plus the two decode and
+# kernel pairs the retired E14/E16 tables measured: the word-swap kernels
+# against the portable loops (BenchmarkSwap*, internal/xdr) and the SOAP
+# scan against its DOM fallback (BenchmarkDecodeCall*, internal/soap).
 bench-xdr:
 	$(GO) test -run xxx -bench 'BenchmarkXDRInvoke' -benchmem -benchtime 2s ./internal/invoke/
 	$(GO) test -run xxx -bench . -benchmem -benchtime 2s ./internal/xdr/
+	$(GO) test -run xxx -bench 'BenchmarkDecodeCall' -benchmem ./internal/soap/
 
 # The S34 metacity gate and tables: 0 allocs/op on the cache-hit and
 # registry-Get read paths, the deterministic virtual-time macro slice
@@ -92,21 +107,6 @@ bench-e15:
 	E15_GATE=1 $(GO) test -run TestE15Gate -v ./internal/bench/
 	$(GO) run ./cmd/hbench -exp E15
 	$(GO) test -run xxx -bench 'BenchmarkHot' -benchmem -benchtime 1s ./internal/registry/
-
-# The S30 data-plane gate and tables: zero-copy codec vs portable
-# ablation and shm rings vs XDR loopback (EXPERIMENTS.md E16).
-bench-e16:
-	E16_GATE=1 $(GO) test -run TestE16Gate -v ./internal/bench/
-	$(GO) test -run TestXDRArrayCallAllocationGate -v ./internal/invoke/
-	$(GO) test -run xxx -bench 'BenchmarkXDRInvokeArray64K' -benchmem ./internal/invoke/
-	$(GO) run ./cmd/hbench -exp E16
-
-# The S31 registry-cluster gate and tables: routed-find p99 vs the
-# single-node owner-shard read at 10^5 entries, plus kill/join churn
-# (EXPERIMENTS.md E17).
-bench-e17:
-	E17_GATE=1 $(GO) test -run TestE17Gate -v ./internal/bench/
-	$(GO) run ./cmd/hbench -exp E17
 
 # The S32 fleet gate and tables: time-to-N-serving plus recovery-after-
 # kill latency against the restart-backoff bound, with zero failed finds
@@ -159,10 +159,11 @@ fuzz:
 chaos-smoke:
 	$(GO) run ./cmd/hbench -exp E13,E13b -short
 
-# The cluster churn smoke: kill one of three peers (and absorb a
-# joiner) at a small entry population, asserting zero failed finds.
+# The cluster churn smoke: kill one of three peers, and absorb a joiner,
+# asserting every entry stays findable; then the whole cluster package
+# under the race detector.
 churn-smoke:
-	$(GO) test -run TestE17ChurnSmoke -v ./internal/bench/
+	$(GO) test -run 'TestClusterSurvivesPeerDeath|TestClusterJoinRebalances' -v ./internal/registry/cluster/
 	$(GO) test -race ./internal/registry/cluster/
 
 # The fleet smoke: a daemon supervising real HARNESS II nodes over the
@@ -203,7 +204,7 @@ N ?= 10
 benchmark-pairs:
 	bash tools/benchpairs.sh "$(WORKLOAD)" "$(BASE)" $(N)
 
-ci: fmt-check vet build race race-shm race-xdr race-rungs race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
+ci: fmt-check vet cross build race race-shm race-xdr race-rungs race-fleet test-poison chaos-smoke churn-smoke fleet-smoke metacity-smoke benchmark-smoke
 
 clean:
 	$(GO) clean ./...

@@ -1,7 +1,8 @@
 // Benchmark suite: one testing.B family per experiment table in
 // DESIGN.md (E1–E10). `go test -bench=. -benchmem` regenerates the raw
 // measurements behind EXPERIMENTS.md; `cmd/hbench` prints the same data
-// as formatted tables.
+// as formatted tables, except for E1 and E3, whose tables were retired to
+// the benchmark/ workloads.
 package harness
 
 import (
@@ -709,30 +710,6 @@ func BenchmarkE13_ChaosEvalMiss(b *testing.B) {
 }
 
 // --- E14: SOAP fast path and discovery cache -------------------------------
-
-// benchE14Decode prices one packed-base64 envelope decode at n doubles.
-func benchE14Decode(b *testing.B, n int, disableFast bool) {
-	data := bench.RandDoubles(n, 14)
-	codec := soap.Codec{Arrays: soap.EncodeBase64, DisableFastPath: disableFast}
-	buf, err := codec.EncodeCall(&soap.Call{Method: "put",
-		Params: []soap.Param{{Name: "vals", Value: data}}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(8 * n))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodeCall(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE14_DecodeFast100k(b *testing.B) { benchE14Decode(b, 100_000, false) }
-func BenchmarkE14_DecodeDOM100k(b *testing.B)  { benchE14Decode(b, 100_000, true) }
-func BenchmarkE14_DecodeFast1M(b *testing.B)   { benchE14Decode(b, 1_000_000, false) }
-func BenchmarkE14_DecodeDOM1M(b *testing.B)    { benchE14Decode(b, 1_000_000, true) }
 
 // BenchmarkE14_EncodePooled prices the append-based encode path with
 // pooled buffers: the steady state should be allocation-free.

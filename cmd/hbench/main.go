@@ -1,8 +1,10 @@
-// Command hbench regenerates the HARNESS II experiment tables (E1–E19 in
-// DESIGN.md): every figure-scenario and quantified design claim of the
-// paper, plus the plane audits (telemetry E12, resilience E13, SOAP fast
-// path E14, metacity macro-load E15, data plane E16/E19, registry
-// cluster E17, fleet E18), printed as aligned text tables.
+// Command hbench regenerates the HARNESS II experiment tables (DESIGN.md
+// §3, fifteen IDs): the figure-scenarios and quantified design claims of
+// the paper, plus the plane audits (telemetry E12, resilience E13/E13b,
+// metacity macro-load E15, fleet E18, WAN data plane E19), printed as
+// aligned text tables. E1, E3, E11, E14, E16 and E17 are retired: the
+// benchmark/ workloads and the committed BENCH_*.json records measure
+// what they did, and EXPERIMENTS.md points at each.
 //
 // Usage:
 //
@@ -25,7 +27,7 @@ import (
 
 func main() {
 	var (
-		exps  = flag.String("exp", "all", "comma-separated experiment IDs (E1..E19) or 'all'")
+		exps  = flag.String("exp", "all", "comma-separated experiment IDs (see -list) or 'all'")
 		full  = flag.Bool("full", false, "run the full (report-quality) parameter sweeps")
 		short = flag.Bool("short", false, "run CI smoke-sized sweeps (wins over -full)")
 		list  = flag.Bool("list", false, "list experiment IDs and exit")

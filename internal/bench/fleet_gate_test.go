@@ -15,8 +15,8 @@ import (
 // TestE18Gate is the CI regression gate over the S32 fleet control
 // plane, run when E18_GATE=1 (CI exports it). Availability is absolute —
 // zero failed finds while recoveries are in flight, every trial — while
-// the recovery-latency ceiling takes the best of three trials (the
-// scheduler-noise hedge the E16/E17 gates use): the slowest kill→serving
+// the recovery-latency ceiling takes the best of three trials (a
+// scheduler-noise hedge): the slowest kill→serving
 // recovery must stay within the configured restart-backoff bound plus
 // the modelled spawn cost, with a 250ms scheduling allowance.
 func TestE18Gate(t *testing.T) {

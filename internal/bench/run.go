@@ -21,20 +21,6 @@ func (p Params) encodingSizes() []int {
 	return []int{100, 10000, 250000}
 }
 
-func (p Params) matmulSizes() []int {
-	if p.Full {
-		return []int{8, 32, 128, 384}
-	}
-	return []int{8, 64, 192}
-}
-
-func (p Params) callCounts() []int {
-	if p.Full {
-		return []int{1, 10, 100, 1000}
-	}
-	return []int{1, 10, 100}
-}
-
 func (p Params) nodeCounts() []int {
 	if p.Full {
 		return []int{2, 4, 8, 16, 32, 64}
@@ -98,36 +84,6 @@ func (p Params) localityJobs() int {
 	return 8
 }
 
-func (p Params) xdrClients() []int {
-	if p.Full {
-		return []int{1, 4, 16, 64}
-	}
-	return []int{1, 4, 16}
-}
-
-func (p Params) xdrSmallCalls() int {
-	if p.Full {
-		return 400
-	}
-	return 150
-}
-
-// xdrArrayLen is the float64 element count of the E11 large payload:
-// 1 MiB on the wire for Full runs, 64 KiB for quick runs.
-func (p Params) xdrArrayLen() int {
-	if p.Full {
-		return 1 << 17
-	}
-	return 1 << 13
-}
-
-func (p Params) xdrArrayCalls() int {
-	if p.Full {
-		return 16
-	}
-	return 6
-}
-
 func (p Params) telemetryReps() int {
 	if p.Full {
 		return 2_000_000
@@ -173,39 +129,6 @@ func (p Params) resilienceOverheadReps() int {
 	return 200_000
 }
 
-// fastpathSizes sizes the E14 decode sweep (doubles per envelope).
-func (p Params) fastpathSizes() []int {
-	if p.Short {
-		return []int{1000, 10000}
-	}
-	if p.Full {
-		return []int{100, 1000, 10000, 100000, 1000000}
-	}
-	return []int{1000, 100000, 1000000}
-}
-
-// e16ArrayCalls is the per-trial call count of the E16 invoke stage.
-// Larger than E11's array counts: the shm segment needs enough calls
-// to wrap the ring and fault in every page before the steady state
-// the best-of-three trials are after.
-func (p Params) e16ArrayCalls() int {
-	if p.Full {
-		return 200
-	}
-	return 80
-}
-
-// zerocopySizes sizes the E16 codec sweep (doubles per array).
-func (p Params) zerocopySizes() []int {
-	if p.Short {
-		return []int{512, 8192}
-	}
-	if p.Full {
-		return []int{64, 512, 8192, 131072, 1 << 20}
-	}
-	return []int{512, 8192, 131072}
-}
-
 // e18Ns is the replica-count sweep of the E18 time-to-serving curve.
 func (p Params) e18Ns() []int {
 	if p.Short {
@@ -241,15 +164,13 @@ func (p Params) e19WanCalls() int {
 	return 4
 }
 
-// Run executes one experiment by ID (E1–E19).
+// Run executes one experiment by ID. E1, E3, E11, E14, E16 and E17 are
+// retired: the benchmark/ workloads and the committed BENCH_*.json
+// records measure what they did (EXPERIMENTS.md points at each).
 func Run(id string, p Params) (*Table, error) {
 	switch id {
-	case "E1":
-		return E1Amortization(p.callCounts())
 	case "E2":
 		return E2Encoding(p.encodingSizes()), nil
-	case "E3":
-		return E3Bindings(p.matmulSizes())
 	case "E4":
 		return E4Deployment()
 	case "E5":
@@ -266,25 +187,15 @@ func Run(id string, p Params) (*Table, error) {
 		return E9Locality(p.localityN(), p.localityJobs())
 	case "E10":
 		return E10Discovery(p.discoveryCounts())
-	case "E11":
-		return E11Concurrency(p.xdrClients(), p.xdrSmallCalls(),
-			p.xdrArrayLen(), p.xdrArrayCalls())
 	case "E12":
 		return E12TelemetryOverhead(p.telemetryReps(), p.telemetryInvokeReps())
 	case "E13":
 		return E13FaultSweep(p.resilienceRates(), p.resilienceCalls())
 	case "E13b":
 		return E13bDisabledOverhead(p.resilienceOverheadReps())
-	case "E14":
-		return E14FastPath(p.fastpathSizes())
 	case "E15":
 		return E15Metacity(p.e15SimClients(), p.e15SimOps(), p.e15Services(),
 			p.e15RealClients(), p.e15RealCalls())
-	case "E16":
-		return E16DataPlane(p.zerocopySizes(), p.xdrSmallCalls(),
-			p.xdrArrayLen(), p.e16ArrayCalls())
-	case "E17":
-		return E17Cluster(p.e17Entries(), p.e17Reads())
 	case "E18":
 		return E18Fleet(p.e18Ns(), p.e18Kills())
 	case "E19":
@@ -295,7 +206,7 @@ func Run(id string, p Params) (*Table, error) {
 
 // IDs returns every experiment ID in order.
 func IDs() []string {
-	ids := []string{"E1", "E10", "E11", "E12", "E13", "E13b", "E14", "E15", "E16", "E17", "E18", "E19", "E2", "E3", "E4", "E5", "E5b", "E6", "E7", "E8", "E9"}
+	ids := []string{"E10", "E12", "E13", "E13b", "E15", "E18", "E19", "E2", "E4", "E5", "E5b", "E6", "E7", "E8", "E9"}
 	sort.Strings(ids)
 	return ids
 }

@@ -1,5 +1,5 @@
 // Package bench implements the HARNESS II experiment harness: one
-// generator per experiment in DESIGN.md's index (E1–E10), each regenerating
+// generator per experiment in DESIGN.md's index, each regenerating
 // a figure-scenario or quantified design claim of the paper as a printed
 // table. The cmd/hbench binary drives them; the repository-root benchmark
 // suite wraps the same workloads in testing.B form.

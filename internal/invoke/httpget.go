@@ -215,6 +215,8 @@ func (p *HTTPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 		switch {
 		case !wsdl.BindHTTP.Carries(k):
 			return nil, fmt.Errorf("invoke: http binding cannot carry %q (%T)", a.Name, a.Value)
+		case !xmlChars(a.Value):
+			return nil, errXMLChars("http", a.Name)
 		case k.IsArray():
 			for i, n := 0, wire.Len(a.Value); i < n; i++ {
 				q.Add(a.Name, string(wire.AppendItem(nil, a.Value, i)))

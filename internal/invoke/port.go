@@ -21,6 +21,7 @@ import (
 	"harness2/internal/telemetry"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
+	"harness2/internal/xmlq"
 )
 
 // Port is a bound, invocable view of a service — the dynamic stub.
@@ -80,6 +81,9 @@ func (p *SOAPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 	}
 	params := make([]soap.Param, len(args))
 	for i, a := range args {
+		if !xmlChars(a.Value) {
+			return nil, errXMLChars("soap", a.Name)
+		}
 		params[i] = soap.Param{Name: a.Name, Value: a.Value}
 	}
 	out, err := p.Client.CallRemote(ctx, p.URL, &soap.Call{Method: op, Params: params, Headers: headers})
@@ -91,6 +95,35 @@ func (p *SOAPPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wi
 		res[i] = wire.Arg{Name: o.Name, Value: o.Value}
 	}
 	return res, nil
+}
+
+// xmlChars reports whether every string in v — v itself, each item of
+// a string array, each struct field, recursively — is one XML 1.0 can
+// hold. The text rungs refuse an argument that fails it before the wire,
+// as they refuse a kind they do not carry: no escaping makes such a
+// string well-formed, so it could only fail after the call had run.
+func xmlChars(v any) bool {
+	switch x := v.(type) {
+	case string:
+		return xmlq.ValidChars(x)
+	case []string:
+		for _, s := range x {
+			if !xmlq.ValidChars(s) {
+				return false
+			}
+		}
+	case *wire.Struct:
+		for _, f := range x.Fields {
+			if !xmlChars(f.Value) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func errXMLChars(binding, arg string) error {
+	return fmt.Errorf("invoke: %s binding cannot carry %q: a string XML 1.0 cannot hold", binding, arg)
 }
 
 // Kind implements Port.

@@ -115,9 +115,6 @@ func (f *Fault) Error() string {
 // The zero value uses BASE64 array packing and the streaming decoder.
 type Codec struct {
 	Arrays ArrayEncoding
-	// DisableFastPath forces every decode through the DOM parser —
-	// the E14 ablation switch, also used by the differential tests.
-	DisableFastPath bool
 }
 
 const (
@@ -538,18 +535,12 @@ func AppendEscaped(dst []byte, s string) []byte {
 // entries. The streaming scanner handles the common envelope shape; any
 // input outside its subset is retried through the DOM parser.
 func (c Codec) DecodeCall(data []byte) (*Call, error) {
-	if !c.DisableFastPath {
-		call, err := fastDecodeCall(data)
-		if err == nil {
-			decodeFast.Inc()
-			return call, nil
-		}
-		if !errors.Is(err, errFallback) {
-			decodeFast.Inc()
-			return nil, err
-		}
-		decodeFallback.Inc()
+	call, err := fastDecodeCall(data)
+	if !errors.Is(err, errFallback) {
+		decodeFast.Inc()
+		return call, err
 	}
+	decodeFallback.Inc()
 	return c.domDecodeCall(data)
 }
 
@@ -591,18 +582,12 @@ func (c Codec) domDecodeCall(data []byte) (*Call, error) {
 // Response whose Fault field is set (and no error). Like DecodeCall it
 // scans first and falls back to the DOM parser outside the subset.
 func (c Codec) DecodeResponse(data []byte) (*Response, error) {
-	if !c.DisableFastPath {
-		resp, err := fastDecodeResponse(data)
-		if err == nil {
-			decodeFast.Inc()
-			return resp, nil
-		}
-		if !errors.Is(err, errFallback) {
-			decodeFast.Inc()
-			return nil, err
-		}
-		decodeFallback.Inc()
+	resp, err := fastDecodeResponse(data)
+	if !errors.Is(err, errFallback) {
+		decodeFast.Inc()
+		return resp, err
 	}
+	decodeFallback.Inc()
 	return c.domDecodeResponse(data)
 }
 

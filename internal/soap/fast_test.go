@@ -13,9 +13,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// domCodec decodes through the DOM path only.
-var domCodec = Codec{DisableFastPath: true}
-
 func callsEqual(a, b *Call) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -80,7 +77,7 @@ func paramsEqual(a, b []Param) bool {
 func diffCheck(t *testing.T, data []byte) {
 	t.Helper()
 	fc, ferr := fastDecodeCall(data)
-	dc, derr := domCodec.DecodeCall(data)
+	dc, derr := Codec{}.domDecodeCall(data)
 	if !errors.Is(ferr, errFallback) {
 		if (ferr == nil) != (derr == nil) {
 			t.Fatalf("call decode disagreement on %q:\nfast err=%v\ndom err=%v", data, ferr, derr)
@@ -90,7 +87,7 @@ func diffCheck(t *testing.T, data []byte) {
 		}
 	}
 	fr, ferr := fastDecodeResponse(data)
-	dr, derr := domCodec.DecodeResponse(data)
+	dr, derr := Codec{}.domDecodeResponse(data)
 	if !errors.Is(ferr, errFallback) {
 		if (ferr == nil) != (derr == nil) {
 			t.Fatalf("response decode disagreement on %q:\nfast err=%v\ndom err=%v", data, ferr, derr)
@@ -232,7 +229,7 @@ func TestFastPathTakesOwnTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("arrays=%v: fast path declined own encoding: %v", arrays, err)
 		}
-		dom, err := domCodec.DecodeCall(data)
+		dom, err := Codec{}.domDecodeCall(data)
 		if err != nil {
 			t.Fatal(err)
 		}

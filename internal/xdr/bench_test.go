@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -82,4 +83,34 @@ func BenchmarkEncodeFloat32Array(b *testing.B) {
 		e.Reset()
 		e.Float32Array(data)
 	}
+}
+
+// The kernel pair behind the array codec (EXPERIMENTS.md E16's codec
+// stage): the word-swap kernels this build carries against the portable
+// element loops, on an 8Ki-element float64 payload each way. On hosts
+// whose build carries the portable loops the two read alike.
+
+func BenchmarkSwapWords(b *testing.B) { benchSwap(b, swapPut64, swapGet64) }
+
+func BenchmarkSwapPortable(b *testing.B) { benchSwap(b, portablePut64, portableGet64) }
+
+func benchSwap(b *testing.B, put func([]byte, []uint64), get func([]uint64, []byte)) {
+	const n = 8192
+	words := make([]uint64, n)
+	for i := range words {
+		words[i] = math.Float64bits(float64(i) * 1.000001)
+	}
+	buf := make([]byte, 8*n+4)[4:] // frame payloads sit at 4-byte offsets
+	b.Run("encode", func(b *testing.B) {
+		b.SetBytes(8 * n)
+		for i := 0; i < b.N; i++ {
+			put(buf, words)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(8 * n)
+		for i := 0; i < b.N; i++ {
+			get(words, buf)
+		}
+	})
 }

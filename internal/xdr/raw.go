@@ -4,14 +4,11 @@ package xdr
 // paths behind the XDR array encoders) without the XDR length prefix,
 // so other wire formats — notably the SOAP packed-array encoding, which
 // carries the same big-endian element bytes in BASE64 text — reuse one
-// set of tuned pack/unpack loops instead of growing their own. On
-// capable hosts the loops take the same zero-copy word-swap kernels as
-// the Encoder/Decoder array paths (zerocopy.go).
+// set of tuned pack/unpack loops instead of growing their own: the same
+// word-swap kernels as the Encoder/Decoder array paths (zerocopy.go).
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"harness2/internal/wire"
@@ -47,7 +44,6 @@ func AppendRaw(dst []byte, v any) []byte {
 	off := len(dst)
 	dst = slices.Grow(dst, size)[:off+size]
 	out := dst[off:]
-	zc := ZeroCopyEnabled()
 	switch a := v.(type) {
 	case []bool:
 		for i := range out {
@@ -59,37 +55,13 @@ func AppendRaw(dst []byte, v any) []byte {
 			}
 		}
 	case []int32:
-		if zc {
-			swapPut32(out, i32words(a))
-			break
-		}
-		for i, x := range a {
-			binary.BigEndian.PutUint32(out[4*i:], uint32(x))
-		}
+		swapPut32(out, i32words(a))
 	case []int64:
-		if zc {
-			swapPut64(out, i64words(a))
-			break
-		}
-		for i, x := range a {
-			binary.BigEndian.PutUint64(out[8*i:], uint64(x))
-		}
+		swapPut64(out, i64words(a))
 	case []float32:
-		if zc {
-			swapPut32(out, f32words(a))
-			break
-		}
-		for i, x := range a {
-			binary.BigEndian.PutUint32(out[4*i:], math.Float32bits(x))
-		}
+		swapPut32(out, f32words(a))
 	case []float64:
-		if zc {
-			swapPut64(out, f64words(a))
-			break
-		}
-		for i, x := range a {
-			binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(x))
-		}
+		swapPut64(out, f64words(a))
 	}
 	return dst
 }
@@ -102,7 +74,6 @@ func UnpackRaw(kind wire.Kind, raw []byte, n int) (any, error) {
 	if err := CheckLen(n); err != nil {
 		return nil, fmt.Errorf("xdr: raw array of %d elements: %w", n, err)
 	}
-	zc := ZeroCopyEnabled()
 	switch kind {
 	case wire.KindBoolArray:
 		if len(raw) != n {
@@ -118,52 +89,28 @@ func UnpackRaw(kind wire.Kind, raw []byte, n int) (any, error) {
 			return nil, fmt.Errorf("xdr: int array length mismatch")
 		}
 		out := make([]int32, n)
-		if zc {
-			swapGet32(i32words(out), raw)
-			return out, nil
-		}
-		for i := range out {
-			out[i] = int32(binary.BigEndian.Uint32(raw[4*i:]))
-		}
+		swapGet32(i32words(out), raw)
 		return out, nil
 	case wire.KindInt64Array:
 		if len(raw) != 8*n {
 			return nil, fmt.Errorf("xdr: long array length mismatch")
 		}
 		out := make([]int64, n)
-		if zc {
-			swapGet64(i64words(out), raw)
-			return out, nil
-		}
-		for i := range out {
-			out[i] = int64(binary.BigEndian.Uint64(raw[8*i:]))
-		}
+		swapGet64(i64words(out), raw)
 		return out, nil
 	case wire.KindFloat32Array:
 		if len(raw) != 4*n {
 			return nil, fmt.Errorf("xdr: float array length mismatch")
 		}
 		out := make([]float32, n)
-		if zc {
-			swapGet32(f32words(out), raw)
-			return out, nil
-		}
-		for i := range out {
-			out[i] = math.Float32frombits(binary.BigEndian.Uint32(raw[4*i:]))
-		}
+		swapGet32(f32words(out), raw)
 		return out, nil
 	case wire.KindFloat64Array:
 		if len(raw) != 8*n {
 			return nil, fmt.Errorf("xdr: double array length mismatch")
 		}
 		out := make([]float64, n)
-		if zc {
-			swapGet64(f64words(out), raw)
-			return out, nil
-		}
-		for i := range out {
-			out[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[8*i:]))
-		}
+		swapGet64(f64words(out), raw)
 		return out, nil
 	}
 	return nil, fmt.Errorf("xdr: cannot unpack kind %v", kind)

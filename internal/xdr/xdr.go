@@ -132,66 +132,32 @@ func (e *Encoder) grow(n int) []byte {
 	return e.buf[off : off+n : off+n]
 }
 
-// Int32Array encodes a variable-length array of int32 with a single
-// buffer grow and block big-endian conversion (zero-copy word swap on
-// capable hosts).
+// The numeric array encoders widen the buffer once and byte-swap the
+// whole array into it (zerocopy.go): no per-element append.
+
+// Int32Array encodes a variable-length array of int32.
 func (e *Encoder) Int32Array(a []int32) {
 	e.Uint32(uint32(len(a)))
-	dst := e.grow(4 * len(a))
-	if ZeroCopyEnabled() {
-		swapPut32(dst, i32words(a))
-		return
-	}
-	for i, v := range a {
-		binary.BigEndian.PutUint32(dst[4*i:], uint32(v))
-	}
+	swapPut32(e.grow(4*len(a)), i32words(a))
 }
 
-// Int64Array encodes a variable-length array of hyper with a single
-// buffer grow and block big-endian conversion (zero-copy word swap on
-// capable hosts).
+// Int64Array encodes a variable-length array of hyper.
 func (e *Encoder) Int64Array(a []int64) {
 	e.Uint32(uint32(len(a)))
-	dst := e.grow(8 * len(a))
-	if ZeroCopyEnabled() {
-		swapPut64(dst, i64words(a))
-		return
-	}
-	for i, v := range a {
-		binary.BigEndian.PutUint64(dst[8*i:], uint64(v))
-	}
+	swapPut64(e.grow(8*len(a)), i64words(a))
 }
 
-// Float32Array encodes a variable-length array of single floats with a
-// single buffer grow and block big-endian conversion (zero-copy word swap
-// on capable hosts).
+// Float32Array encodes a variable-length array of single floats.
 func (e *Encoder) Float32Array(a []float32) {
 	e.Uint32(uint32(len(a)))
-	dst := e.grow(4 * len(a))
-	if ZeroCopyEnabled() {
-		swapPut32(dst, f32words(a))
-		return
-	}
-	for i, v := range a {
-		binary.BigEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
+	swapPut32(e.grow(4*len(a)), f32words(a))
 }
 
-// Float64Array encodes a variable-length array of double floats. This is
-// the hot path of the XDR binding; it widens the buffer once then fills —
-// on capable hosts by reinterpreting the array's backing store and
-// byte-swapping whole words (zerocopy.go), with the element loop kept as
-// the portable fallback.
+// Float64Array encodes a variable-length array of double floats, the hot
+// path of the XDR binding.
 func (e *Encoder) Float64Array(a []float64) {
 	e.Uint32(uint32(len(a)))
-	dst := e.grow(8 * len(a))
-	if ZeroCopyEnabled() {
-		swapPut64(dst, f64words(a))
-		return
-	}
-	for i, v := range a {
-		binary.BigEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
+	swapPut64(e.grow(8*len(a)), f64words(a))
 }
 
 // BoolArray encodes a variable-length array of booleans.
@@ -368,13 +334,7 @@ func (d *Decoder) Int32ArrayInto(dst []int32) ([]int32, error) {
 		dst = alloc[int32](d, n)
 	}
 	dst = dst[:n]
-	if ZeroCopyEnabled() {
-		swapGet32(i32words(dst), src)
-		return dst, nil
-	}
-	for i := range dst {
-		dst[i] = int32(binary.BigEndian.Uint32(src[4*i:]))
-	}
+	swapGet32(i32words(dst), src)
 	return dst, nil
 }
 
@@ -396,13 +356,7 @@ func (d *Decoder) Int64ArrayInto(dst []int64) ([]int64, error) {
 		dst = alloc[int64](d, n)
 	}
 	dst = dst[:n]
-	if ZeroCopyEnabled() {
-		swapGet64(i64words(dst), src)
-		return dst, nil
-	}
-	for i := range dst {
-		dst[i] = int64(binary.BigEndian.Uint64(src[8*i:]))
-	}
+	swapGet64(i64words(dst), src)
 	return dst, nil
 }
 
@@ -424,13 +378,7 @@ func (d *Decoder) Float32ArrayInto(dst []float32) ([]float32, error) {
 		dst = alloc[float32](d, n)
 	}
 	dst = dst[:n]
-	if ZeroCopyEnabled() {
-		swapGet32(f32words(dst), src)
-		return dst, nil
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.BigEndian.Uint32(src[4*i:]))
-	}
+	swapGet32(f32words(dst), src)
 	return dst, nil
 }
 
@@ -453,13 +401,7 @@ func (d *Decoder) Float64ArrayInto(dst []float64) ([]float64, error) {
 		dst = alloc[float64](d, n)
 	}
 	dst = dst[:n]
-	if ZeroCopyEnabled() {
-		swapGet64(f64words(dst), src)
-		return dst, nil
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(src[8*i:]))
-	}
+	swapGet64(f64words(dst), src)
 	return dst, nil
 }
 

@@ -1,57 +1,26 @@
 package xdr
 
-// Zero-copy numeric array codec (XDR v3 data plane, DESIGN.md S30).
+// Numeric array codec kernels (XDR data plane, DESIGN.md S30).
 //
-// XDR's wire format is big-endian; on the little-endian hosts that run
-// virtually every deployment, the portable array codecs pay one
-// binary.BigEndian call — and its slice-header arithmetic and bounds
-// check — per element. The fast paths here reinterpret the typed array's
-// backing store as machine words with unsafe.Slice and byte-swap whole
-// words (bits.ReverseBytes compiles to a single BSWAP/REV), touching each
-// element exactly once with no intermediate buffer and no per-element
-// bounds checks. The decode-into variants additionally skip the output
-// allocation by writing straight into caller-supplied (typically pooled)
-// storage.
-//
-// The portable loops remain the source of truth: hosts without
-// little-endian unaligned word access (see zerocopy_portable.go) always
-// take them, SetZeroCopy(false) is the run-time ablation switch, and the
-// FuzzXDRZeroCopyDifferential target holds the two implementations
-// byte-equivalent, exactly as internal/soap's fast decoder is held to its
-// DOM fallback.
+// XDR's wire format is big-endian. Every array codec site views its typed
+// array as bit-pattern words (the helpers below, which alias the backing
+// store without copying) and hands them to one of four word-swap kernels:
+// swapPut64/32 store words big-endian, swapGet64/32 load them. Which
+// implementation of the kernels a binary carries is fixed by its build:
+// zerocopy_fast.go on little-endian hosts with unaligned word access, the
+// portable loops below everywhere else (zerocopy_portable.go). Nothing
+// chooses at run time. The portable loops live in this untagged file so
+// that the tests and FuzzXDRZeroCopyDifferential can hold the word
+// kernels bit-for-bit against them on every host.
 
 import (
-	"math/bits"
-	"sync/atomic"
+	"encoding/binary"
 	"unsafe"
 )
 
-// zeroCopyOff disables the fast paths at run time (ablation E16). The
-// flag is inverted so the zero value means "enabled".
-var zeroCopyOff atomic.Bool
-
-// SetZeroCopy switches the zero-copy fast paths on or off at run time
-// and reports the previous setting. Disabling them forces every array
-// codec through the portable element loops — the E16 ablation, and an
-// escape hatch should an architecture misreport its unaligned-access
-// tolerance. On hosts where the fast paths are unavailable the switch is
-// recorded but has no effect.
-func SetZeroCopy(on bool) bool {
-	prev := !zeroCopyOff.Load()
-	zeroCopyOff.Store(!on)
-	return prev
-}
-
-// ZeroCopyEnabled reports whether the zero-copy array fast paths are
-// active: the host must be capable (little-endian, unaligned-tolerant)
-// and the run-time switch must not have disabled them.
-func ZeroCopyEnabled() bool {
-	return hostZeroCopyCapable && !zeroCopyOff.Load()
-}
-
 // Reinterpretation helpers. Each views a typed numeric slice as its
 // bit-pattern words without copying; the derived slice aliases (and keeps
-// alive) the original backing array. Callers guard the empty case.
+// alive) the original backing array.
 
 func f64words(a []float64) []uint64 {
 	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(a))), len(a))
@@ -69,55 +38,32 @@ func i32words(a []int32) []uint32 {
 	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(a))), len(a))
 }
 
-// swapPut64 stores each src word into dst in big-endian byte order.
-// len(dst) must be at least 8*len(src). dst is reinterpreted as a word
-// slice — an unaligned store on most frame offsets, which the build tag
-// guarantees the host tolerates — so the loop is a bare load/BSWAP/store
-// per element with the bounds checks hoisted out.
-func swapPut64(dst []byte, src []uint64) {
-	if len(src) == 0 {
-		return
-	}
-	_ = dst[8*len(src)-1]
-	d := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(dst))), len(src))
+// portablePut64 stores each src word into dst in big-endian byte order,
+// one element at a time. len(dst) must be at least 8*len(src).
+func portablePut64(dst []byte, src []uint64) {
 	for i, v := range src {
-		d[i] = bits.ReverseBytes64(v)
+		binary.BigEndian.PutUint64(dst[8*i:], v)
 	}
 }
 
-// swapPut32 is the 4-byte-element twin of swapPut64.
-func swapPut32(dst []byte, src []uint32) {
-	if len(src) == 0 {
-		return
-	}
-	_ = dst[4*len(src)-1]
-	d := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(dst))), len(src))
+// portablePut32 is the 4-byte-element twin of portablePut64.
+func portablePut32(dst []byte, src []uint32) {
 	for i, v := range src {
-		d[i] = bits.ReverseBytes32(v)
+		binary.BigEndian.PutUint32(dst[4*i:], v)
 	}
 }
 
-// swapGet64 loads big-endian words from src into dst. len(src) must be
-// at least 8*len(dst); the unaligned loads are build-tag guaranteed.
-func swapGet64(dst []uint64, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = src[8*len(dst)-1]
-	s := unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(src))), len(dst))
-	for i, v := range s {
-		dst[i] = bits.ReverseBytes64(v)
+// portableGet64 loads big-endian words from src into dst. len(src) must
+// be at least 8*len(dst).
+func portableGet64(dst []uint64, src []byte) {
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint64(src[8*i:])
 	}
 }
 
-// swapGet32 is the 4-byte-element twin of swapGet64.
-func swapGet32(dst []uint32, src []byte) {
-	if len(dst) == 0 {
-		return
-	}
-	_ = src[4*len(dst)-1]
-	s := unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(src))), len(dst))
-	for i, v := range s {
-		dst[i] = bits.ReverseBytes32(v)
+// portableGet32 is the 4-byte-element twin of portableGet64.
+func portableGet32(dst []uint32, src []byte) {
+	for i := range dst {
+		dst[i] = binary.BigEndian.Uint32(src[4*i:])
 	}
 }

@@ -9,13 +9,13 @@ import (
 	"harness2/internal/wire"
 )
 
-// FuzzXDRZeroCopyDifferential holds the zero-copy word-swap codec and
+// FuzzXDRZeroCopyDifferential holds the codec's word-swap kernels and
 // the portable per-element loops byte-equivalent on arbitrary inputs —
 // the same differential harness that guards internal/soap's fast
 // decoder. The fuzzer interprets the input bytes as raw element storage
-// for each array type in turn, encodes through both implementations,
-// requires identical wire bytes, then decodes through both and requires
-// bit-identical values (NaN payloads included). It then holds the two
+// for each array type in turn, encodes through the codec and through the
+// portable loops, requires identical wire bytes, then decodes both ways
+// and requires bit-identical values (NaN payloads included). It then holds the two
 // owners of decoded arrays to each other the same way: a decoder lending
 // arena memory against the allocating one.
 func FuzzXDRZeroCopyDifferential(f *testing.F) {
@@ -30,9 +30,6 @@ func FuzzXDRZeroCopyDifferential(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 4*33))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !hostZeroCopyCapable {
-			t.Skip("host has no zero-copy fast path")
-		}
 		f64 := make([]float64, len(data)/8)
 		i64 := make([]int64, len(data)/8)
 		f32 := make([]float32, len(data)/4)
@@ -48,67 +45,44 @@ func FuzzXDRZeroCopyDifferential(f *testing.F) {
 			i32[i] = int32(w)
 		}
 
-		encode := func() []byte {
-			e := NewEncoder(64)
-			e.Float64Array(f64)
-			e.Int64Array(i64)
-			e.Float32Array(f32)
-			e.Int32Array(i32)
-			raw := AppendRaw(nil, f64)
-			raw = AppendRaw(raw, i32)
-			return append(e.Bytes(), raw...)
-		}
-		prev := SetZeroCopy(true)
-		fast := encode()
-		SetZeroCopy(false)
-		portable := encode()
-		SetZeroCopy(prev)
-		if !bytes.Equal(fast, portable) {
+		e := NewEncoder(64)
+		e.Float64Array(f64)
+		e.Int64Array(i64)
+		e.Float32Array(f32)
+		e.Int32Array(i32)
+		wireLen := len(e.Bytes())
+		raw := AppendRaw(nil, f64)
+		raw = AppendRaw(raw, i32)
+		fast := append(e.Bytes(), raw...)
+		want := append(portableEncode(true, f64, i64, f32, i32), portableEncode(false, f64, i32)...)
+		if !bytes.Equal(fast, want) {
 			t.Fatalf("encode divergence on %d input bytes", len(data))
 		}
 
-		// Decode side: run the shared wire bytes through both paths.
-		wireLen := 4 + 8*len(f64) + 4 + 8*len(i64) + 4 + 4*len(f32) + 4 + 4*len(i32)
-		decode := func() []any {
-			d := NewDecoder(fast[:wireLen])
-			a, err := d.Float64Array()
+		// Decode side: the shared wire bytes through the decoder and the
+		// portable loops, compared bit for bit (NaN payloads included).
+		d := NewDecoder(fast[:wireLen])
+		var fd []any
+		for _, field := range []func() (any, error){
+			func() (any, error) { return d.Float64Array() },
+			func() (any, error) { return d.Int64Array() },
+			func() (any, error) { return d.Float32Array() },
+			func() (any, error) { return d.Int32Array() },
+		} {
+			v, err := field()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := d.Int64Array()
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := d.Float32Array()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := d.Int32Array()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return []any{a, b, c, e}
+			fd = append(fd, v)
 		}
-		prev = SetZeroCopy(true)
-		fd := decode()
-		SetZeroCopy(false)
-		pd := decode()
-		SetZeroCopy(prev)
-		for i := range fd {
-			if !wire.Equal(fd[i], pd[i]) {
+		pd := portableDecode(fast[:wireLen], wire.KindFloat64Array, wire.KindInt64Array,
+			wire.KindFloat32Array, wire.KindInt32Array)
+		for i, v := range []any{f64, i64, f32, i32} {
+			if !sameBits(fd[i], pd[i]) {
 				t.Fatalf("decode divergence in field %d", i)
 			}
-		}
-		// wire.Equal treats all NaNs alike; pin exact bit patterns too.
-		ffast, fport := fd[0].([]float64), pd[0].([]float64)
-		for i := range ffast {
-			if math.Float64bits(ffast[i]) != math.Float64bits(fport[i]) {
-				t.Fatalf("float64[%d] bit patterns differ", i)
-			}
-		}
-		if len(f64) > 0 {
-			if got := fd[0].([]float64); math.Float64bits(got[0]) != math.Float64bits(f64[0]) {
-				t.Fatalf("round-trip lost first element bit pattern")
+			if !sameBits(fd[i], v) {
+				t.Fatalf("round trip lost a bit pattern in field %d", i)
 			}
 		}
 
@@ -122,7 +96,7 @@ func FuzzXDRZeroCopyDifferential(f *testing.F) {
 		for i := range bools {
 			bools[i] = data[i]&1 == 1
 		}
-		e := NewEncoder(len(fast) + len(data) + 64)
+		e = NewEncoder(len(fast) + len(data) + 64)
 		e.Float64Array(f64)
 		e.Int64Array(i64)
 		e.Float32Array(f32)

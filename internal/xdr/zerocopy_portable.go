@@ -2,8 +2,10 @@
 
 package xdr
 
-// hostZeroCopyCapable is false on architectures that are big-endian or
-// fault on unaligned word access; every array codec call takes the
-// portable element loop instead. The differential fuzz target holds the
-// two paths byte-equivalent, so the choice is invisible on the wire.
-const hostZeroCopyCapable = false
+// On hosts that are big-endian or fault on unaligned word access, the
+// word-swap kernels are the portable element loops (zerocopy.go).
+
+func swapPut64(dst []byte, src []uint64) { portablePut64(dst, src) }
+func swapPut32(dst []byte, src []uint32) { portablePut32(dst, src) }
+func swapGet64(dst []uint64, src []byte) { portableGet64(dst, src) }
+func swapGet32(dst []uint32, src []byte) { portableGet32(dst, src) }

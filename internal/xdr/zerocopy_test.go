@@ -2,29 +2,95 @@ package xdr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"harness2/internal/wire"
 )
 
-// withZeroCopy runs fn with the zero-copy fast paths forced to the given
-// setting and restores the previous setting afterwards.
-func withZeroCopy(t *testing.T, on bool, fn func()) {
-	t.Helper()
-	prev := SetZeroCopy(on)
-	defer SetZeroCopy(prev)
-	fn()
+// portableEncode encodes numeric arrays through the portable element
+// loops: each one as the Encoder writes it (length word, then big-endian
+// elements) when prefix is set, and as AppendRaw writes it otherwise.
+func portableEncode(prefix bool, vs ...any) []byte {
+	var out []byte
+	for _, v := range vs {
+		body := make([]byte, RawSize(v))
+		switch a := v.(type) {
+		case []float64:
+			portablePut64(body, f64words(a))
+		case []int64:
+			portablePut64(body, i64words(a))
+		case []float32:
+			portablePut32(body, f32words(a))
+		case []int32:
+			portablePut32(body, i32words(a))
+		default:
+			panic("portableEncode: not a word array")
+		}
+		if prefix {
+			out = binary.BigEndian.AppendUint32(out, uint32(wire.Len(v)))
+		}
+		out = append(out, body...)
+	}
+	return out
 }
 
-// TestZeroCopyMatchesPortableEncode holds the fast and portable array
-// encoders byte-equivalent on a deterministic sweep of sizes, including
-// the special values (NaN payloads, infinities, signed zero) where a
-// bit-level divergence would be invisible to a value comparison.
-func TestZeroCopyMatchesPortableEncode(t *testing.T) {
-	if !hostZeroCopyCapable {
-		t.Skip("host has no zero-copy fast path")
+// portableDecode walks data as length-prefixed arrays of the given kinds
+// and decodes each through the portable element loops.
+func portableDecode(data []byte, kinds ...wire.Kind) []any {
+	var out []any
+	for _, k := range kinds {
+		n := int(binary.BigEndian.Uint32(data))
+		data = data[4:]
+		var v any
+		switch k {
+		case wire.KindFloat64Array:
+			a := make([]float64, n)
+			portableGet64(f64words(a), data)
+			v = a
+		case wire.KindInt64Array:
+			a := make([]int64, n)
+			portableGet64(i64words(a), data)
+			v = a
+		case wire.KindFloat32Array:
+			a := make([]float32, n)
+			portableGet32(f32words(a), data)
+			v = a
+		case wire.KindInt32Array:
+			a := make([]int32, n)
+			portableGet32(i32words(a), data)
+			v = a
+		default:
+			panic("portableDecode: not a word array")
+		}
+		data = data[RawSize(v):]
+		out = append(out, v)
 	}
+	return out
+}
+
+// sameBits reports whether two numeric arrays hold identical bit
+// patterns — stricter than wire.Equal, which treats all NaNs alike.
+func sameBits(a, b any) bool {
+	switch x := a.(type) {
+	case []float64:
+		y, ok := b.([]float64)
+		return ok && slices.Equal(f64words(x), f64words(y))
+	case []float32:
+		y, ok := b.([]float32)
+		return ok && slices.Equal(f32words(x), f32words(y))
+	}
+	return wire.Equal(a, b)
+}
+
+// TestZeroCopyMatchesPortableEncode holds the word-swap array encoders
+// byte-equivalent to the portable loops on a deterministic sweep of
+// sizes, including the special values (NaN payloads, infinities, signed
+// zero) where a bit-level divergence would be invisible to a value
+// comparison.
+func TestZeroCopyMatchesPortableEncode(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 		math.NaN(), math.Float64frombits(0x7ff8_dead_beef_0001), math.MaxFloat64, math.SmallestNonzeroFloat64}
 	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 63, 64, 65, 1024} {
@@ -35,68 +101,48 @@ func TestZeroCopyMatchesPortableEncode(t *testing.T) {
 		for i := range f64 {
 			f64[i] = specials[i%len(specials)] * float64(i+1)
 			f32[i] = float32(f64[i])
-			i64[i] = int64(i*0x0123_4567_89ab) - int64(n)
-			i32[i] = int32(i*0x1234_567) - int32(n)
+			i64[i] = int64(i)*0x0123_4567_89ab - int64(n)
+			i32[i] = int32(i)*0x1234_567 - int32(n)
 		}
-		var fast, portable []byte
-		encode := func() []byte {
-			e := NewEncoder(64)
-			e.Float64Array(f64)
-			e.Float32Array(f32)
-			e.Int64Array(i64)
-			e.Int32Array(i32)
-			raw := AppendRaw(nil, f64)
-			raw = AppendRaw(raw, f32)
-			raw = AppendRaw(raw, i64)
-			raw = AppendRaw(raw, i32)
-			return append(e.Bytes(), raw...)
-		}
-		withZeroCopy(t, true, func() { fast = encode() })
-		withZeroCopy(t, false, func() { portable = encode() })
-		if !bytes.Equal(fast, portable) {
-			t.Fatalf("n=%d: fast and portable encodings differ", n)
+		e := NewEncoder(64)
+		e.Float64Array(f64)
+		e.Float32Array(f32)
+		e.Int64Array(i64)
+		e.Int32Array(i32)
+		raw := AppendRaw(nil, f64)
+		raw = AppendRaw(raw, f32)
+		raw = AppendRaw(raw, i64)
+		raw = AppendRaw(raw, i32)
+		got := append(e.Bytes(), raw...)
+		want := append(portableEncode(true, f64, f32, i64, i32), portableEncode(false, f64, f32, i64, i32)...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: word-swap and portable encodings differ", n)
 		}
 	}
 }
 
 // TestZeroCopyMatchesPortableDecode drives the same wire bytes through
-// both decode implementations and requires bit-identical results.
+// the decoder and the portable loops and requires bit-identical results.
 func TestZeroCopyMatchesPortableDecode(t *testing.T) {
-	if !hostZeroCopyCapable {
-		t.Skip("host has no zero-copy fast path")
-	}
-	e := NewEncoder(64)
 	f64 := []float64{1.5, math.NaN(), math.Inf(-1), -0.0, 1e300}
 	i32 := []int32{-1, 0, 1, math.MaxInt32, math.MinInt32}
-	e.Float64Array(f64)
-	e.Int32Array(i32)
-	data := e.Bytes()
+	data := portableEncode(true, f64, i32)
 
-	decode := func() ([]float64, []int32) {
-		d := NewDecoder(data)
-		a, err := d.Float64Array()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := d.Int32Array()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, b
+	d := NewDecoder(data)
+	a, err := d.Float64Array()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var fa []float64
-	var fb []int32
-	var pa []float64
-	var pb []int32
-	withZeroCopy(t, true, func() { fa, fb = decode() })
-	withZeroCopy(t, false, func() { pa, pb = decode() })
-	if !wire.Equal(fa, pa) || !wire.Equal(fb, pb) {
-		t.Fatal("fast and portable decodes differ")
+	b, err := d.Int32Array()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range fa {
-		if math.Float64bits(fa[i]) != math.Float64bits(pa[i]) {
-			t.Fatalf("element %d: bit patterns differ", i)
-		}
+	want := portableDecode(data, wire.KindFloat64Array, wire.KindInt32Array)
+	if !sameBits(a, want[0]) || !sameBits(b, want[1]) {
+		t.Fatal("word-swap and portable decodes differ")
+	}
+	if !sameBits(a, f64) || !sameBits(b, i32) {
+		t.Fatal("decode lost a bit pattern")
 	}
 }
 
@@ -144,9 +190,8 @@ func TestDecodeIntoReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestEncodeArraysZeroAlloc pins the zero-copy claim the E16 gate
-// measures: array encoding into a pre-grown encoder performs no
-// allocations.
+// TestEncodeArraysZeroAlloc pins the zero-copy claim: array encoding
+// into a pre-grown encoder performs no allocations.
 func TestEncodeArraysZeroAlloc(t *testing.T) {
 	a := make([]float64, 512)
 	for i := range a {
@@ -195,8 +240,8 @@ func TestCheckLen(t *testing.T) {
 	}
 }
 
-// TestRawRoundTripBothPaths round-trips AppendRaw/UnpackRaw under both
-// implementations.
+// TestRawRoundTripBothPaths round-trips AppendRaw/UnpackRaw and holds
+// the packed bytes to the portable loops' on every word kind.
 func TestRawRoundTripBothPaths(t *testing.T) {
 	values := []any{
 		[]bool{true, false, true},
@@ -205,35 +250,18 @@ func TestRawRoundTripBothPaths(t *testing.T) {
 		[]float32{1.5, float32(math.Inf(1)), -0},
 		[]float64{math.NaN(), 2.5, -1e300},
 	}
-	for _, on := range []bool{true, false} {
-		withZeroCopy(t, on, func() {
-			for _, v := range values {
-				raw := AppendRaw(nil, v)
-				k := wire.KindOf(v)
-				got, err := UnpackRaw(k, raw, reflectLen(v))
-				if err != nil {
-					t.Fatalf("zc=%v kind=%v: %v", on, k, err)
-				}
-				if !wire.Equal(got, v) {
-					t.Fatalf("zc=%v kind=%v: got %v want %v", on, k, got, v)
-				}
-			}
-		})
+	for _, v := range values {
+		raw := AppendRaw(nil, v)
+		k := wire.KindOf(v)
+		if k != wire.KindBoolArray && !bytes.Equal(raw, portableEncode(false, v)) {
+			t.Fatalf("kind=%v: packed bytes differ from the portable loops'", k)
+		}
+		got, err := UnpackRaw(k, raw, wire.Len(v))
+		if err != nil {
+			t.Fatalf("kind=%v: %v", k, err)
+		}
+		if !sameBits(got, v) {
+			t.Fatalf("kind=%v: got %v want %v", k, got, v)
+		}
 	}
-}
-
-func reflectLen(v any) int {
-	switch a := v.(type) {
-	case []bool:
-		return len(a)
-	case []int32:
-		return len(a)
-	case []int64:
-		return len(a)
-	case []float32:
-		return len(a)
-	case []float64:
-		return len(a)
-	}
-	return 0
 }

@@ -26,6 +26,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Node is one element of an XML document tree.
@@ -346,6 +347,28 @@ func AppendAttrEscaped(dst []byte, s string) []byte {
 		}
 	}
 	return dst
+}
+
+// ValidChars reports whether s is a run of XML 1.0 characters (the Char
+// production): valid UTF-8 holding no C0 control but tab, LF and CR, no
+// surrogate, and neither U+FFFE nor U+FFFF. No escaping can put a string
+// that fails it into a well-formed document.
+func ValidChars(s string) bool {
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+				return false
+			}
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && n == 1 || r == 0xFFFE || r == 0xFFFF {
+			return false
+		}
+		i += n
+	}
+	return true
 }
 
 // SortChildren orders the direct children of n by (Local, name attribute),

@@ -423,3 +423,15 @@ func TestAttrEscapeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestValidChars holds the Char predicate to the parser: a string passes
+// exactly when a document carrying it as text (escaped) parses.
+func TestValidChars(t *testing.T) {
+	for _, s := range []string{"", "plain", "tab\tlf\ncr\r", "\u00e9\u20ac\U0001f600", "\u007f", "\ufffd",
+		"\x00", "\x01", "a\x1fb", "\xff", "\xc3", "\xed\xa0\x80", "\ufffe", "\uffff", "x\ufffe"} {
+		_, err := ParseString("<e>" + escapeText(s) + "</e>")
+		if got, want := ValidChars(s), err == nil; got != want {
+			t.Errorf("ValidChars(%q) = %v; the parser says %v (%v)", s, got, want, err)
+		}
+	}
+}
