@@ -88,12 +88,12 @@ race-fleet:
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
 
-# The XDR transport and codec microbenchmarks, plus the two decode and
+# The XDR and shm invoke and codec microbenchmarks, plus the two decode and
 # kernel pairs the retired E14/E16 tables measured: the word-swap kernels
 # against the portable loops (BenchmarkSwap*, internal/xdr) and the SOAP
 # scan against its DOM fallback (BenchmarkDecodeCall*, internal/soap).
 bench-xdr:
-	$(GO) test -run xxx -bench 'BenchmarkXDRInvoke' -benchmem -benchtime 2s ./internal/invoke/
+	$(GO) test -run xxx -bench 'Benchmark(XDR|Shm)Invoke' -benchmem -benchtime 2s ./internal/invoke/
 	$(GO) test -run xxx -bench . -benchmem -benchtime 2s ./internal/xdr/
 	$(GO) test -run xxx -bench 'BenchmarkDecodeCall' -benchmem ./internal/soap/
 

@@ -167,3 +167,19 @@ func resolveCompress(p CompressPolicy, b *wsdl.Binding, addr string) CompressPol
 	}
 	return CompressPolicy{Mode: CompressOff}
 }
+
+// seal frames e's payload as request or response id: compressed by comp
+// when that pays, else in place, with zero extra allocations. A non-nil
+// ce holds the compressed frame; it goes back to the pool once the frame
+// is written.
+func (wm *xdrWireMetrics) seal(comp *xdr.Compressor, id uint64, e *xdr.Encoder) (frame []byte, ce *xdr.Encoder, err error) {
+	if comp != nil {
+		payload := e.FramePayloadV3()
+		if frame, ce = comp.CompressFrameV3(id, payload); ce != nil {
+			wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
+			return frame, ce, nil
+		}
+	}
+	frame, err = e.FrameBytesV3(id, 0)
+	return frame, nil, err
+}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -506,6 +507,20 @@ func faultyImpl(ran *atomic.Int64) container.Factory {
 	})
 }
 
+// illegalImpl's say returns a string XML 1.0 cannot hold.
+func illegalImpl() container.Factory {
+	return container.FuncFactory(func() *container.FuncComponent {
+		return &container.FuncComponent{
+			Spec: wsdl.ServiceSpec{Name: "Illegal", Operations: []wsdl.OpSpec{
+				{Name: "say", Output: []wsdl.ParamSpec{{Name: "s", Type: wire.KindString}}},
+			}},
+			Handlers: map[string]container.OpFunc{
+				"say": func(context.Context, []wire.Arg) ([]wire.Arg, error) { return wire.Args("s", "a\x01b"), nil },
+			},
+		}
+	})
+}
+
 // uncarried returns a value of the first kind b does not carry.
 func uncarried(b wsdl.BindingKind) (any, bool) {
 	for _, v := range conformanceValues() {
@@ -523,11 +538,13 @@ func uncarried(b wsdl.BindingKind) (any, bool) {
 // the local rung alone: the wire bindings carry a fault's text, not its
 // identity. An argument the rung cannot carry is refused before the
 // wire — the component never runs — on every rung that has such a kind,
-// and so is a string XML 1.0 cannot hold on the text rungs.
+// and so is a string XML 1.0 cannot hold on the text rungs, whose servers
+// answer a result holding one with a Server fault.
 func TestRungFaultsClassifyAlike(t *testing.T) {
 	h := newLadderHost(t)
 	var ran atomic.Int64
 	h.c.RegisterFactory("Faulty", faultyImpl(&ran))
+	h.c.RegisterFactory("Illegal", illegalImpl())
 	ctx := context.Background()
 	localErr := func(id, op string) error {
 		_, err := h.c.Invoke(ctx, id, op, nil)
@@ -583,6 +600,8 @@ func TestRungFaultsClassifyAlike(t *testing.T) {
 		}
 		if r.kind == wsdl.BindSOAP || r.kind == wsdl.BindHTTP {
 			refused = append(refused, "\x01", "\xff", "\ufffe") // outside XML 1.0's Char
+			_, err := dial(t, h.deploy(t, "Illegal", "i-"+r.label), r, opts).Invoke(ctx, "say", nil)
+			check("XML-illegal result", err, localErr(id, "fail"), "xmlq.ValidChars")
 		}
 		if len(refused) == 0 {
 			t.Logf("%s carries every value: nothing to refuse", r.label)
@@ -666,6 +685,19 @@ func gatePort(t *testing.T, h *ladderHost, r *rung, opts Options, id string) (p 
 	return dial(t, h.deploy(t, "Gate-"+id, id), r, opts), st, release
 }
 
+// goInvoke starts n calls of op on p under ctx and returns the channel
+// each call's error lands on.
+func goInvoke(ctx context.Context, p Port, op string, n int) <-chan error {
+	done := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := p.Invoke(ctx, op, nil)
+			done <- err
+		}()
+	}
+	return done
+}
+
 // TestRungSlowCallDoesNotBlockFast: while calls are stuck executing on
 // the server, a fast call on the same port completes.
 func TestRungSlowCallDoesNotBlockFast(t *testing.T) {
@@ -673,13 +705,7 @@ func TestRungSlowCallDoesNotBlockFast(t *testing.T) {
 	h.rungs(t, quiet, func(t *testing.T, r *rung, opts Options) {
 		p, started, release := gatePort(t, h, r, opts, "g-"+r.label)
 		const slow = 3
-		done := make(chan error, slow)
-		for i := 0; i < slow; i++ {
-			go func() {
-				_, err := p.Invoke(context.Background(), "wait", nil)
-				done <- err
-			}()
-		}
+		done := goInvoke(context.Background(), p, "wait", slow)
 		for i := 0; i < slow; i++ {
 			within(t, started, "every slow call executing at once")
 		}
@@ -704,7 +730,8 @@ func TestRungSlowCallDoesNotBlockFast(t *testing.T) {
 
 // TestRungServerCloseFailsInFlight: calls executing when their server
 // closes get an error — never a hang, never a value — and so does the
-// next call. The local rung has no server to close.
+// next call; callers streaming through the close and the port's Close
+// racing them all return. The local rung has no server to close.
 func TestRungServerCloseFailsInFlight(t *testing.T) {
 	h := newLadderHost(t)
 	h.rungs(t, quiet, func(t *testing.T, r *rung, opts Options) {
@@ -714,39 +741,165 @@ func TestRungServerCloseFailsInFlight(t *testing.T) {
 		}
 		h := newLadderHost(t) // closed below: one per column
 		p, started, _ := gatePort(t, h, r, h.only(r, opts), "g1")
-		const inFlight = 4
-		done := make(chan error, inFlight)
-		for i := 0; i < inFlight; i++ {
+		ctx, stop := context.WithCancel(context.Background())
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
 			go func() {
-				_, err := p.Invoke(context.Background(), "wait", nil)
-				done <- err
+				defer wg.Done()
+				for ctx.Err() == nil {
+					_, _ = p.Invoke(ctx, "ping", nil) // fails once the server is gone
+				}
 			}()
 		}
-		for i := 0; i < inFlight; i++ {
-			within(t, started, "every call executing")
-		}
-		switch r.kind {
-		case wsdl.BindShm:
-			_ = h.shm.Close()
-		case wsdl.BindXDR:
-			_ = h.xdr.Close()
-		default:
-			_ = h.hs.Config.Close() // every connection now, without waiting for handlers
-		}
-		for i := 0; i < inFlight; i++ {
-			if err := within(t, done, "a call in flight at close"); err == nil {
+		for _, err := range inFlightAtClose(t, h, p, started, 4) {
+			if err == nil {
 				t.Fatal("a call in flight when its server closed returned a value")
 			}
 		}
-		errc := make(chan error, 1)
-		go func() {
-			_, err := p.Invoke(context.Background(), "ping", nil)
-			errc <- err
-		}()
-		if err := within(t, errc, "a call after close"); err == nil {
+		if err := within(t, goInvoke(context.Background(), p, "ping", 1), "a call after close"); err == nil {
 			t.Fatal("a call after its server closed returned a value")
 		}
+		_ = p.Close() // racing the streaming callers
+		stop()
+		wg.Wait()
+		if _, err := p.Invoke(context.Background(), "ping", nil); err == nil {
+			t.Fatal("a call on its closed port returned a value")
+		}
 	})
+}
+
+// inFlightAtClose starts n calls on p that execute until released, closes
+// the server of p's rung under them, and returns what each call got back.
+func inFlightAtClose(t *testing.T, h *ladderHost, p Port, started <-chan struct{}, n int) []error {
+	t.Helper()
+	done := goInvoke(context.Background(), p, "wait", n)
+	for i := 0; i < n; i++ {
+		within(t, started, "every call executing")
+	}
+	switch p.Kind() {
+	case wsdl.BindShm:
+		_ = h.shm.Close()
+	case wsdl.BindXDR:
+		_ = h.xdr.Close()
+	default:
+		_ = h.hs.Config.Close() // every connection now, without waiting for handlers
+	}
+	errs := make([]error, n)
+	for i := range errs {
+		errs[i] = within(t, done, "a call in flight at close")
+	}
+	return errs
+}
+
+// TestRungUnsentOnlyIfNothingSent: a binary rung marks a failure
+// resilience.MarkUnsent iff no byte of the request reached the transport.
+// A fresh port to a server closed before its first dial fails unsent, and
+// so does a call after its server closed; a call in flight at the close
+// does not. The local and text rungs never mark unsent (DESIGN.md §7).
+func TestRungUnsentOnlyIfNothingSent(t *testing.T) {
+	h := newLadderHost(t)
+	h.rungs(t, quiet, func(t *testing.T, r *rung, opts Options) {
+		if r.kind != wsdl.BindXDR && r.kind != wsdl.BindShm {
+			t.Logf("%s column not run: the rung never marks a failure unsent", r.label)
+			return
+		}
+		h := newLadderHost(t) // closed below: one per column
+		p, started, _ := gatePort(t, h, r, h.only(r, opts), "g1")
+		var fresh Port = NewXDRPort(h.xdr.Addr(), "g1", quiet)
+		if r.kind == wsdl.BindShm {
+			sp, err := NewShmPort(h.shm.Addr(), "g1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh = sp
+		}
+		defer fresh.Close()
+		for _, err := range inFlightAtClose(t, h, p, started, 4) {
+			if err == nil || resilience.IsUnsent(err) {
+				t.Errorf("call in flight at close: %v, want an error not marked unsent", err)
+			}
+		}
+		for what, p := range map[string]Port{"fresh port's first call": fresh, "call after close": p} {
+			if _, err := p.Invoke(context.Background(), "ping", nil); !resilience.IsUnsent(err) {
+				t.Errorf("%s: %v, want an error marked unsent", what, err)
+			}
+		}
+	})
+}
+
+// TestRungCancelMidCall: callers that cancel calls executing on the
+// server each get their context's error, and the next call on the port
+// succeeds. On the binary rungs, which own every goroutine of a call, the
+// connection's calls table then drains to zero and the goroutine count
+// returns to its baseline, taken once the port has dialed.
+func TestRungCancelMidCall(t *testing.T) {
+	h := newLadderHost(t)
+	h.rungs(t, quiet, func(t *testing.T, r *rung, opts Options) {
+		p, started, release := gatePort(t, h, r, opts, "cancel-"+r.label)
+		if _, err := p.Invoke(context.Background(), "ping", nil); err != nil {
+			t.Fatal(err)
+		}
+		baseline := goroutineCount()
+		const n = 8
+		ctx, cancel := context.WithCancel(context.Background())
+		done := goInvoke(ctx, p, "wait", n)
+		for i := 0; i < n; i++ {
+			within(t, started, "every call executing")
+		}
+		cancel()
+		for i := 0; i < n; i++ {
+			if err := within(t, done, "a cancelled call"); !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled call: %v, want context.Canceled", err)
+			}
+		}
+		release()
+		if _, err := p.Invoke(context.Background(), "ping", nil); err != nil {
+			t.Fatalf("call after the cancelled ones: %v", err)
+		}
+		var tbl *calls
+		switch b := bare(p).(type) {
+		case *XDRPort:
+			tbl = &b.mc.calls
+		case *ShmPort:
+			tbl = &b.cur.calls
+		default:
+			t.Logf("%s column counts no calls table or goroutines", r.label)
+			return
+		}
+		awaitGoroutines(t, 5*time.Second, fmt.Sprintf("cancelled calls left behind (baseline %d goroutines)", baseline),
+			func(n int) bool {
+				tbl.mu.Lock()
+				defer tbl.mu.Unlock()
+				return len(tbl.pending) == 0 && n <= baseline+2
+			})
+	})
+}
+
+// goroutineCount returns the goroutine count after giving the runtime a
+// moment to retire exiting goroutines.
+func goroutineCount() int {
+	runtime.GC()
+	return runtime.NumGoroutine()
+}
+
+// awaitGoroutines polls goroutineCount until settled accepts it, and fails
+// the test with every goroutine's stack if it has not within timeout; what
+// names the wait in that message.
+func awaitGoroutines(t *testing.T, timeout time.Duration, what string, settled func(n int) bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		n := goroutineCount()
+		if settled(n) {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%s: %d goroutines\n%s", what, n, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestRungServerChurnNoLeak: restarting a binary rung's server, with

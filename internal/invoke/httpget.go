@@ -101,6 +101,12 @@ func (h *HTTPGetHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
+	for _, a := range out {
+		if !xmlChars(a.Value) {
+			http.Error(w, errXMLChars("http", a.Name).Error(), http.StatusInternalServerError)
+			return
+		}
+	}
 	buf := soap.AcquireBuffer()
 	defer soap.ReleaseBuffer(buf)
 	doc, err := appendResponseDoc(*buf, op, out)

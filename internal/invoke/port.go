@@ -123,7 +123,7 @@ func xmlChars(v any) bool {
 }
 
 func errXMLChars(binding, arg string) error {
-	return fmt.Errorf("invoke: %s binding cannot carry %q: a string XML 1.0 cannot hold", binding, arg)
+	return fmt.Errorf("invoke: %s binding cannot carry %q: a string XML 1.0 cannot hold (xmlq.ValidChars)", binding, arg)
 }
 
 // Kind implements Port.
@@ -288,7 +288,7 @@ func openShm(ref wsdl.PortRef, opts Options) (Port, error) {
 	// Negotiate at dial time: if the handshake fails (server gone,
 	// platform without mmap), the binding is unusable and selection
 	// falls through to XDR.
-	if err := p.Connect(context.Background()); err != nil {
+	if _, err := p.session(context.Background()); err != nil {
 		_ = p.Close()
 		return nil, nil
 	}

@@ -295,11 +295,7 @@ func TestXDRServerShedsWhenOverloaded(t *testing.T) {
 			port := open(t, c)
 			p1 := port()
 			defer p1.Close()
-			errc := make(chan error, 1)
-			go func() {
-				_, err := p1.Invoke(context.Background(), "block", nil)
-				errc <- err
-			}()
+			errc := goInvoke(context.Background(), p1, "block", 1)
 			<-started // the slot is now held
 
 			p2 := port()

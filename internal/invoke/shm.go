@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"harness2/internal/container"
-	"harness2/internal/resilience"
 	"harness2/internal/shmring"
 	"harness2/internal/wire"
 	"harness2/internal/wsdl"
@@ -218,19 +217,10 @@ func (s *ShmServer) serveConn(conn net.Conn) {
 		return
 	}
 
-	// Liveness watcher: the handshake socket carries no further data, so
-	// a read returns only when the client goes away — then the segment is
-	// closed, unblocking the ring loops below.
 	watcher.Add(1)
 	go func() {
 		defer watcher.Done()
-		var b [1]byte
-		for {
-			if _, err := conn.Read(b[:]); err != nil {
-				break
-			}
-		}
-		_ = seg.Close()
+		watch(conn, seg) // the client going away unblocks the ring loops below
 	}()
 
 	s.serveSegment(seg)
@@ -289,86 +279,39 @@ func (s *ShmServer) serveSegment(seg *shmring.Segment) {
 	workers.Wait()
 }
 
-type shmReply struct {
-	frame []byte
-	err   error
-}
-
-// shmConn is one attached segment plus the pending-call map of the
-// Invokes routed through it, whose callers take turns reading ring B
-// (see await). Scoping the map per connection (not per port) means a
-// late turn holder on a replaced segment can only ever fail the calls
-// that were actually in flight on its own segment — never fresh calls
-// registered after a re-handshake.
+// shmConn is one attached segment plus the calls table of the Invokes
+// routed through it, whose callers take turns reading ring B (see
+// await). A late turn holder on a replaced segment so fails only calls in
+// flight on its own segment, never those registered after a re-handshake.
 type shmConn struct {
+	calls
 	seg  *shmring.Segment
 	turn chan struct{} // one token: the right to read ring B
-
-	mu    sync.Mutex
-	calls map[uint64]chan shmReply
-	err   error // set once the connection is dead; rejects registration
+	wmu  sync.Mutex    // serializes producers on the SPSC request ring A
 }
 
-// register enrolls a call awaiting a response record, unless the
-// connection already failed.
-func (c *shmConn) register(id uint64, ch chan shmReply) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	c.calls[id] = ch
-	return nil
-}
-
-// take removes and returns the waiter for id, or nil if the caller gave
-// up (context cancellation) or the connection already failed.
-func (c *shmConn) take(id uint64) chan shmReply {
-	c.mu.Lock()
-	ch := c.calls[id]
-	delete(c.calls, id)
-	c.mu.Unlock()
-	return ch
-}
-
-// drop abandons a pending call (cancelled context, failed write).
-func (c *shmConn) drop(id uint64) {
-	c.mu.Lock()
-	delete(c.calls, id)
-	c.mu.Unlock()
-}
-
-// fail marks the connection dead and delivers err to every pending
-// call. Idempotent: the first failure wins and later calls see c.err
-// at registration time instead.
-func (c *shmConn) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	calls := c.calls
-	c.calls = nil
-	c.mu.Unlock()
-	for _, ch := range calls {
-		ch <- shmReply{err: err}
-	}
+// send writes request id as one record on ring A. A WriteRecord error
+// is the segment closing, or a record over the limit that never started;
+// the server's reader stops at the same close and never delivers a
+// partly streamed record, so no byte of a failed request counts as sent.
+func (c *shmConn) send(_ context.Context, id uint64, e *xdr.Encoder) (bool, error) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return false, c.seg.A.WriteRecord(id, e.FramePayloadV3())
 }
 
 // await returns the reply to call id: delivered on ch by whichever
 // caller holds the read turn, or read off ring B by this caller once the
-// turn is its own. The holder hands every other record to its caller
-// and passes the turn on when its own record arrives, its context ends,
-// or the segment fails. A caller whose context ends leaves its entry to
-// a background await that reads and discards the late reply.
-// A failure fails every call pending ON THIS CONNECTION: the request
-// may or may not have executed, so the error is NOT marked unsent.
-func (c *shmConn) await(ctx context.Context, id uint64, ch chan shmReply) (shmReply, error) {
+// turn is its own. The holder hands every other record to its caller and
+// passes the turn on when its own arrives, its context ends, or the
+// segment fails. A caller whose context ends leaves its entry to drain.
+func (c *shmConn) await(ctx context.Context, id uint64, ch chan reply) (reply, error) {
 	select {
 	case r := <-ch:
 		return r, nil
 	case <-ctx.Done():
-		go c.await(context.Background(), id, ch) // reads the late reply
-		return shmReply{}, ctx.Err()
+		go c.drain(id, ch)
+		return reply{}, ctx.Err()
 	case <-c.turn:
 	}
 	defer func() { c.turn <- struct{}{} }()
@@ -381,34 +324,35 @@ func (c *shmConn) await(ctx context.Context, id uint64, ch chan shmReply) (shmRe
 	for {
 		rid, payload, err := c.seg.B.ReadRecordStop(buf, ctx.Done())
 		if errors.Is(err, shmring.ErrStopped) {
-			// The reply is still due: a background waiter reads it, so
-			// replies nobody waits for never fill ring B and stall the
-			// server's writers.
-			go c.await(context.Background(), id, ch)
-			return shmReply{}, ctx.Err()
+			// The reply is still due: drain reads it, so replies nobody
+			// waits for never fill ring B and stall the server's writers.
+			go c.drain(id, ch)
+			return reply{}, ctx.Err()
 		}
 		if err != nil {
 			c.fail(errors.New("invoke: shm connection lost"))
 			return <-ch, nil // whoever removed our entry answers on ch
 		}
-		w := c.take(rid)
-		if rid == id {
-			return shmReply{frame: payload}, nil
-		}
-		if w == nil {
+		switch w := c.take(rid); {
+		case rid == id:
+			if w == nil {
+				<-ch // a failure raced this reply in: the reply wins
+			}
+			return reply{frame: payload}, nil
+		case w == nil:
 			buf = payload // nobody waits for this id; reuse the buffer
-			continue
+		default:
+			w <- reply{frame: payload}
+			buf = xdr.GetFrameBuf(0)
 		}
-		w <- shmReply{frame: payload}
-		buf = xdr.GetFrameBuf(0)
 	}
 }
 
-// pending reports the number of calls awaiting responses (tests).
-func (c *shmConn) pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.calls)
+// drain awaits the reply to a call its caller abandoned and releases it.
+func (c *shmConn) drain(id uint64, ch chan reply) {
+	r, _ := c.await(context.Background(), id, ch)
+	xdr.PutFrameBuf(r.frame)
+	replyChs.Put(ch)
 }
 
 // ShmPort is the client side of the shared-memory binding. Like the
@@ -420,37 +364,24 @@ type ShmPort struct {
 	sockPath string
 	instance string
 
-	nextID atomic.Uint64
-
 	mu         sync.Mutex // connection lifecycle
 	conn       net.Conn
 	cur        *shmConn // live segment + its pending calls; nil before dial
 	generation uint64   // pinned at first handshake; 0 = not yet bound
 	closed     bool
-
-	wmu sync.Mutex // serializes producers on the SPSC request ring
 }
 
 var _ Port = (*ShmPort)(nil)
 
 // NewShmPort returns an unconnected port for the advertised shm address,
-// targeting the given instance. The first Invoke (or an explicit
-// Connect) performs the handshake.
+// targeting the given instance. Its first Invoke performs the handshake;
+// Dial performs it at once, so that it can fall back to XDR.
 func NewShmPort(addr, instance string) (*ShmPort, error) {
 	_, sockPath, err := ParseShmAddress(addr)
 	if err != nil {
 		return nil, err
 	}
 	return &ShmPort{addr: addr, sockPath: sockPath, instance: instance}, nil
-}
-
-// Connect performs the handshake eagerly so Dial can fall back to XDR
-// when the shm endpoint is unreachable.
-func (p *ShmPort) Connect(ctx context.Context) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, err := p.segmentLocked(ctx)
-	return err
 }
 
 // Generation returns the server incarnation the port is bound to, or 0
@@ -461,16 +392,17 @@ func (p *ShmPort) Generation() uint64 {
 	return p.generation
 }
 
-// segmentLocked returns a live connection, handshaking (or
-// re-handshaking after a connection loss) as needed. A re-handshake
-// that reaches a different server incarnation fails with
-// ErrStaleShmGeneration rather than silently rebinding: the caller's
-// Binder owns rediscovery.
-func (p *ShmPort) segmentLocked(ctx context.Context) (*shmConn, error) {
+// session returns a live connection, handshaking (or re-handshaking
+// after a connection loss) as needed. A re-handshake that reaches a
+// different server incarnation fails with ErrStaleShmGeneration rather
+// than silently rebinding: the caller's Binder owns rediscovery.
+func (p *ShmPort) session(ctx context.Context) (binaryConn, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
 		return nil, errors.New("invoke: shm port closed")
 	}
-	if p.cur != nil && !p.cur.seg.Closed() {
+	if p.cur != nil && !p.cur.seg.Closed() && !p.cur.failed() {
 		return p.cur, nil
 	}
 	p.dropLocked()
@@ -509,73 +441,32 @@ func (p *ShmPort) segmentLocked(ctx context.Context) (*shmConn, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("invoke: shm attach: %w", err)
 	}
-	c := &shmConn{seg: seg, turn: make(chan struct{}, 1), calls: make(map[uint64]chan shmReply)}
+	c := &shmConn{seg: seg, turn: make(chan struct{}, 1)}
 	c.turn <- struct{}{}
 	p.conn = conn
 	p.cur = c
 	p.generation = gen
 
-	// Liveness watcher: a dead server surfaces as socket EOF; closing the
-	// segment unblocks the turn holder and any writer stuck on a full ring.
-	go func() {
-		var b [1]byte
-		for {
-			if _, err := conn.Read(b[:]); err != nil {
-				break
-			}
-		}
-		_ = seg.Close()
-	}()
+	go watch(conn, seg) // a dead server unblocks the turn holder and any writer stuck on a full ring
 	return c, nil
+}
+
+// watch is a segment's liveness watcher: the handshake socket carries no
+// data after the handshake, so a read returns only when the peer goes
+// away, and then the segment is closed.
+func watch(conn net.Conn, seg *shmring.Segment) {
+	var b [1]byte
+	for {
+		if _, err := conn.Read(b[:]); err != nil {
+			_ = seg.Close()
+			return
+		}
+	}
 }
 
 // Invoke implements Port; safe for concurrent use.
 func (p *ShmPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	p.mu.Lock()
-	c, err := p.segmentLocked(ctx)
-	p.mu.Unlock()
-	if err != nil {
-		// Nothing was sent: dial, handshake, and generation failures all
-		// happen before the request record exists.
-		return nil, resilience.MarkUnsent(err)
-	}
-
-	e := xdr.GetEncoder()
-	if err := encodeRequest(e, p.instance, op, args); err != nil {
-		xdr.PutEncoder(e)
-		return nil, err
-	}
-	id := p.nextID.Add(1)
-	ch := make(chan shmReply, 1)
-	if err := c.register(id, ch); err != nil {
-		xdr.PutEncoder(e)
-		// The connection died before the request record existed.
-		return nil, resilience.MarkUnsent(fmt.Errorf("invoke: shm call %s: %w", op, err))
-	}
-
-	p.wmu.Lock()
-	err = c.seg.A.WriteRecord(id, e.Bytes())
-	p.wmu.Unlock()
-	xdr.PutEncoder(e)
-	if err != nil {
-		c.drop(id)
-		// A WriteRecord error can only be the segment closing (or an
-		// absurdly oversized record that never started): the server's
-		// reader stops at the same close and a partially streamed record
-		// is never delivered, so the request did not execute.
-		return nil, resilience.MarkUnsent(fmt.Errorf("invoke: shm call %s: %w", op, err))
-	}
-
-	r, err := c.await(ctx, id, ch)
-	if err != nil {
-		return nil, err
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("invoke: shm call %s: %w", op, r.err)
-	}
-	out, derr := decodeResponse(r.frame)
-	xdr.PutFrameBuf(r.frame)
-	return out, derr
+	return invokeBinary(ctx, p, p.instance, op, args)
 }
 
 // Kind implements Port.
@@ -598,12 +489,11 @@ func (p *ShmPort) dropLocked() {
 // Close implements Port.
 func (p *ShmPort) Close() error {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.closed = true
-	c := p.cur
-	p.dropLocked()
-	p.mu.Unlock()
-	if c != nil {
-		c.fail(errors.New("invoke: shm port closed"))
+	if p.cur != nil {
+		p.cur.fail(errors.New("invoke: shm port closed"))
 	}
+	p.dropLocked()
 	return nil
 }

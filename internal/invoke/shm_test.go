@@ -81,7 +81,21 @@ func TestShmLargeArgsExceedRingCapacity(t *testing.T) {
 	}
 }
 
-// TestShmStaleSegmentCannotFailFreshCalls: pending-call maps are scoped
+// TestShmSmallCallAllocationGate: a warm small shm call, client and
+// in-process server together, makes at most 8 allocations.
+func TestShmSmallCallAllocationGate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow allocations are not the code's")
+	}
+	h := newShmHost(t)
+	p := dial(t, h.deploy(t, "Counter", "c1"), rungOf(wsdl.BindShm), quiet)
+	args := wire.Args("by", int64(1))
+	if n := testing.AllocsPerRun(200, func() { _, _ = p.Invoke(context.Background(), "inc", args) }); n > 8 {
+		t.Errorf("warm small shm call: %v allocations, want <= 8", n)
+	}
+}
+
+// TestShmStaleSegmentCannotFailFreshCalls: pending-call tables are scoped
 // per segment, so a late turn holder on a replaced (closed) segment can
 // only fail calls that were in flight on its own segment — never fresh
 // calls registered after the re-handshake.
@@ -110,8 +124,8 @@ func TestShmStaleSegmentCannotFailFreshCalls(t *testing.T) {
 	}
 	// A call pending on the new connection must survive the old
 	// connection's (possibly delayed) failure path.
-	ch := make(chan shmReply, 1)
-	if err := cur.register(99999, ch); err != nil {
+	id, ch, err := cur.register()
+	if err != nil {
 		t.Fatal(err)
 	}
 	old.fail(errors.New("stale turn holder failing late"))
@@ -120,7 +134,7 @@ func TestShmStaleSegmentCannotFailFreshCalls(t *testing.T) {
 		t.Fatalf("fresh call failed by a stale segment: %v", r.err)
 	default:
 	}
-	cur.drop(99999)
+	cur.abandon(id, ch)
 }
 
 // TestShmFaultsPropagate: a server-side fault must come back as an error
@@ -227,93 +241,33 @@ func TestShmStaleGenerationInvalidatesBinding(t *testing.T) {
 	}
 }
 
-// TestShmInvokeRaceWithClose runs invokes concurrently with a server
-// shutdown and then a port shutdown. The invariant is memory safety (no
-// use-after-munmap — run under -race) and that every call returns.
-func TestShmInvokeRaceWithClose(t *testing.T) {
-	h := newShmHost(t)
-	defs := h.deploy(t, "Counter", "c1")
-	p, err := Dial(defs, Options{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				// Errors are expected once the server dies.
-				_, _ = p.Invoke(context.Background(), "inc", wire.Args("by", int64(1)))
-			}
-		}()
-	}
-	time.Sleep(2 * time.Millisecond)
-	_ = h.shm.Close() // mid-flight
-	_ = p.Close()     // racing the failed callers
-	wg.Wait()
-	if _, err := p.Invoke(context.Background(), "inc", wire.Args("by", int64(1))); err == nil {
-		t.Fatal("invoke on closed port should fail")
-	}
-}
-
 // TestShmIdlePortHoldsOnlyItsWatcher: once a burst of calls goes idle,
 // a port keeps exactly one goroutine per segment, its liveness watcher;
 // reading replies is the callers' own work. The server side of the
 // segment holds its handshake goroutine, its watcher and its workers.
 func TestShmIdlePortHoldsOnlyItsWatcher(t *testing.T) {
-	p, _, _ := newGatePort(t)
-	baseline := goroutineCount() // the port has never been called
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if _, err := p.Invoke(context.Background(), "ping", nil); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
+	h := newShmHost(t)
+	h.deploy(t, "Counter", "c1")
+	p, err := NewShmPort(h.shm.Addr(), "c1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	defer p.Close()
+	baseline := goroutineCount() // the port has never been called
+	incAll(t, 8, 50, func(int) Port { return p })
 
 	want := baseline + 1 + 2 + serverWorkers() // client watcher; server serveConn, watcher, workers
 	awaitGoroutines(t, 2*time.Second, fmt.Sprintf("idle port, want %d (baseline %d)", want, baseline),
 		func(n int) bool { return n == want })
 }
 
-// newGatePort serves one Gate instance over shm and returns a port to
-// it, with the channel each wait call signals on when it starts
-// executing and the function that releases every wait call.
+// newGatePort serves one Gate instance over shm and returns the bare
+// port to it, with gatePort's started channel and release function.
 func newGatePort(t *testing.T) (p *ShmPort, started <-chan struct{}, release func()) {
 	t.Helper()
-	if !shmring.Supported() {
-		t.Skip("shm binding unsupported on this platform")
-	}
-	st := make(chan struct{}, 16)
-	gate := make(chan struct{})
-	release = sync.OnceFunc(func() { close(gate) })
-	c := container.New(container.Config{Name: "shmgate"})
-	c.RegisterFactory("Gate", gateImpl(gate, st))
-	if _, _, err := c.Deploy("Gate", "g1"); err != nil {
-		t.Fatal(err)
-	}
-	ss, err := NewShmServer(c, "", ServerOptions{Telemetry: telemetry.Disabled()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err = NewShmPort(ss.Addr(), "g1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		release()
-		_ = p.Close()
-		_ = ss.Close()
-	})
-	return p, st, release
+	h, r := newShmHost(t), rungOf(wsdl.BindShm)
+	q, started, release := gatePort(t, h, r, h.only(r, quiet), "g1")
+	return bare(q).(*ShmPort), started, release
 }
 
 // within receives from ch, failing the test if nothing arrives in time.
@@ -360,13 +314,7 @@ func turnHeld(t *testing.T, p *ShmPort) {
 func TestShmSlowCallsDoNotBlockSegment(t *testing.T) {
 	p, started, release := newGatePort(t)
 	const slow = 3
-	done := make(chan error, slow)
-	for i := 0; i < slow; i++ {
-		go func() {
-			_, err := p.Invoke(context.Background(), "wait", nil)
-			done <- err
-		}()
-	}
+	done := goInvoke(context.Background(), p, "wait", slow)
 	for i := 0; i < slow; i++ {
 		within(t, started, "every slow call executing at once")
 	}
@@ -384,11 +332,7 @@ func TestShmSlowCallsDoNotBlockSegment(t *testing.T) {
 // a second caller's fast call still reaches that caller.
 func TestShmTurnHolderDeliversOtherReplies(t *testing.T) {
 	p, started, release := newGatePort(t)
-	done := make(chan error, 1)
-	go func() {
-		_, err := p.Invoke(context.Background(), "wait", nil)
-		done <- err
-	}()
+	done := goInvoke(context.Background(), p, "wait", 1)
 	within(t, started, "the blocked call")
 	turnHeld(t, p) // the blocked caller, the only one, holds the turn
 	ping(t, p)
@@ -422,11 +366,7 @@ func TestShmTurnHolderDeadlineHandsTurnOn(t *testing.T) {
 	}()
 	within(t, started, "the first call")
 	turnHeld(t, p)
-	second := make(chan error, 1)
-	go func() {
-		_, err := p.Invoke(context.Background(), "wait", nil)
-		second <- err
-	}()
+	second := goInvoke(context.Background(), p, "wait", 1)
 	within(t, started, "the second call")
 	if err := within(t, first, "the expired turn holder"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("turn holder past its deadline: %v, want DeadlineExceeded", err)
@@ -438,55 +378,6 @@ func TestShmTurnHolderDeadlineHandsTurnOn(t *testing.T) {
 	release()
 	if err := within(t, second, "the caller behind it"); err != nil {
 		t.Fatalf("caller behind the expired turn holder: %v", err)
-	}
-}
-
-// TestShmCancelledCallersDoNotLeakPendingEntries: a caller that abandons
-// an in-flight shm call via context cancellation must not leave its entry
-// in the pending map; the late response is read and dropped.
-func TestShmCancelledCallersDoNotLeakPendingEntries(t *testing.T) {
-	started := make(chan struct{}, 64)
-	release := make(chan struct{})
-	h := newShmHost(t)
-	h.c.RegisterFactory("Blocker", blockerImpl(started, release))
-	h.deploy(t, "Blocker", "b1")
-	p, err := NewShmPort(h.shm.Addr(), "b1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-			defer cancel()
-			if _, err := p.Invoke(ctx, "block", nil); err == nil {
-				t.Error("blocked call should time out")
-			}
-		}()
-	}
-	wg.Wait()
-	close(release) // drain the server-side handlers
-
-	p.mu.Lock()
-	sc := p.cur
-	p.mu.Unlock()
-	if sc == nil {
-		t.Fatal("no live shm connection after invokes")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := sc.pending()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d abandoned calls still pending", n)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

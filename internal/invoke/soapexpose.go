@@ -112,6 +112,10 @@ func (h *SOAPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	params := make([]soap.Param, len(out))
 	for j, a := range out {
+		if !xmlChars(a.Value) {
+			h.fault(w, &soap.Fault{Code: "Server", String: errXMLChars("soap", a.Name).Error()})
+			return
+		}
 		params[j] = soap.Param{Name: a.Name, Value: a.Value}
 	}
 	respBuf := soap.AcquireBuffer()

@@ -262,16 +262,7 @@ func (s *XDRServer) serveMux(conn net.Conn, br *bufio.Reader, offer uint32) {
 				}
 				resp := s.handle(frame, true, &arena)
 				xdr.PutFrameBuf(frame)
-				var ce *xdr.Encoder
-				if comp != nil {
-					payload := resp.FramePayloadV3()
-					if frame, ce = comp.CompressFrameV3(id, payload); ce != nil {
-						s.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
-					}
-				}
-				if ce == nil {
-					frame, err = resp.FrameBytesV3(id, 0)
-				}
+				frame, ce, err := s.wm.seal(comp, id, resp)
 				lead := false
 				if err == nil {
 					fw.mu.Lock()
@@ -467,10 +458,9 @@ func decodeResponse(frame []byte) ([]wire.Arg, error) {
 }
 
 // countingWriter counts bytes that reached the underlying writer. The
-// retry logic uses it to tell "nothing of this request hit the wire"
-// (safe to resend) from "the frame was partially written" (resending
-// could invoke a non-idempotent operation twice). It doubles as the
-// tx-bytes instrumentation point: tx is a nil-safe telemetry counter.
+// unsent rule (invokeBinary) reads it: a request none of which hit the
+// wire is safe to resend, while resending a partly written one could run
+// a non-idempotent operation twice. It also feeds tx, a nil-safe counter.
 type countingWriter struct {
 	w  io.Writer
 	n  int

@@ -34,8 +34,25 @@ func benchXDRHost(b *testing.B, opts ServerOptions) *XDRServer {
 // BenchmarkXDRInvokeSmall measures one small (two-int64) call on a
 // single connection — the per-call frame/encode floor of the binding.
 func BenchmarkXDRInvokeSmall(b *testing.B) {
-	srv := benchXDRHost(b, ServerOptions{})
-	p := dialXDR(srv.Addr(), "c1", Options{})
+	benchSmall(b, dialXDR(benchXDRHost(b, ServerOptions{}).Addr(), "c1", Options{}))
+}
+
+// BenchmarkShmInvokeSmall is the same call over the shared-memory ring.
+func BenchmarkShmInvokeSmall(b *testing.B) {
+	h := newLadderHost(b)
+	if h.shm == nil {
+		b.Skip("shm binding unsupported on this platform")
+	}
+	h.deploy(b, "Counter", "c1")
+	p, err := NewShmPort(h.shm.Addr(), "c1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSmall(b, instrumentAs(p, Options{}))
+}
+
+// benchSmall times small Counter calls on p, as Dial instruments it.
+func benchSmall(b *testing.B, p Port) {
 	defer p.Close()
 	args := wire.Args("by", int64(1))
 	ctx := context.Background()

@@ -8,40 +8,21 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"harness2/internal/resilience"
 	"harness2/internal/wire"
 	"harness2/internal/xdr"
 )
 
-// errXDRConnClosed marks a multiplexed connection that died before this
-// call wrote anything — retrying on a fresh connection is transparent.
-var errXDRConnClosed = errors.New("invoke: xdr connection closed")
-
-// muxResult is one demultiplexed response. frame comes from the xdr
-// frame pool; the receiver releases it after decoding.
-type muxResult struct {
-	frame []byte
-	err   error
-}
-
-// clientCompress is a port's resolved outbound-compression stance,
-// captured at dial time.
-type clientCompress struct {
-	enabled  bool // construct a compressor if the server answers a codec
-	adaptive bool
-}
-
 // muxConn is one multiplexed client connection: a single TCP stream shared
 // by any number of concurrent calls. Callers queue their frames on the
 // shared frameWriter and the one that starts a batch flushes it; readLoop,
-// the connection's one goroutine, demultiplexes responses to per-call
-// channels by request ID.
+// the connection's one goroutine, hands each response to its call by
+// request ID through the connection's calls table.
 type muxConn struct {
+	calls
 	conn net.Conn
 	cw   *countingWriter
 	fw   *frameWriter
@@ -52,39 +33,36 @@ type muxConn struct {
 	// chosen-codec word has arrived may outbound frames compress — the
 	// compressor pointer stays nil on raw streams, so the raw path costs
 	// one atomic load.
-	offer     uint32 // codec word sent with MagicV3
-	cc        clientCompress
+	offer     uint32         // codec word sent with MagicV3
+	cpol      CompressPolicy // outbound stance, CompressAuto off (see dialMux)
 	comp      atomic.Pointer[xdr.Compressor]
 	codecName atomic.Pointer[string] // negotiated codec, for the gauge
 
 	deadlineSet bool // guarded by fw.mu: a write deadline is armed
-
-	reused atomic.Bool // at least one call completed on this connection
-
-	mu      sync.Mutex
-	err     error // set once the connection is broken
-	nextID  uint64
-	pending map[uint64]chan muxResult
 }
 
 // dialMux opens a multiplexed connection: TCP connect plus the preamble
 // (MagicV3 with the offered-codec word), which is buffered so it coalesces
-// with the first request frame into a single write syscall.
-func dialMux(ctx context.Context, addr string, wm xdrWireMetrics, offer uint32, cc clientCompress) (*muxConn, error) {
+// with the first request frame into a single write syscall. A port dialed
+// without a WSDL has no advertisement to follow, so CompressAuto is off
+// here (openXDR turns an advertised `compress` capability into an
+// explicit adaptive policy).
+func dialMux(ctx context.Context, addr string, wm xdrWireMetrics, cpol CompressPolicy) (*muxConn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("invoke: xdr dial %s: %w", addr, err)
 	}
 	fw := newFrameWriter(conn, wm)
+	offer := cpol.offerWord(false)
 	mc := &muxConn{
-		conn:    conn,
-		cw:      fw.cw,
-		fw:      fw,
-		wm:      wm,
-		offer:   offer | 1,
-		cc:      cc,
-		pending: make(map[uint64]chan muxResult),
+		calls: calls{inflight: wm.inflight},
+		conn:  conn,
+		cw:    fw.cw,
+		fw:    fw,
+		wm:    wm,
+		offer: offer | 1,
+		cpol:  cpol,
 	}
 	if err := xdr.WriteMagicV3(mc.fw, offer); err != nil {
 		_ = conn.Close()
@@ -109,6 +87,7 @@ func (mc *muxConn) readLoop() {
 	if n, err := io.ReadFull(br, word[:]); err != nil {
 		if n == 0 && (err == io.EOF || errors.Is(err, syscall.ECONNRESET)) {
 			err = fmt.Errorf("%w: %w", ErrXDRRefused, err) // still transient: the cause stays in the chain
+			mc.wm.refused.Inc()                            // before shutdown tells any caller
 		}
 		mc.shutdown(err)
 		return
@@ -122,8 +101,8 @@ func (mc *muxConn) readLoop() {
 		name := c.Name()
 		mc.codecName.Store(&name)
 		mc.wm.codecs.With(name).Inc()
-		if mc.cc.enabled {
-			mc.comp.Store(xdr.NewCompressor(c, mc.cc.adaptive, 0))
+		if mc.cpol.enabled(false) {
+			mc.comp.Store(xdr.NewCompressor(c, mc.cpol.adaptive(), 0))
 		}
 	}
 	for {
@@ -138,17 +117,10 @@ func (mc *muxConn) readLoop() {
 			mc.shutdown(err)
 			return
 		}
-		mc.mu.Lock()
-		ch, ok := mc.pending[id]
-		delete(mc.pending, id)
-		mc.mu.Unlock()
-		if ok {
-			mc.wm.inflight.Dec()
-			ch <- muxResult{frame: frame} // buffered: never blocks
+		if ch := mc.take(id); ch != nil {
+			ch <- reply{frame: frame} // buffered: never blocks
 		} else {
-			// The caller abandoned the call (ctx cancellation). The
-			// connection stays healthy; only the late frame is dropped.
-			xdr.PutFrameBuf(frame)
+			xdr.PutFrameBuf(frame) // its caller abandoned it; the connection stays healthy
 		}
 	}
 }
@@ -156,115 +128,33 @@ func (mc *muxConn) readLoop() {
 // shutdown marks the connection broken, fails all pending calls, and
 // closes the socket. Idempotent.
 func (mc *muxConn) shutdown(err error) {
-	mc.mu.Lock()
-	if mc.err == nil {
-		mc.err = err
-		if errors.Is(err, ErrXDRRefused) {
-			mc.wm.refused.Inc()
-		}
+	if mc.fail(err) {
 		if name := mc.codecName.Load(); name != nil {
 			mc.wm.codecs.With(*name).Dec()
 		}
-		if n := len(mc.pending); n > 0 {
-			mc.wm.inflight.Add(-int64(n))
-		}
-		for id, ch := range mc.pending {
-			delete(mc.pending, id)
-			ch <- muxResult{err: err}
-		}
 	}
-	mc.mu.Unlock()
 	_ = mc.conn.Close()
 }
 
-// muxChPool recycles per-call response channels. A channel may be
-// returned to the pool only after its single send has been received —
-// i.e. on the receive paths of XDRPort.Invoke, never on the abandon
-// (deregister) path, where a late send could still race in.
-var muxChPool = sync.Pool{
-	New: func() any { return make(chan muxResult, 1) },
-}
-
-// register allocates a request ID and its response channel.
-func (mc *muxConn) register() (uint64, chan muxResult, error) {
-	ch := muxChPool.Get().(chan muxResult)
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	if mc.err != nil {
-		muxChPool.Put(ch)
-		if errors.Is(mc.err, ErrXDRRefused) {
-			return 0, nil, mc.err
-		}
-		return 0, nil, errXDRConnClosed
-	}
-	mc.nextID++
-	mc.pending[mc.nextID] = ch
-	mc.wm.inflight.Inc()
-	return mc.nextID, ch, nil
-}
-
-// deregister abandons a pending call (ctx cancellation). If the response
-// raced in first it is drained and released, keeping the pool tight.
-func (mc *muxConn) deregister(id uint64, ch chan muxResult) {
-	mc.mu.Lock()
-	if _, present := mc.pending[id]; present {
-		delete(mc.pending, id)
-		mc.wm.inflight.Dec()
-	}
-	mc.mu.Unlock()
-	select {
-	case res := <-ch:
-		xdr.PutFrameBuf(res.frame)
-	default:
-	}
-}
-
-func (mc *muxConn) markReused() {
-	if !mc.reused.Load() {
-		mc.reused.Store(true)
-	}
-}
-
-func (mc *muxConn) wasReused() bool { return mc.reused.Load() }
-
-// writeRequest seals the request encoder into a frame for id and queues
-// it, flushing the batch if this call leads it (frameWriter.FlushBatch).
-// It reports whether any byte reached the socket while the frame was
-// queued (a large frame leaves immediately as a vectored write; see
-// frameWriter), which gates the caller's retry decision. A failed batch
-// flush shuts the connection down instead: the frames it carried may be
-// partly on the wire, so the error reaches every waiting call, this one
-// included, through its response channel.
-//
-// With a negotiated codec, the payload may be compressed here — outside
-// fw.mu, so flate CPU never serializes other writers. The raw path (no
-// compressor, frame under the floor, adaptive backoff, or incompressible
-// payload) seals the caller's encoder in place, with zero extra
-// allocations.
-func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) (wroteAny bool, err error) {
-	var frame []byte
-	var ce *xdr.Encoder // pooled holder of a compressed frame, if any
-	if comp := mc.comp.Load(); comp != nil {
-		payload := e.FramePayloadV3()
-		if frame, ce = comp.CompressFrameV3(id, payload); ce != nil {
-			mc.wm.compressedOut(len(frame)-xdr.FrameHeaderLenV3, len(payload))
-		}
-	}
-	if ce == nil {
-		if frame, err = e.FrameBytesV3(id, 0); err != nil {
-			return false, err
-		}
+// send seals request id, compressed outside fw.mu so flate CPU never
+// serializes other writers, and queues it, flushing the batch if this
+// call leads it (frameWriter.FlushBatch). It reports whether any byte
+// reached the socket while the frame was queued (a large frame leaves at
+// once, vectored). A failed write or batch flush shuts the connection
+// down, and a flushed batch may be partly on the wire, so its error
+// reaches every waiting call, this one included, on its reply channel.
+func (mc *muxConn) send(ctx context.Context, id uint64, e *xdr.Encoder) (bool, error) {
+	frame, ce, err := mc.wm.seal(mc.comp.Load(), id, e)
+	if err != nil {
+		return false, err
 	}
 	if ce != nil {
 		defer xdr.PutEncoder(ce) // frameWriter copies or writes synchronously
 	}
 	mc.fw.mu.Lock()
-	// Arm the write deadline from this call's context; clearing a
-	// previously-set deadline means no call inherits a stale timeout,
-	// and the deadlineSet flag spares deadline-free traffic the runtime
-	// call entirely. Reads are unbounded here — per-call read timeouts
-	// are enforced by the ctx select in XDRPort.Invoke, because a deadline on
-	// the shared read side would interrupt other calls' responses.
+	// Arm the write deadline from this call's context, or clear a stale
+	// one; deadline-free traffic skips the runtime call. Reads take no
+	// deadline: it would cut other calls' replies, so await bounds each.
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = mc.conn.SetWriteDeadline(deadline)
 		mc.deadlineSet = true
@@ -274,124 +164,48 @@ func (mc *muxConn) writeRequest(ctx context.Context, id uint64, e *xdr.Encoder) 
 	}
 	mc.cw.n = 0
 	lead, err := mc.fw.Queue(frame)
-	wroteAny = mc.cw.n > 0
+	sent := mc.cw.n > 0
 	mc.fw.mu.Unlock()
-	if lead {
+	if err != nil {
+		mc.shutdown(err)
+	} else if lead {
 		if ferr := mc.fw.FlushBatch(); ferr != nil {
 			mc.shutdown(ferr)
 		}
 	}
-	return wroteAny, err
+	return sent, err
+}
+
+// await waits for id's reply from readLoop. A caller whose context ends
+// abandons its call alone; the connection stays healthy.
+func (mc *muxConn) await(ctx context.Context, id uint64, ch chan reply) (reply, error) {
+	select {
+	case r := <-ch:
+		return r, nil
+	case <-ctx.Done():
+		mc.abandon(id, ch)
+		return reply{}, ctx.Err()
+	}
 }
 
 // Invoke implements Port. It is safe for concurrent use; concurrent calls
 // share one connection without serializing on each other's round trips.
 func (p *XDRPort) Invoke(ctx context.Context, op string, args []wire.Arg) ([]wire.Arg, error) {
-	e := xdr.GetEncoder()
-	defer xdr.PutEncoder(e)
-	e.ReserveFrameHeaderV3()
-	if err := encodeRequest(e, p.instance, op, args); err != nil {
-		return nil, err
-	}
-
-	// At most one transparent resend, and only when provably safe (see
-	// below); a dead connection discovered before writing costs only a
-	// redial, bounded separately so a flapping peer cannot loop forever.
-	const maxRedials = 2
-	resent := false
-	for redials := 0; ; {
-		mc, err := p.muxConnLocked(ctx)
-		if err != nil {
-			// Dial failure: provably unsent, safe to retry at any level.
-			return nil, resilience.MarkUnsent(err)
-		}
-		id, ch, err := mc.register()
-		if err != nil {
-			// The pooled connection died before this call touched it;
-			// nothing was sent. One that died refused is not redialed: the
-			// peer's answer would be the same.
-			p.dropMux(mc)
-			if redials++; redials <= maxRedials && !errors.Is(err, ErrXDRRefused) {
-				continue
-			}
-			return nil, resilience.MarkUnsent(fmt.Errorf("invoke: xdr call %s: %w", op, err))
-		}
-		wroteAny, err := mc.writeRequest(ctx, id, e)
-		if err != nil {
-			mc.deregister(id, ch)
-			mc.shutdown(err) // a partial frame desyncs the stream
-			p.dropMux(mc)
-			// Resend only if this was a pooled (reused) connection whose
-			// first write failed outright — zero bytes reached the wire,
-			// so the server cannot have seen, let alone executed, the
-			// request. Mid-frame failures are surfaced.
-			if !wroteAny && mc.wasReused() && !resent {
-				resent = true
-				continue
-			}
-			werr := fmt.Errorf("invoke: xdr call %s: %w", op, err)
-			if !wroteAny {
-				// Zero bytes reached the wire: the request provably never
-				// left this process, so higher-level policies may retry it
-				// even for non-idempotent operations.
-				return nil, resilience.MarkUnsent(werr)
-			}
-			return nil, werr
-		}
-		select {
-		case res := <-ch:
-			// The channel's single send has been received, so it can be
-			// recycled for a future call.
-			muxChPool.Put(ch)
-			if res.err != nil {
-				// The request reached the wire but the connection died
-				// before the response — refused at the preamble included,
-				// which this side cannot tell from an answer lost in
-				// flight: the server may have executed the call, so
-				// surfacing the error is the only safe move.
-				p.dropMux(mc)
-				return nil, fmt.Errorf("invoke: xdr call %s: %w", op, res.err)
-			}
-			mc.markReused()
-			out, derr := decodeResponse(res.frame)
-			xdr.PutFrameBuf(res.frame)
-			return out, derr
-		case <-ctx.Done():
-			// Abandon this call only: the connection (and every other
-			// in-flight call on it) stays healthy.
-			mc.deregister(id, ch)
-			return nil, ctx.Err()
-		}
-	}
+	return invokeBinary(ctx, p, p.instance, op, args)
 }
 
-// muxConnLocked returns the port's live multiplexed connection, dialing
-// one if needed.
-func (p *XDRPort) muxConnLocked(ctx context.Context) (*muxConn, error) {
+// session returns the port's live multiplexed connection, dialing one if
+// there is none or the last one broke.
+func (p *XDRPort) session(ctx context.Context) (binaryConn, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.mc != nil {
+	if p.mc != nil && !p.mc.failed() {
 		return p.mc, nil
 	}
-	// A direct port resolves CompressAuto to off: with no WSDL there is no
-	// advertisement to follow (openXDR translates an advertised `compress`
-	// capability into an explicit adaptive policy).
-	cc := clientCompress{enabled: p.cpol.enabled(false), adaptive: p.cpol.adaptive()}
-	mc, err := dialMux(ctx, p.addr, p.wm, p.cpol.offerWord(false), cc)
+	mc, err := dialMux(ctx, p.addr, p.wm, p.cpol)
 	if err != nil {
 		return nil, err
 	}
 	p.mc = mc
 	return mc, nil
-}
-
-// dropMux forgets mc if it is still the port's current connection. A
-// concurrent caller may already have dialed a replacement; only the
-// broken connection is discarded.
-func (p *XDRPort) dropMux(mc *muxConn) {
-	p.mu.Lock()
-	if p.mc == mc {
-		p.mc = nil
-	}
-	p.mu.Unlock()
 }
