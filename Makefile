@@ -131,7 +131,8 @@ hbench:
 # Short fuzz pass over the frame header/flags decoder, the
 # compress-then-decompress frame identity, the array decoders, the
 # zero-copy-vs-portable codec differential, the SOAP
-# fast-vs-DOM differential, the wire lexical-form round trip, the WSDL scan-vs-DOM differential, the shm
+# fast-vs-DOM differential, the XML text kernels against their byte-loop
+# oracles, the wire lexical-form round trip, the WSDL scan-vs-DOM differential, the shm
 # ring record framing, the chaos spec
 # parser, the resilience policy validators, the cluster gossip digest
 # codec, and the ring rebalance planner, the fleet
@@ -144,6 +145,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDecoderArrays -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzXDRZeroCopyDifferential -fuzztime 30s ./internal/xdr/
 	$(GO) test -run xxx -fuzz FuzzFastDecodeDifferential -fuzztime 30s ./internal/soap/
+	$(GO) test -run xxx -fuzz FuzzTextKernels -fuzztime 30s ./internal/xmlq/
 	$(GO) test -run xxx -fuzz FuzzTextRoundTrip -fuzztime 30s ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzWSDLParseDifferential -fuzztime 30s ./internal/wsdl/
 	$(GO) test -run xxx -fuzz FuzzShmRingRecord -fuzztime 30s ./internal/shmring/

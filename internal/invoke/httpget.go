@@ -189,7 +189,7 @@ func appendResponseDoc(dst []byte, op string, out []wire.Arg) ([]byte, error) {
 			dst = soap.AppendItems(dst, a.Value, 4)
 			dst = append(dst, "  "...)
 		} else if s, ok := a.Value.(string); ok {
-			dst = soap.AppendEscaped(dst, s)
+			dst = xmlq.AppendEscaped(dst, s)
 		} else {
 			dst = wire.AppendText(dst, a.Value)
 		}

@@ -246,13 +246,14 @@ func (s *Server) find(fn func(string) ([]Entry, error)) soap.Handler {
 
 // MarshalEntries renders a find result in the column-wise wire encoding
 // (parallel arrays over the matches), shared by the public find
-// operations and the cluster peer RPCs.
+// operations and the cluster peer RPCs. The four string columns share
+// one backing array, each capped at its own length.
 func MarshalEntries(entries []Entry) []soap.Param {
-	keys := make([]string, len(entries))
-	names := make([]string, len(entries))
-	businesses := make([]string, len(entries))
-	wsdls := make([]string, len(entries))
-	leases := make([]int64, len(entries))
+	n := len(entries)
+	cols := make([]string, 4*n)
+	keys, names := cols[:n:n], cols[n:2*n:2*n]
+	businesses, wsdls := cols[2*n:3*n:3*n], cols[3*n:]
+	leases := make([]int64, n)
 	for i, e := range entries {
 		keys[i] = e.Key
 		names[i] = e.Name

@@ -179,8 +179,7 @@ func Classify(err error) ErrorKind {
 		strings.Contains(msg, "connection reset"),
 		strings.Contains(msg, "broken pipe"),
 		strings.Contains(msg, "use of closed network connection"),
-		strings.Contains(msg, "message dropped"), // simnet.ErrDropped after wrapping
-		strings.Contains(msg, "xdr connection closed"):
+		strings.Contains(msg, "message dropped"): // simnet.ErrDropped after wrapping
 		return KindTransient
 	}
 	return KindUnknown

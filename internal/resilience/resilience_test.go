@@ -42,7 +42,6 @@ func TestClassify(t *testing.T) {
 		{"pipe-string", errors.New("write: broken pipe"), KindTransient},
 		{"closed-net-string", errors.New("use of closed network connection"), KindTransient},
 		{"simnet-drop-string", errors.New("simnet: message dropped"), KindTransient},
-		{"xdr-closed-string", errors.New("xdr connection closed"), KindTransient},
 	}
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {

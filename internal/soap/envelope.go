@@ -230,13 +230,13 @@ func (c Codec) EncodeFault(f *Fault) []byte {
 func (c Codec) AppendFault(dst []byte, f *Fault) []byte {
 	dst = c.appendProlog(dst)
 	dst = append(dst, "    <SOAP-ENV:Fault>\n      <faultcode>SOAP-ENV:"...)
-	dst = AppendEscaped(dst, f.Code)
+	dst = xmlq.AppendEscaped(dst, f.Code)
 	dst = append(dst, "</faultcode>\n      <faultstring>"...)
-	dst = AppendEscaped(dst, f.String)
+	dst = xmlq.AppendEscaped(dst, f.String)
 	dst = append(dst, "</faultstring>\n"...)
 	if f.Detail != "" {
 		dst = append(dst, "      <detail>"...)
-		dst = AppendEscaped(dst, f.Detail)
+		dst = xmlq.AppendEscaped(dst, f.Detail)
 		dst = append(dst, "</detail>\n"...)
 	}
 	dst = append(dst, "    </SOAP-ENV:Fault>\n"...)
@@ -319,7 +319,7 @@ func (c Codec) appendPrologWithHeaders(dst []byte, headers []Header) []byte {
 			dst = append(dst, ` xsi:type="xsd:string"`...)
 			dst = append(dst, attrs...)
 			dst = append(dst, '>')
-			dst = AppendEscaped(dst, s)
+			dst = xmlq.AppendEscaped(dst, s)
 			dst = append(dst, "</"...)
 			dst = append(dst, h.Name...)
 			dst = append(dst, ">\n"...)
@@ -406,7 +406,7 @@ func (c Codec) appendValue(dst []byte, name string, v any, indent int) ([]byte, 
 		wire.KindFloat64, wire.KindString, wire.KindBytes:
 		dst = appendScalarOpen(dst, name, k, indent)
 		if s, ok := v.(string); ok {
-			dst = AppendEscaped(dst, s)
+			dst = xmlq.AppendEscaped(dst, s)
 		} else {
 			dst = wire.AppendText(dst, v)
 		}
@@ -491,7 +491,7 @@ func AppendItems(dst []byte, v any, indent int) []byte {
 		dst = appendPad(dst, indent)
 		dst = append(dst, "<item>"...)
 		if ss != nil {
-			dst = AppendEscaped(dst, ss[i])
+			dst = xmlq.AppendEscaped(dst, ss[i])
 		} else {
 			dst = wire.AppendItem(dst, v, i)
 		}
@@ -508,27 +508,6 @@ func unpackArray(kind wire.Kind, raw []byte, n int) (any, error) {
 		return nil, fmt.Errorf("soap: %w", err)
 	}
 	return v, nil
-}
-
-// AppendEscaped appends s to dst with the markup-significant characters
-// &, < and > escaped, for element text.
-func AppendEscaped(dst []byte, s string) []byte {
-	if !strings.ContainsAny(s, "&<>") {
-		return append(dst, s...)
-	}
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			dst = append(dst, "&amp;"...)
-		case '<':
-			dst = append(dst, "&lt;"...)
-		case '>':
-			dst = append(dst, "&gt;"...)
-		default:
-			dst = append(dst, s[i])
-		}
-	}
-	return dst
 }
 
 // DecodeCall parses a request envelope into a Call, including any header

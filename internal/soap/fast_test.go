@@ -179,6 +179,9 @@ var trickyEnvelopes = []string{
 	// Trailing junk after the root element.
 	`<Envelope><Body><f/></Body></Envelope>  ` + "\n",
 	`<Envelope><Body><f/></Body></Envelope><more/>`,
+	// Unicode whitespace through character references: the DOM trims it
+	// (strings.TrimSpace), so the fast path must fall back.
+	`<Envelope><Body><m:f xmlns:m="urn:x"><p xsi:type="xsd:string">&#xA0;x&amp;y&#x2003;</p></m:f></Body></Envelope>`,
 }
 
 // TestFastPathGoldenEnvelopes runs the regression battery through both

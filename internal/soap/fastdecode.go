@@ -655,11 +655,11 @@ func (d *fastDecoder) leafText(open []byte, selfClose bool) ([]byte, int, error)
 				d.textBuf = append(d.textBuf, run...)
 				continue
 			}
-			// Entity run: unescape, then re-check the result is ASCII —
-			// entity expansion can smuggle in bytes the scanner never
-			// sees, and non-ASCII would diverge from strings.TrimSpace's
-			// Unicode whitespace handling. Trim matches the DOM order:
-			// expand first, trim after.
+			// Entity run: unescape, then trim, the DOM's order. Non-ASCII
+			// output would diverge from strings.TrimSpace's Unicode
+			// whitespace handling, so it falls back. The scanner refused
+			// raw non-ASCII bytes, so only a character reference ("&#")
+			// can produce one, and only a run holding a '#' is checked.
 			if !useBuf {
 				d.textBuf = append(d.textBuf[:0], only...)
 				only = nil
@@ -671,10 +671,8 @@ func (d *fastDecoder) leafText(open []byte, selfClose bool) ([]byte, int, error)
 				return nil, 0, errFallback
 			}
 			seg := d.textBuf[pre:]
-			for _, b := range seg {
-				if b >= 0x80 {
-					return nil, 0, errFallback
-				}
+			if bytes.IndexByte(run, '#') >= 0 && !ascii(seg) {
+				return nil, 0, errFallback
 			}
 			seg = xmlq.TrimSpaceBytes(seg)
 			n := copy(d.textBuf[pre:], seg)
@@ -783,6 +781,15 @@ func attrVal(raw []byte) ([]byte, error) {
 		return nil, errFallback
 	}
 	return out, nil
+}
+
+func ascii(b []byte) bool {
+	for _, c := range b {
+		if c >= 0x80 {
+			return false
+		}
+	}
+	return true
 }
 
 func allSpace(b []byte) bool {

@@ -153,6 +153,7 @@ type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric // key: name + "{" + labels + "}"
 	help    map[string]string  // family name -> HELP text
+	vecs    map[string]any     // key: vecKey; value: *CounterVec, *GaugeVec or *HistogramVec
 
 	spans spanRing
 }

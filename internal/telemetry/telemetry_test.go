@@ -156,6 +156,36 @@ func TestVecsShareChildren(t *testing.T) {
 	}
 }
 
+// TestVecFamiliesResolveOnce: a family asked for again — as a port
+// dialed per call asks for its binding's trio — is the same vec, and
+// resolving it and a known child allocates nothing.
+func TestVecFamiliesResolveOnce(t *testing.T) {
+	r := New()
+	v := r.CounterVec("harness_invoke_calls_total", "op", "binding", "soap")
+	if r.CounterVec("harness_invoke_calls_total", "op", "binding", "soap") != v {
+		t.Fatal("same counter family resolved to two vecs")
+	}
+	if r.CounterVec("harness_invoke_calls_total", "op", "binding", "xdr") == v {
+		t.Fatal("families with different fixed pairs share a vec")
+	}
+	h := r.HistogramVec("harness_invoke_latency_ns", "op", "binding", "soap")
+	if r.HistogramVec("harness_invoke_latency_ns", "op", "binding", "soap") != h {
+		t.Fatal("same histogram family resolved to two vecs")
+	}
+	if New().CounterVec("harness_invoke_calls_total", "op", "binding", "soap") == v {
+		t.Fatal("two registries share a vec")
+	}
+	v.With("echo").Inc()
+	if n := testing.AllocsPerRun(100, func() {
+		r.CounterVec("harness_invoke_calls_total", "op", "binding", "soap").With("echo").Inc()
+	}); n != 0 {
+		t.Errorf("resolving a known family and child allocates %v times", n)
+	}
+	if got := r.Counter("harness_invoke_calls_total", "binding", "soap", "op", "echo").Value(); got != 102 {
+		t.Fatalf("echo = %d, want 102", got)
+	}
+}
+
 func TestPrometheusExposition(t *testing.T) {
 	r := New()
 	r.Help("harness_calls_total", "total calls by binding")

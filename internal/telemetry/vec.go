@@ -14,6 +14,38 @@ import (
 // obtained from a disabled registry is nil, With on a nil Vec returns a
 // nil handle, and every operation on a nil handle is a branch.
 
+// vecOf returns the registry's one family of its kind keyed by (name,
+// label, fixed pairs), making it with mk on first use. Every caller that
+// asks for the same family shares its children, so a family resolved per
+// dial costs a lookup, not a fresh vec whose first With per label value
+// serializes labels and probes the metric map again. mk gets its own copy
+// of the fixed pairs; the caller's slice is not kept.
+func vecOf[V any](r *Registry, kind metricKind, name, label string, fixed []string, mk func(fixed []string) *V) *V {
+	var kb [128]byte
+	k := append(append(kb[:0], byte(kind)), name...)
+	k = append(append(k, 0), label...)
+	for _, p := range fixed {
+		k = append(append(k, 0), p...)
+	}
+	r.mu.RLock()
+	v, ok := r.vecs[string(k)].(*V)
+	r.mu.RUnlock()
+	if ok {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v, ok := r.vecs[string(k)].(*V); ok {
+		return v
+	}
+	if r.vecs == nil {
+		r.vecs = make(map[string]any)
+	}
+	v = mk(append([]string(nil), fixed...))
+	r.vecs[string(k)] = v
+	return v
+}
+
 // vecCache is the shared copy-on-write label cache. Lookups are
 // lock-free; inserts copy the map under a writer mutex and republish.
 type vecCache[T any] struct {
@@ -64,12 +96,14 @@ type CounterVec struct {
 }
 
 // CounterVec returns a counter family: name with one variable label plus
-// optional fixed label pairs.
+// optional fixed label pairs. The same arguments return the same family.
 func (r *Registry) CounterVec(name, label string, fixedPairs ...string) *CounterVec {
 	if !r.Enabled() {
 		return nil
 	}
-	return &CounterVec{r: r, name: name, label: label, fixed: fixedPairs}
+	return vecOf(r, kindCounter, name, label, fixedPairs, func(fixed []string) *CounterVec {
+		return &CounterVec{r: r, name: name, label: label, fixed: fixed}
+	})
 }
 
 // With returns the child counter for the given label value.
@@ -97,12 +131,14 @@ type GaugeVec struct {
 }
 
 // GaugeVec returns a gauge family: name with one variable label plus
-// optional fixed label pairs.
+// optional fixed label pairs. The same arguments return the same family.
 func (r *Registry) GaugeVec(name, label string, fixedPairs ...string) *GaugeVec {
 	if !r.Enabled() {
 		return nil
 	}
-	return &GaugeVec{r: r, name: name, label: label, fixed: fixedPairs}
+	return vecOf(r, kindGauge, name, label, fixedPairs, func(fixed []string) *GaugeVec {
+		return &GaugeVec{r: r, name: name, label: label, fixed: fixed}
+	})
 }
 
 // With returns the child gauge for the given label value.
@@ -130,12 +166,15 @@ type HistogramVec struct {
 }
 
 // HistogramVec returns a histogram family: name with one variable label
-// plus optional fixed label pairs.
+// plus optional fixed label pairs. The same arguments return the same
+// family.
 func (r *Registry) HistogramVec(name, label string, fixedPairs ...string) *HistogramVec {
 	if !r.Enabled() {
 		return nil
 	}
-	return &HistogramVec{r: r, name: name, label: label, fixed: fixedPairs}
+	return vecOf(r, kindHistogram, name, label, fixedPairs, func(fixed []string) *HistogramVec {
+		return &HistogramVec{r: r, name: name, label: label, fixed: fixed}
+	})
 }
 
 // With returns the child histogram for the given label value.

@@ -21,12 +21,14 @@
 package xmlq
 
 import (
+	"encoding/binary"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // Node is one element of an XML document tree.
@@ -319,8 +321,46 @@ func (n *Node) String() string {
 }
 
 func escapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
+	return string(AppendEscaped(nil, s))
+}
+
+// AppendEscaped appends s to dst as element text: &, < and > become
+// entities and every other byte is copied. The runs between them are
+// found a word at a time and copied whole.
+func AppendEscaped(dst []byte, s string) []byte {
+	b := unsafe.Slice(unsafe.StringData(s), len(s)) // read only
+	for {
+		i := indexMarkup(b)
+		if i < 0 {
+			return append(dst, b...)
+		}
+		dst = append(dst, b[:i]...)
+		switch b[i] {
+		case '&':
+			dst = append(dst, "&amp;"...)
+		case '<':
+			dst = append(dst, "&lt;"...)
+		default: // '>'
+			dst = append(dst, "&gt;"...)
+		}
+		b = b[i+1:]
+	}
+}
+
+// indexMarkup returns the index of the first &, < or > in b, or -1.
+func indexMarkup(b []byte) int {
+	i := 0
+	for ; i+8 <= len(b); i += 8 {
+		if m := markupStops(binary.LittleEndian.Uint64(b[i:])); m != 0 {
+			return i + firstMarked(m)
+		}
+	}
+	for ; i < len(b); i++ {
+		if c := b[i]; c == '&' || c == '<' || c == '>' {
+			return i
+		}
+	}
+	return -1
 }
 
 // AppendAttrEscaped appends s escaped for a double-quoted attribute

@@ -17,8 +17,11 @@ package xmlq
 // valid as long as the buffer does.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"unicode/utf8"
 	"unsafe"
 )
@@ -178,17 +181,66 @@ func indexFrom(buf []byte, from int, needle string) int {
 // validated against the subset: ASCII only (multi-byte UTF-8 falls
 // back so encoding/xml keeps sole authority over Unicode validation),
 // no control bytes besides tab and newline (no carriage returns — the
-// DOM layer normalises those).
+// DOM layer normalises those). The run is read a word at a time: a word
+// with no '<', control or non-ASCII byte is passed over whole, and only
+// the first such byte of a word is looked at on its own.
 func (s *Scanner) text() (RawToken, error) {
-	start := s.pos
-	for s.pos < len(s.buf) && s.buf[s.pos] != '<' {
-		b := s.buf[s.pos]
+	buf, i := s.buf, s.pos
+	for i < len(buf) {
+		if i+8 <= len(buf) {
+			m := textStops(binary.LittleEndian.Uint64(buf[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += firstMarked(m)
+		}
+		b := buf[i]
+		if b == '<' {
+			break
+		}
 		if b >= utf8.RuneSelf || (b < 0x20 && b != '\t' && b != '\n') {
+			s.pos = i
 			return RawToken{}, ErrComplex
 		}
-		s.pos++
+		i++
 	}
-	return RawToken{Kind: TokText, Text: s.buf[start:s.pos]}, nil
+	start := s.pos
+	s.pos = i
+	return RawToken{Kind: TokText, Text: buf[start:i]}, nil
+}
+
+// Word-at-a-time (SWAR) byte tests over 8 bytes loaded little-endian, so
+// the byte at the lowest address is the lowest byte of the word. Each
+// returns a mask with the high bit set in every byte that matches. A
+// borrow can mark a byte wrongly only above a byte that truly matched, so
+// the lowest mark is always a true match and firstMarked is its offset.
+const (
+	lsbs = 0x0101010101010101
+	msbs = 0x8080808080808080
+)
+
+// wordEq marks the bytes of w equal to c.
+func wordEq(w uint64, c byte) uint64 {
+	x := w ^ lsbs*uint64(c)
+	return (x - lsbs) &^ x & msbs
+}
+
+// textStops marks the bytes a character run stops or may refuse at: '<',
+// control bytes (below 0x20) and non-ASCII bytes.
+func textStops(w uint64) uint64 {
+	return ((w-lsbs*0x20)&^w | wordEq(w, '<') | w) & msbs
+}
+
+// markupStops marks the bytes element text escapes: '&', '<' and '>'.
+// '<' (0x3C) and '>' (0x3E) differ only in bit 1, so one test finds both.
+func markupStops(w uint64) uint64 {
+	return wordEq(w, '&') | wordEq(w|lsbs*0x02, '>')
+}
+
+// firstMarked is the offset of the lowest marked byte of a non-zero mask.
+func firstMarked(m uint64) int {
+	return bits.TrailingZeros64(m) >> 3
 }
 
 func (s *Scanner) endTag() (RawToken, error) {
@@ -329,37 +381,29 @@ func PrefixOf(name []byte) []byte {
 
 // HasAmp reports whether b contains an entity-reference trigger.
 func HasAmp(b []byte) bool {
-	for _, c := range b {
-		if c == '&' {
-			return true
-		}
-	}
-	return false
+	return bytes.IndexByte(b, '&') >= 0
 }
 
 // AppendUnescaped appends src to dst with XML references resolved: the
 // five predefined entities plus decimal and hexadecimal character
 // references. References the subset does not cover — unknown entity
 // names, characters outside the XML Char production — yield ErrComplex
-// so the caller falls back to the DOM parser's handling.
+// so the caller falls back to the DOM parser's handling. A reference's
+// ';' must come within 12 bytes of its '&'. The runs between references
+// are copied whole.
 func AppendUnescaped(dst, src []byte) ([]byte, error) {
-	for i := 0; i < len(src); i++ {
-		b := src[i]
-		if b != '&' {
-			dst = append(dst, b)
-			continue
+	for {
+		i := bytes.IndexByte(src, '&')
+		if i < 0 {
+			return append(dst, src...), nil
 		}
-		semi := -1
-		for j := i + 1; j < len(src) && j <= i+12; j++ {
-			if src[j] == ';' {
-				semi = j
-				break
-			}
-		}
-		if semi < 0 {
+		dst = append(dst, src[:i]...)
+		src = src[i:]
+		semi := bytes.IndexByte(src[1:min(len(src), 13)], ';') + 1
+		if semi == 0 {
 			return dst, ErrComplex
 		}
-		ref := src[i+1 : semi]
+		ref := src[1:semi]
 		switch string(ref) {
 		case "amp":
 			dst = append(dst, '&')
@@ -378,9 +422,8 @@ func AppendUnescaped(dst, src []byte) ([]byte, error) {
 			}
 			dst = utf8.AppendRune(dst, r)
 		}
-		i = semi
+		src = src[semi+1:]
 	}
-	return dst, nil
 }
 
 // charRef parses a numeric character reference body ("#120" or "#x3C")
