@@ -106,7 +106,7 @@ bench-xdr:
 bench-e15:
 	E15_GATE=1 $(GO) test -run TestE15Gate -v ./internal/bench/
 	$(GO) run ./cmd/hbench -exp E15
-	$(GO) test -run xxx -bench 'BenchmarkHot' -benchmem -benchtime 1s ./internal/registry/
+	$(GO) test -run xxx -bench 'BenchmarkHot|BenchmarkRegistryWrite' -benchmem -benchtime 1s ./internal/registry/
 
 # The S32 fleet gate and tables: time-to-N-serving plus recovery-after-
 # kill latency against the restart-backoff bound, with zero failed finds

@@ -12,8 +12,8 @@ import (
 // run when E15_GATE=1 (CI exports it). Two assertions protect the
 // ISSUE's scalability claims: the steady-state read paths — a cache-hit
 // FindByName and a registry Get — must stay at 0 allocs/op (any
-// allocation on these paths reintroduces the GC pressure the
-// copy-on-write store removed), and a deterministic virtual-time sim
+// allocation on these paths reintroduces the GC pressure the sharded
+// store and cache removed), and a deterministic virtual-time sim
 // slice must hold its availability and tail-latency envelope under
 // chaos and churn.
 func TestE15Gate(t *testing.T) {

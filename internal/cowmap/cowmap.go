@@ -1,14 +1,8 @@
 // Package cowmap provides a sharded, copy-on-write string-keyed map
-// whose read path is lock-free and allocation-free: the contention-free
-// building block of the S34 "metacity" hot-path rework.
-//
-// Motivation: the registry store and the discovery cache sit on the one
-// path a million concurrent clients actually hammer — resolve a name,
-// invoke — and before S34 both guarded their maps with a process-wide
-// mutex. Under E15's Zipf-distributed load every cache HIT serialized on
-// that mutex (and on one cacheline), so aggregate read throughput
-// flat-lined as callers were added. This package removes the locks from
-// the read side entirely:
+// whose read path is lock-free and allocation-free. It backs the
+// discovery cache (registry.Cache), whose traffic is what copy-on-write
+// suits: hot keys read over and over by every caller, with rare fills
+// and evictions.
 //
 //   - Keys hash (FNV-1a) onto one of 64 shards, so unrelated writers
 //     never contend and a snapshot rebuild copies 1/64th of the map.
@@ -19,18 +13,17 @@
 //   - Writers serialize per shard on a mutex and publish either a new
 //     small overlay (recent writes, checked by readers before the
 //     snapshot) or — once the overlay outgrows overlayMax — a merged
-//     snapshot. Writes are therefore amortized O(shard/overlayMax)
-//     copies, not O(n), which keeps bulk publishes (the 10⁵-entry E17
-//     fill, churn re-replication) linear.
+//     snapshot. Every write therefore copies the overlay and every
+//     overlayMax-th one the shard: cheap for a cache's fills, too dear
+//     for a store whose entries churn (the registry's own maps are
+//     written in place under per-shard read/write locks instead).
 //
 // Memory ordering: writers publish a merged snapshot BEFORE clearing the
 // overlay, and readers consult the overlay BEFORE the snapshot; with Go's
 // sequentially-consistent atomics a reader that misses the overlay is
 // guaranteed to see the merged snapshot, so no write is ever invisible.
 //
-// The map is not a general sync.Map replacement: values should be
-// pointers or small headers (they are copied on merge), and iteration
-// observes a per-shard consistent, cross-shard loose snapshot.
+// Values should be pointers or small headers: they are copied on merge.
 package cowmap
 
 import (
@@ -39,8 +32,7 @@ import (
 )
 
 // shardCount is the fixed shard fan-out (power of two). 64 shards keep
-// worst-case snapshot rebuilds at ~1.6% of the population while staying
-// cheap to iterate for small maps.
+// worst-case snapshot rebuilds at ~1.6% of the population.
 const shardCount = 64
 
 // overlayMax bounds the per-shard overlay before it is merged into the
@@ -77,8 +69,9 @@ func New[V any]() *Map[V] {
 	return &Map[V]{}
 }
 
-// fnv1a hashes the key onto a shard without allocating.
-func fnv1a(s string) uint32 {
+// Hash is FNV-1a of s, computed without allocating: the shard pick of
+// this map and of the registry store's sharded maps.
+func Hash(s string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -88,32 +81,18 @@ func fnv1a(s string) uint32 {
 }
 
 func (m *Map[V]) shard(key string) *shard[V] {
-	return &m.shards[fnv1a(key)&(shardCount-1)]
+	return &m.shards[Hash(key)&(shardCount-1)]
 }
 
 // Load returns the value stored under key. The read path is two atomic
 // pointer loads and at most two map probes: no locks, no allocation.
 func (m *Map[V]) Load(key string) (V, bool) {
-	sh := m.shard(key)
-	if op := sh.over.Load(); op != nil {
-		if e, ok := (*op)[key]; ok {
-			if e.del {
-				var zero V
-				return zero, false
-			}
-			return e.v, true
-		}
-	}
-	if sp := sh.snap.Load(); sp != nil {
-		v, ok := (*sp)[key]
-		return v, ok
-	}
-	var zero V
-	return zero, false
+	return m.shard(key).load(key)
 }
 
-// loadLocked is Load for a writer already holding sh.mu.
-func (sh *shard[V]) loadLocked(key string) (V, bool) {
+// load reads the shard's overlay, then its snapshot. Writers call it
+// under sh.mu for a read-modify-write.
+func (sh *shard[V]) load(key string) (V, bool) {
 	if op := sh.over.Load(); op != nil {
 		if e, ok := (*op)[key]; ok {
 			if e.del {
@@ -187,20 +166,12 @@ func (sh *shard[V]) publish(key string, e overEntry[V]) {
 	sh.over.Store(nil)
 }
 
-// Store sets key to value.
-func (m *Map[V]) Store(key string, value V) {
-	sh := m.shard(key)
-	sh.mu.Lock()
-	sh.publish(key, overEntry[V]{v: value})
-	sh.mu.Unlock()
-}
-
 // Delete removes key, reporting whether it was present.
 func (m *Map[V]) Delete(key string) bool {
 	sh := m.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.loadLocked(key); !ok {
+	if _, ok := sh.load(key); !ok {
 		return false
 	}
 	sh.publish(key, overEntry[V]{del: true})
@@ -214,7 +185,7 @@ func (m *Map[V]) DeleteIf(key string, cond func(V) bool) bool {
 	sh := m.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	v, ok := sh.loadLocked(key)
+	v, ok := sh.load(key)
 	if !ok || !cond(v) {
 		return false
 	}
@@ -226,108 +197,18 @@ func (m *Map[V]) DeleteIf(key string, cond func(V) bool) bool {
 // at most once, under the shard lock) when absent. loaded reports
 // whether the value already existed. The hit path is lock-free.
 func (m *Map[V]) LoadOrCreate(key string, mk func() V) (v V, loaded bool) {
-	if v, ok := m.Load(key); ok {
+	sh := m.shard(key)
+	if v, ok := sh.load(key); ok {
 		return v, true
 	}
-	sh := m.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if v, ok := sh.loadLocked(key); ok {
+	if v, ok := sh.load(key); ok {
 		return v, true
 	}
 	v = mk()
 	sh.publish(key, overEntry[V]{v: v})
 	return v, false
-}
-
-// Update atomically read-modify-writes the value under key: f receives
-// the current value (ok=false when absent) and returns the replacement
-// and whether to keep it (keep=false deletes).
-func (m *Map[V]) Update(key string, f func(old V, ok bool) (V, bool)) {
-	sh := m.shard(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.loadLocked(key)
-	next, keep := f(old, ok)
-	if keep {
-		sh.publish(key, overEntry[V]{v: next})
-	} else if ok {
-		sh.publish(key, overEntry[V]{del: true})
-	}
-}
-
-// Range calls f for every entry until f returns false. Iteration is
-// lock-free: each shard contributes one consistent overlay+snapshot
-// pair, but entries written while Range runs may or may not be seen.
-func (m *Map[V]) Range(f func(key string, v V) bool) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		op := sh.over.Load()
-		sp := sh.snap.Load()
-		if sp != nil {
-			for k, v := range *sp {
-				if op != nil {
-					if _, shadowed := (*op)[k]; shadowed {
-						continue
-					}
-				}
-				if !f(k, v) {
-					return
-				}
-			}
-		}
-		if op != nil {
-			for k, e := range *op {
-				if e.del {
-					continue
-				}
-				if !f(k, e.v) {
-					return
-				}
-			}
-		}
-	}
-}
-
-// Rebuild atomically filters/replaces every entry of each shard in one
-// snapshot swap per shard: keep returns the (possibly replaced) value
-// and whether to retain it. This is the bulk-delete primitive the
-// registry's lease-expiry sweep uses — one copy per shard instead of a
-// tombstone per expired key.
-func (m *Map[V]) Rebuild(keep func(key string, v V) (V, bool)) {
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		var base map[string]V
-		if sp := sh.snap.Load(); sp != nil {
-			base = *sp
-		}
-		op := sh.over.Load()
-		next := make(map[string]V, len(base))
-		consider := func(k string, v V) {
-			if nv, ok := keep(k, v); ok {
-				next[k] = nv
-			}
-		}
-		for k, v := range base {
-			if op != nil {
-				if _, shadowed := (*op)[k]; shadowed {
-					continue
-				}
-			}
-			consider(k, v)
-		}
-		if op != nil {
-			for k, e := range *op {
-				if !e.del {
-					consider(k, e.v)
-				}
-			}
-		}
-		sh.snap.Store(&next)
-		sh.over.Store(nil)
-		sh.mu.Unlock()
-	}
 }
 
 // Clear empties the map, one shard swap at a time.
@@ -339,33 +220,4 @@ func (m *Map[V]) Clear() {
 		sh.over.Store(nil)
 		sh.mu.Unlock()
 	}
-}
-
-// Len counts the live entries. Like Range it is lock-free and loosely
-// consistent under concurrent writes.
-func (m *Map[V]) Len() int {
-	n := 0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		op := sh.over.Load()
-		sp := sh.snap.Load()
-		if sp != nil {
-			n += len(*sp)
-		}
-		if op != nil {
-			for k, e := range *op {
-				inSnap := false
-				if sp != nil {
-					_, inSnap = (*sp)[k]
-				}
-				switch {
-				case e.del && inSnap:
-					n--
-				case !e.del && !inSnap:
-					n++
-				}
-			}
-		}
-	}
-	return n
 }

@@ -6,17 +6,49 @@ import (
 	"testing"
 )
 
+// store sets key to v the only way the map's surface allows: evict, then
+// create. Not atomic, which the tests below do not need.
+func store[V any](m *Map[V], key string, v V) {
+	m.Delete(key)
+	m.LoadOrCreate(key, func() V { return v })
+}
+
+// contents walks every shard the way a reader sees it, overlay over
+// snapshot, tombstones hiding snapshot entries.
+func contents[V any](m *Map[V]) map[string]V {
+	out := map[string]V{}
+	for i := range m.shards {
+		sh := &m.shards[i]
+		op, sp := sh.over.Load(), sh.snap.Load()
+		if sp != nil {
+			for k, v := range *sp {
+				out[k] = v
+			}
+		}
+		if op != nil {
+			for k, e := range *op {
+				if e.del {
+					delete(out, k)
+				} else {
+					out[k] = e.v
+				}
+			}
+		}
+	}
+	return out
+}
+
 func TestBasicStoreLoadDelete(t *testing.T) {
 	m := New[int]()
 	if _, ok := m.Load("a"); ok {
 		t.Fatal("empty map should miss")
 	}
-	m.Store("a", 1)
-	m.Store("b", 2)
+	store(m, "a", 1)
+	store(m, "b", 2)
 	if v, ok := m.Load("a"); !ok || v != 1 {
 		t.Fatalf("a = %d %v", v, ok)
 	}
-	m.Store("a", 3)
+	store(m, "a", 3)
 	if v, _ := m.Load("a"); v != 3 {
 		t.Fatalf("overwrite: a = %d", v)
 	}
@@ -32,8 +64,8 @@ func TestBasicStoreLoadDelete(t *testing.T) {
 	if v, ok := m.Load("b"); !ok || v != 2 {
 		t.Fatalf("b = %d %v", v, ok)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("len = %d", m.Len())
+	if n := len(contents(m)); n != 1 {
+		t.Fatalf("len = %d", n)
 	}
 }
 
@@ -47,22 +79,17 @@ func TestOverlayMergeBoundary(t *testing.T) {
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
 	check := func(step string) {
 		t.Helper()
-		if m.Len() != len(want) {
-			t.Fatalf("%s: len = %d want %d", step, m.Len(), len(want))
-		}
 		for k, v := range want {
 			if got, ok := m.Load(k); !ok || got != v {
 				t.Fatalf("%s: %s = %d %v want %d", step, k, got, ok, v)
 			}
 		}
-		seen := map[string]int{}
-		m.Range(func(k string, v int) bool { seen[k] = v; return true })
-		if len(seen) != len(want) {
-			t.Fatalf("%s: range saw %d entries want %d", step, len(seen), len(want))
+		if seen := contents(m); len(seen) != len(want) {
+			t.Fatalf("%s: shards hold %d entries want %d", step, len(seen), len(want))
 		}
 	}
 	for i := 0; i < 4*overlayMax; i++ {
-		m.Store(key(i), i)
+		store(m, key(i), i)
 		want[key(i)] = i
 		check(fmt.Sprintf("store %d", i))
 	}
@@ -72,7 +99,7 @@ func TestOverlayMergeBoundary(t *testing.T) {
 		check(fmt.Sprintf("delete %d", i))
 	}
 	for i := 0; i < 4*overlayMax; i++ {
-		m.Store(key(i), -i)
+		store(m, key(i), -i)
 		want[key(i)] = -i
 		check(fmt.Sprintf("restore %d", i))
 	}
@@ -92,38 +119,9 @@ func TestLoadOrCreate(t *testing.T) {
 	}
 }
 
-func TestUpdate(t *testing.T) {
-	m := New[[]string]()
-	add := func(s string) {
-		m.Update("row", func(old []string, ok bool) ([]string, bool) {
-			return append(append([]string(nil), old...), s), true
-		})
-	}
-	add("a")
-	add("b")
-	if v, _ := m.Load("row"); len(v) != 2 || v[0] != "a" || v[1] != "b" {
-		t.Fatalf("row = %v", v)
-	}
-	// keep=false deletes.
-	m.Update("row", func(old []string, ok bool) ([]string, bool) { return nil, false })
-	if _, ok := m.Load("row"); ok {
-		t.Fatal("update-delete failed")
-	}
-	// Update of an absent key with keep=false must not create it.
-	m.Update("ghost", func(old []string, ok bool) ([]string, bool) {
-		if ok {
-			t.Fatal("ghost should be absent")
-		}
-		return nil, false
-	})
-	if m.Len() != 0 {
-		t.Fatalf("len = %d", m.Len())
-	}
-}
-
 func TestDeleteIf(t *testing.T) {
 	m := New[int]()
-	m.Store("k", 1)
+	store(m, "k", 1)
 	if m.DeleteIf("k", func(v int) bool { return v == 2 }) {
 		t.Fatal("cond false must not delete")
 	}
@@ -135,36 +133,14 @@ func TestDeleteIf(t *testing.T) {
 	}
 }
 
-func TestRebuild(t *testing.T) {
-	m := New[int]()
-	for i := 0; i < 100; i++ {
-		m.Store(fmt.Sprintf("k%d", i), i)
-	}
-	m.Rebuild(func(k string, v int) (int, bool) {
-		if v%2 == 0 {
-			return v * 10, true
-		}
-		return 0, false
-	})
-	if m.Len() != 50 {
-		t.Fatalf("len = %d", m.Len())
-	}
-	if v, ok := m.Load("k4"); !ok || v != 40 {
-		t.Fatalf("k4 = %d %v", v, ok)
-	}
-	if _, ok := m.Load("k3"); ok {
-		t.Fatal("odd keys must be gone")
-	}
-}
-
 func TestClear(t *testing.T) {
 	m := New[int]()
 	for i := 0; i < 100; i++ {
-		m.Store(fmt.Sprintf("k%d", i), i)
+		store(m, fmt.Sprintf("k%d", i), i)
 	}
 	m.Clear()
-	if m.Len() != 0 {
-		t.Fatalf("len = %d", m.Len())
+	if n := len(contents(m)); n != 0 {
+		t.Fatalf("len = %d", n)
 	}
 	if _, ok := m.Load("k1"); ok {
 		t.Fatal("cleared key present")
@@ -178,7 +154,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	m := New[int]()
 	const keys = 128
 	for i := 0; i < keys; i++ {
-		m.Store(fmt.Sprintf("k%d", i), i)
+		store(m, fmt.Sprintf("k%d", i), i)
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -195,11 +171,11 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				k := fmt.Sprintf("k%d", (i*7+w)%keys)
 				switch i % 3 {
 				case 0:
-					m.Store(k, i)
+					store(m, k, i)
 				case 1:
 					m.Delete(k)
 				case 2:
-					m.Update(k, func(old int, ok bool) (int, bool) { return old + 1, true })
+					m.DeleteIf(k, func(v int) bool { return v%2 == 0 })
 				}
 			}
 		}(w)
@@ -216,14 +192,16 @@ func TestConcurrentReadersWriters(t *testing.T) {
 				}
 				m.Load(fmt.Sprintf("k%d", (i+r)%keys))
 				if i%100 == 0 {
-					m.Range(func(string, int) bool { return true })
-					m.Len()
+					contents(m)
 				}
 			}
 		}(r)
 	}
-	for i := 0; i < 50; i++ {
-		m.Rebuild(func(k string, v int) (int, bool) { return v, true })
+	for i := 0; i < 50_000; i++ {
+		m.LoadOrCreate(fmt.Sprintf("k%d", i%keys), func() int { return i })
+		if i%1000 == 0 {
+			m.Clear()
+		}
 	}
 	close(stop)
 	wg.Wait()
@@ -234,7 +212,7 @@ func TestConcurrentReadersWriters(t *testing.T) {
 // keys in the same shard stays visible throughout the burst.
 func TestWriterNeverHidesOtherKeys(t *testing.T) {
 	m := New[int]()
-	m.Store("stable", 42)
+	store(m, "stable", 42)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -246,7 +224,7 @@ func TestWriterNeverHidesOtherKeys(t *testing.T) {
 				return
 			default:
 			}
-			m.Store(fmt.Sprintf("x%d", i%1000), i)
+			store(m, fmt.Sprintf("x%d", i%1000), i)
 		}
 	}()
 	for i := 0; i < 200_000; i++ {
@@ -262,7 +240,7 @@ func TestWriterNeverHidesOtherKeys(t *testing.T) {
 func BenchmarkLoadHit(b *testing.B) {
 	m := New[*int]()
 	v := 1
-	m.Store("key", &v)
+	store(m, "key", &v)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -273,7 +251,8 @@ func BenchmarkLoadHit(b *testing.B) {
 	})
 }
 
-func BenchmarkStore(b *testing.B) {
+// BenchmarkRefill is the cache's write pair: evict a slot, fill it anew.
+func BenchmarkRefill(b *testing.B) {
 	m := New[int]()
 	keys := make([]string, 1024)
 	for i := range keys {
@@ -281,6 +260,6 @@ func BenchmarkStore(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Store(keys[i&1023], i)
+		store(m, keys[i&1023], i)
 	}
 }

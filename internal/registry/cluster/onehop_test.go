@@ -203,8 +203,8 @@ func TestRemoveCountsFailedReplicaRemoval(t *testing.T) {
 
 // TestWriteCostFlatInStoreSize: a leased publish+remove on a node costs
 // the same whether its store holds 10³ or 10⁵ live leases — nothing on the
-// write path may scan the store. (The bound leaves room for the store's
-// copy-on-write shards, whose merge cost grows mildly with shard size.)
+// write path may scan the store. (The bound leaves room for a larger
+// map's cache misses.)
 func TestWriteCostFlatInStoreSize(t *testing.T) {
 	xml := testWSDL(t)
 	perPair := func(standing int) time.Duration {

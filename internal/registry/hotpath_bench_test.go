@@ -11,7 +11,9 @@ import (
 // actually hammers — the discovery-cache hit and the owner-shard
 // registry read — at 32 concurrent callers. Before the S34 rework both
 // paths serialized on a process-wide mutex (the cache took a plain
-// Mutex per HIT); after it both are lock-free atomic-snapshot reads.
+// Mutex per HIT). The cache hit is a lock-free atomic-snapshot read; the
+// registry read takes one shard read lock per map it probes.
+// BenchmarkRegistryWrite is the other side of the store: its lease churn.
 
 const hotCallers = 32
 
@@ -67,6 +69,40 @@ func BenchmarkHotRegistryFindByName32(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkRegistryWrite is the store's write mix under lease churn on a
+// 10⁴-entry registry: each op publishes a leased entry, renews the one
+// published half a window ago and removes the one a full window ago, so
+// a window of 256 leased entries under 16 names stays live beside the
+// persistent ones.
+func BenchmarkRegistryWrite(b *testing.B) {
+	r, _ := hotRegistry(b, 10_000)
+	xml, _ := matmulWSDL(b)
+	const window = 256
+	es := make([]Entry, 1024)
+	for i := range es {
+		es[i] = Entry{Key: fmt.Sprintf("churn%d", i), Name: fmt.Sprintf("Churn%d", i%16), WSDL: xml}
+	}
+	publish := func(i int) {
+		if _, err := r.PublishLeased(es[i&1023], time.Minute); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < window; i++ {
+		publish(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := window; i < b.N+window; i++ {
+		publish(i)
+		if err := r.Renew(es[(i-window/2)&1023].Key); err != nil {
+			b.Fatal(err)
+		}
+		if err := r.Remove(es[(i-window)&1023].Key); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkHotCacheHit32 is the Zipf-hot discovery-cache hit under

@@ -166,6 +166,11 @@ func (p *scanParser) parse(doc string) (*Definitions, error) {
 					case "binding":
 						r = roleBinding
 						seenExt = false
+						if d.Bindings == nil {
+							// One binding per kind is the common shape:
+							// allocate for it once instead of growing.
+							d.Bindings = make([]Binding, 0, len(kindNames))
+						}
 						d.Bindings = append(d.Bindings, Binding{
 							Name: p.attr(tok.Attrs, "name", ""),
 							Type: p.attr(tok.Attrs, "type", ""),
